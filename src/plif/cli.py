@@ -6,7 +6,8 @@ Exit codes:
   2  validation report (validate) or usage error
   3  threshold above the critical potential level
   4  zero-probability evidence / all clamps excluded
-  5  other inference errors (frontier too wide, truncated past, expansion cap)
+  5  other inference errors (frontier too wide, intermediate factor too large,
+     truncated past, expansion cap)
   6  not separated (dsep)
 
 The PLIF_MAX_FRONTIER environment variable overrides the default cap of
@@ -22,6 +23,7 @@ import sys
 
 from .errors import (
     ExpansionCapError,
+    FactorTooLargeError,
     FrontierTooWideError,
     InvalidNetworkError,
     NetworkFormatError,
@@ -82,7 +84,13 @@ def main(argv: list[str] | None = None) -> int:
     except ZeroEvidenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ZERO_EVIDENCE
-    except (FrontierTooWideError, ExpansionCapError, OpenPastError, NoStartNodesError) as exc:
+    except (
+        FrontierTooWideError,
+        FactorTooLargeError,
+        ExpansionCapError,
+        OpenPastError,
+        NoStartNodesError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFERENCE
     except PlifError as exc:

@@ -66,6 +66,15 @@ class FrontierTooWideError(PlifError):
         super().__init__(f"frontier too wide: {width} clamp assignments exceed the cap of {cap}")
 
 
+class FactorTooLargeError(PlifError):
+    """An intermediate factor of a contraction would exceed the cell cap."""
+
+    def __init__(self, cells: int, cap: int):
+        self.cells = cells
+        self.cap = cap
+        super().__init__(f"intermediate factor too large: {cells} cells exceed the cap of {cap}")
+
+
 class ExpansionCapError(PlifError):
     """Lazy expansion visited more nodes than the configured cap."""
 

@@ -1,14 +1,16 @@
-"""Probability computation: exact enumeration, frontier-conditional
-inference on retrieved submodels, certified bounds, and anytime sweeps.
+"""Probability computation: certified bounds from retrieved submodels,
+anytime sweeps, and an exact reference.
 
 Two routes are deliberately kept independent:
 
 * :func:`exact_query` materializes the full joint table over the
   ancestral closure and sums it. Slow, simple, and the reference that
   everything else is tested against.
-* :func:`frontier_conditional` and :func:`bounds_at` run factor
-  elimination over the retrieved submodel with the frontier clamped,
-  touching nothing outside it.
+* Everything else goes through one contraction, :func:`_contract`: bucket
+  elimination over the submodel's CPTs with the objective kept as an
+  output axis, so a single pass yields both the numerator and the
+  normalizer. Every intermediate factor is rescaled per frontier clamp,
+  so long evidence chains cannot underflow.
 
 Bounds come from scanning the unobserved frontier: for every joint clamp
 of those stubs the submodel yields one conditional value, and the true
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -29,6 +32,7 @@ import numpy as np
 
 from .errors import (
     ExpansionCapError,
+    FactorTooLargeError,
     OpenPastError,
     PlifError,
     QueryError,
@@ -141,22 +145,22 @@ def _align(axes: _Axes, table: np.ndarray, out_axes: _Axes) -> np.ndarray:
 
 
 def _product(factors: Sequence[_Factor], out_axes: _Axes, sizes: Mapping[str, int]) -> np.ndarray:
-    out = np.ones(tuple(sizes[a] for a in out_axes))
+    shape = tuple(sizes[a] for a in out_axes)
+    cells = math.prod(shape)
+    if cells > MAX_JOINT_CELLS:
+        raise FactorTooLargeError(cells, MAX_JOINT_CELLS)
+    out = np.ones(shape)
     for axes, table in factors:
-        out = out * _align(axes, table, out_axes)
+        out *= _align(axes, table, out_axes)
     return out
 
 
-def _eliminate(factors: list[_Factor], hidden: Sequence[str], sizes: Mapping[str, int]) -> list[_Factor]:
-    for h in hidden:
-        group = [f for f in factors if h in f[0]]
-        if not group:
-            continue
-        union: _Axes = tuple(dict.fromkeys(a for f in group for a in f[0]))
-        summed = _product(group, union, sizes).sum(axis=union.index(h))
-        factors = [f for f in factors if h not in f[0]]
-        factors.append((tuple(a for a in union if a != h), summed))
-    return factors
+def _rescale(axes: _Axes, table: np.ndarray, scan: _Axes) -> np.ndarray:
+    """Divide by the maximum over the non-scan axes, per scan cell; an
+    all-zero cell keeps scale 1, so exact zeros stay exact."""
+    other = tuple(i for i, a in enumerate(axes) if a not in scan)
+    peak = table.max(axis=other, keepdims=True)
+    return table / np.where(peak > 0.0, peak, 1.0)
 
 
 def _topo_order(specs: Mapping[str, NodeSpec]) -> list[str]:
@@ -182,12 +186,6 @@ def _topo_order(specs: Mapping[str, NodeSpec]) -> list[str]:
     return out
 
 
-def _submodel_sizes(sub: Submodel) -> dict[str, int]:
-    sizes = {n: len(s.states) for n, s in sub.interior.items()}
-    sizes.update({n: len(f.states) for n, f in sub.frontier.items()})
-    return sizes
-
-
 def _state_index(sub: Submodel, name: str, label: str) -> int:
     states = sub.states_of(name)
     try:
@@ -196,13 +194,55 @@ def _state_index(sub: Submodel, name: str, label: str) -> int:
         raise QueryError(f"node {name!r} has no state {label!r}") from None
 
 
-def _contract_scalar(
-    sub: Submodel, clamps: Mapping[str, int], sizes: Mapping[str, int]
-) -> float:
-    factors = [_reduce(_cpt_factor(s, sizes), clamps) for s in sub.interior.values()]
-    hidden = [n for n in reversed(_topo_order(sub.interior)) if n not in clamps]
-    factors = _eliminate(factors, hidden, sizes)
-    return float(_product(factors, (), sizes))
+def _contract(
+    sub: Submodel,
+    specs: Mapping[str, NodeSpec],
+    evidence: Assignment,
+    scan: _Axes,
+    objective: Assignment,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum-product of the CPTs in ``specs`` (nodes of ``sub``) with
+    ``evidence`` fixed, by bucket elimination in reverse topological order.
+
+    Returns ``(num, den)`` indexed by the ``scan`` axes: ``num`` is the
+    mass of the ``objective`` cell and ``den`` its sum over every
+    objective state. Each eliminated variable's factors are found through
+    an index from variable to factor ids. Each new factor is divided by
+    its maximum over the non-scan axes, separately per scan cell, so
+    ``num`` and ``den`` of one clamp share one positive scale.
+    """
+    sizes = {n: len(sub.states_of(n)) for n in (*sub.interior, *sub.frontier)}
+    clamps = {n: _state_index(sub, n, v) for n, v in evidence.items()}
+    target = tuple(_state_index(sub, n, v) for n, v in objective.items())
+    keep = (*scan, *objective)
+    live: dict[int, _Factor] = {}
+    index: dict[str, set[int]] = {}
+    ids = itertools.count()
+
+    def add(factor: _Factor) -> None:
+        fid = next(ids)
+        live[fid] = factor
+        for a in factor[0]:
+            index.setdefault(a, set()).add(fid)
+
+    for spec in specs.values():
+        add(_reduce(_cpt_factor(spec, sizes), clamps))
+    for h in reversed(_topo_order(specs)):
+        if h in clamps or h in keep:
+            continue
+        # ids of factors already eliminated stay in the index; skip them
+        group = [live.pop(fid) for fid in sorted(index.pop(h, ())) if fid in live]
+        if not group:
+            continue
+        union: _Axes = tuple(dict.fromkeys(a for axes, _ in group for a in axes))
+        summed = _product(group, union, sizes).sum(axis=union.index(h))
+        axes = tuple(a for a in union if a != h)
+        add((axes, _rescale(axes, summed, scan)))
+
+    table = _product(list(live.values()), keep, sizes)
+    num = table[(Ellipsis, *target)]
+    den = table.sum(axis=tuple(range(len(scan), len(keep))))
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +316,17 @@ def frontier_conditional(
         if name not in sub.interior:
             raise QueryError(f"node {name!r} is not interior to the submodel")
 
-    sizes = _submodel_sizes(sub)
-    base = {n: _state_index(sub, n, v) for n, v in frontier_values.items()}
-    base.update({n: _state_index(sub, n, v) for n, v in evidence_plus.items()})
-    num_clamps = dict(base)
-    num_clamps.update({n: _state_index(sub, n, v) for n, v in objective.items()})
+    clash = set(objective) & set(evidence_plus)
+    if clash:
+        raise QueryError(f"{sorted(clash)} are both objective and evidence")
 
-    denominator = _contract_scalar(sub, base, sizes)
-    if denominator == 0.0:
+    evidence = {**frontier_values, **evidence_plus}
+    num, den = _contract(sub, sub.interior, evidence, (), objective)
+    if den == 0.0:
         raise ZeroEvidenceError(
             "zero normalizer: this frontier clamp is inconsistent with the elevated evidence"
         )
-    return _contract_scalar(sub, num_clamps, sizes) / denominator
+    return float(num / den)
 
 
 def frontier_clamp_table(
@@ -299,25 +338,15 @@ def frontier_clamp_table(
     Returns ``(scan_nodes, num, den)``: arrays indexed by the state of
     each unobserved frontier node (sorted by name, odometer order), where
     ``num/den`` at a clamp equals :func:`frontier_conditional` there.
+    ``num`` and ``den`` are scaled by the same positive factor at each
+    clamp, chosen per clamp so that neither underflows; only their ratio
+    and whether ``den`` is exactly zero carry meaning.
     """
     sub = rs.submodel
-    sizes = _submodel_sizes(sub)
     scan = tuple(sorted(rs.frontier - rs.evidence_in_frontier))
-
-    base = {e: _state_index(sub, e, query.evidence[e]) for e in rs.evidence_in_frontier}
-    base.update({e: _state_index(sub, e, query.evidence[e]) for e in rs.evidence_plus})
-    num_clamps = dict(base)
-    num_clamps.update({n: _state_index(sub, n, v) for n, v in query.objective.items()})
-
-    def table(clamps: Mapping[str, int]) -> np.ndarray:
-        factors = [_reduce(_cpt_factor(s, sizes), clamps) for s in sub.interior.values()]
-        hidden = [
-            n for n in reversed(_topo_order(sub.interior)) if n not in clamps and n not in scan
-        ]
-        factors = _eliminate(factors, hidden, sizes)
-        return _product(factors, scan, sizes)
-
-    return scan, table(num_clamps), table(base)
+    evidence = {e: query.evidence[e] for e in rs.evidence_in_frontier | rs.evidence_plus}
+    num, den = _contract(sub, sub.interior, evidence, scan, query.objective)
+    return scan, num, den
 
 
 def exactness_status(
@@ -352,23 +381,12 @@ def _exact_from_retrieval(net: NetworkLike, rs: RootSetResult, query: Query) -> 
             return None
         frontier_specs.append(spec)
 
-    sizes = _submodel_sizes(sub)
-    clamps = {n: _state_index(sub, n, v) for n, v in query.evidence.items()}
-    num_clamps = dict(clamps)
-    num_clamps.update({n: _state_index(sub, n, v) for n, v in query.objective.items()})
-
     specs = dict(sub.interior)
     specs.update({s.name: s for s in frontier_specs})
-
-    def scalar(cl: Mapping[str, int]) -> float:
-        factors = [_reduce(_cpt_factor(s, sizes), cl) for s in specs.values()]
-        hidden = [n for n in reversed(_topo_order(specs)) if n not in cl]
-        return float(_product(_eliminate(factors, hidden, sizes), (), sizes))
-
-    denominator = scalar(clamps)
-    if denominator == 0.0:
+    num, den = _contract(sub, specs, query.evidence, (), query.objective)
+    if den == 0.0:
         raise ZeroEvidenceError(f"evidence {dict(query.evidence)!r} has probability zero")
-    return scalar(num_clamps) / denominator
+    return float(num / den)
 
 
 def bounds_at(
@@ -407,7 +425,7 @@ def bounds_at(
     if not valid.any():
         raise ZeroEvidenceError("every frontier clamp has a zero normalizer")
     # num <= den holds exactly in real arithmetic; the clip only absorbs
-    # last-ulp drift between the two contractions
+    # last-ulp drift from summing the objective axis into den
     ratios = np.clip(num[valid] / den[valid], 0.0, 1.0)
     lower = float(ratios.min())
     upper = float(ratios.max())

@@ -122,7 +122,6 @@ class RootSetResult:
     evidence_in_frontier: frozenset[str]
     evidence_minus: frozenset[str]
     submodel: Submodel
-    expanded_count: int
 
 
 def _spec_of(net: NetworkLike, name: str) -> NodeSpec:
@@ -266,5 +265,4 @@ def root_set(
         evidence_in_frontier=e_front,
         evidence_minus=e_minus,
         submodel=Submodel(interior=interior_specs, frontier=stubs, t0=base.t0),
-        expanded_count=len(interior) + len(frontier),
     )

@@ -170,6 +170,13 @@ def test_sweep_frontier_cap_env_var(cli, chain_file):
     assert "frontier too wide" in err
 
 
+def test_intermediate_factor_cap_exits_5(cli, chain_file, monkeypatch):
+    monkeypatch.setattr("plif.infer.MAX_JOINT_CELLS", 3)
+    code, _, err = cli("query", chain_file, "--target", "x=1", "--threshold", "2")
+    assert code == 5
+    assert "intermediate factor too large" in err
+
+
 def test_dsep_chain_separated(cli, chain_file):
     code, out, _ = cli("dsep", chain_file, "-A", "x", "-B", "y", "-C", "t1")
     assert code == 0

@@ -1,11 +1,16 @@
+import dataclasses
+
 import pytest
 
 import oracles
+import plif.infer as infer
 from conftest import make_net
 from plif import (
     Exactness,
+    FactorTooLargeError,
     FrontierTooWideError,
     HmmParams,
+    LazyNetwork,
     NodeSpec,
     OpenPastError,
     Query,
@@ -31,6 +36,7 @@ from plif import (
     random_query,
     root_set,
 )
+from plif.gen import hmm_node_name
 
 HMM = HmmParams()
 
@@ -260,6 +266,51 @@ def test_bounds_bracket_the_exact_value(seed):
     for th in default_schedule(net, query):
         qb = bounds_at(net, query, th)
         assert qb.lower - 1e-9 <= exact <= qb.upper + 1e-9
+
+
+@pytest.mark.parametrize("window", [2500, 5000])
+def test_bounds_long_window_matches_filter_oracle(window):
+    # the evidence mass falls below the smallest double near w=2500
+    p = HmmParams(window=window)
+    qb = bounds_at(hmm_model(p), hmm_query(p), Threshold(-float(window)))
+    lo = oracles.hmm_clamp_filter(0.9, 0.8, 0, window, window)
+    hi = oracles.hmm_clamp_filter(0.9, 0.8, 1, window, window)
+    assert qb.lower == pytest.approx(lo, abs=1e-9)
+    assert qb.upper == pytest.approx(hi, abs=1e-9)
+
+
+def test_bounds_exact_zero_normalizer_survives_scaling():
+    # the chain at w=2500, except that x just above the frontier copies a
+    # frontier state of 0 and its observation of 1 is impossible in state 0:
+    # that clamp's normalizer is exactly zero, the other one underflows
+    # without scaling
+    window = 2500
+    p = HmmParams(window=window)
+    inner = hmm_model(p)
+    gated = {
+        hmm_node_name("x", 2 - window): ((1.0, 0.0), (0.1, 0.9)),
+        hmm_node_name("y", 2 - window): ((1.0, 0.0), (0.2, 0.8)),
+    }
+
+    def resolve(name):
+        spec = inner.resolve(name)
+        return dataclasses.replace(spec, cpt=gated[name]) if name in gated else spec
+
+    lazy = LazyNetwork(resolver=resolve, t0=inner.t0, open_past=True)
+    q = hmm_query(p)
+    th = Threshold(-float(window))
+    _, _, den = infer.frontier_clamp_table(root_set(lazy, q, th), q)
+    assert den[0] == 0.0 and den[1] > 0.0
+    qb = bounds_at(lazy, q, th)
+    want = oracles.hmm_clamp_filter(0.9, 0.8, 1, window - 1, window)
+    assert qb.lower == qb.upper == pytest.approx(want, abs=1e-9)
+
+
+def test_intermediate_factor_cap(monkeypatch, chain_net):
+    monkeypatch.setattr(infer, "MAX_JOINT_CELLS", 3)
+    with pytest.raises(FactorTooLargeError) as exc:
+        bounds_at(chain_net, Query({"x": "1"}), Threshold(2.0))
+    assert exc.value.cap == 3
 
 
 # --- exactness_status -----------------------------------------------------------
