@@ -46,9 +46,9 @@ from .gen import (
     random_network,
     sweep_csv,
 )
-from .infer import QueryBounds, anytime_sweep, bounds_at, default_schedule, exact_query
+from .infer import QueryBounds, SweepState, anytime_sweep, bounds_at, default_schedule, exact_query
 from .model import Query, load_network, materialize, serialize
-from .retrieval import Threshold, d_separated, root_set
+from .retrieval import Threshold, d_separated
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -234,12 +234,11 @@ def _cmd_query(args) -> int:
         return EXIT_OK
 
     v = net.spec(args.at_pl_of).pl if args.at_pl_of is not None else args.threshold
-    threshold = Threshold(v)
-    qb = bounds_at(net, query, threshold, max_clamps=_clamp_cap())
+    state = SweepState()
+    qb = bounds_at(net, query, Threshold(v), max_clamps=_clamp_cap(), state=state)
     if args.dump_submodel:
-        rs = root_set(net, query, threshold)
         with open(args.dump_submodel, "w", encoding="utf-8") as fh:
-            json.dump(rs.submodel.to_document(), fh)
+            json.dump(state.retrieval.submodel.to_document(), fh)
             fh.write("\n")
     _emit_bounds(qb, args.format)
     return EXIT_OK

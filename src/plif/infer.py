@@ -7,10 +7,11 @@ Two routes are deliberately kept independent:
   ancestral closure and sums it. Slow, simple, and the reference that
   everything else is tested against.
 * Everything else goes through one contraction, :func:`_contract`: bucket
-  elimination over the submodel's CPTs with the objective kept as an
-  output axis, so a single pass yields both the numerator and the
-  normalizer. Every intermediate factor is rescaled per frontier clamp,
-  so long evidence chains cannot underflow.
+  elimination that multiplies CPTs into a table of numerators and
+  normalizers over the frontier clamps. Factors are rescaled per clamp,
+  and the scales are kept as logs, so long evidence chains cannot
+  underflow. A sweep keeps that table and, at each deeper threshold,
+  contracts only the CPTs of the newly retrieved nodes into it.
 
 Bounds come from scanning the unobserved frontier: for every joint clamp
 of those stubs the submodel yields one conditional value, and the true
@@ -22,10 +23,11 @@ that combination and are excluded from the scan.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -54,7 +56,7 @@ from .retrieval import (
     RootSetResult,
     Submodel,
     Threshold,
-    _spec_of,
+    Walk,
     ancestors,
     root_set,
 )
@@ -115,6 +117,26 @@ class Schedule:
 _Axes = tuple[str, ...]
 _Factor = tuple[_Axes, np.ndarray]
 
+#: the last axis of every clamp table: 0 is the numerator, 1 the normalizer
+#: (an object, so that no node name can collide with it)
+_NUM_DEN = object()
+#: factors are rescaled once their peak at some clamp falls below this;
+#: they never exceed 1, since every variable summed out brings its own CPT
+_TINY = 2.0**-64
+
+
+@dataclass(frozen=True)
+class _Table:
+    """Numerators and normalizers indexed by the states of ``axes`` (the
+    unobserved frontier), then by :data:`_NUM_DEN`. The true value at a
+    cell is ``table`` there times ``exp(logscale)`` at its ``axes`` cell;
+    ``logscale`` None means 0, and it is -inf where the normalizer is
+    exactly zero."""
+
+    axes: _Axes
+    table: np.ndarray
+    logscale: np.ndarray | None
+
 
 def _cpt_factor(spec: NodeSpec, sizes: Mapping[str, int]) -> _Factor:
     axes = (*spec.parents, spec.name)
@@ -131,36 +153,66 @@ def _reduce(factor: _Factor, clamps: Mapping[str, int]) -> _Factor:
 
 
 def _align(axes: _Axes, table: np.ndarray, out_axes: _Axes) -> np.ndarray:
-    order = sorted(range(len(axes)), key=lambda i: out_axes.index(axes[i]))
-    t = np.transpose(table, order)
-    present = [axes[i] for i in order]
-    shape, k = [], 0
-    for a in out_axes:
-        if k < len(present) and present[k] == a:
-            shape.append(t.shape[k])
-            k += 1
-        else:
-            shape.append(1)
-    return t.reshape(shape)
+    """``table`` (over ``axes``) transposed and reshaped to broadcast
+    against ``out_axes``."""
+    where = [out_axes.index(a) for a in axes]
+    shape = [1] * len(out_axes)
+    for w, n in zip(where, table.shape):
+        shape[w] = n
+    if where != sorted(where):
+        table = np.transpose(table, sorted(range(len(where)), key=where.__getitem__))
+    return table.reshape(shape)
 
 
-def _product(factors: Sequence[_Factor], out_axes: _Axes, sizes: Mapping[str, int]) -> np.ndarray:
+def _peak(axes: _Axes, table: np.ndarray, scan: _Axes) -> np.ndarray:
+    """The maximum of ``table`` over its non-scan axes, per scan cell."""
+    return table.max(axis=tuple(i for i, a in enumerate(axes) if a not in scan), keepdims=True)
+
+
+def _rescale(
+    axes: _Axes, table: np.ndarray, scan: _Axes, logscale: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Once the maximum over the non-scan axes falls below _TINY at some
+    scan cell, divide by it per scan cell and add its log to ``logscale``
+    (aligned to ``scan``). An all-zero cell keeps scale 1, so exact zeros
+    stay exact."""
+    peak = _peak(axes, table, scan)
+    if peak.min() >= _TINY:
+        return table, logscale
+    peak = np.where(peak > 0.0, peak, 1.0)
+    kept = tuple(a for a in axes if a in scan)
+    log = _align(kept, np.log(peak).reshape([table.shape[axes.index(a)] for a in kept]), scan)
+    return table / peak, log if logscale is None else logscale + log
+
+
+def _product(
+    factors: Sequence[_Factor],
+    out_axes: _Axes,
+    sizes: Mapping[str, int],
+    scan: _Axes,
+    logscale: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The product of ``factors`` over ``out_axes``, which may share memory
+    with a factor and so must not be written to, and ``logscale`` plus the
+    logs of any rescaling.
+
+    No factor exceeds 1, so multiplying one in never raises the peak at a
+    scan cell: if the whole product keeps every scan cell's peak at or
+    above _TINY, no partial product fell below it. Otherwise a product of
+    two or more factors is redone one factor at a time, rescaling
+    (:func:`_rescale`) after each, so that a scan cell is zero only where
+    it is exactly zero."""
     shape = tuple(sizes[a] for a in out_axes)
     cells = math.prod(shape)
     if cells > MAX_JOINT_CELLS:
         raise FactorTooLargeError(cells, MAX_JOINT_CELLS)
-    out = np.ones(shape)
-    for axes, table in factors:
-        out *= _align(axes, table, out_axes)
-    return out
-
-
-def _rescale(axes: _Axes, table: np.ndarray, scan: _Axes) -> np.ndarray:
-    """Divide by the maximum over the non-scan axes, per scan cell; an
-    all-zero cell keeps scale 1, so exact zeros stay exact."""
-    other = tuple(i for i, a in enumerate(axes) if a not in scan)
-    peak = table.max(axis=other, keepdims=True)
-    return table / np.where(peak > 0.0, peak, 1.0)
+    aligned = [_align(axes, table, out_axes) for axes, table in factors]
+    out = functools.reduce(np.multiply, aligned) if aligned else np.ones(shape)
+    if len(aligned) > 1 and _peak(out_axes, out, scan).min() < _TINY:
+        out, logscale = _rescale(out_axes, aligned[0], scan, logscale)
+        for table in aligned[1:]:
+            out, logscale = _rescale(out_axes, out * table, scan, logscale)
+    return (out if out.shape == shape else np.broadcast_to(out, shape)), logscale
 
 
 def _topo_order(specs: Mapping[str, NodeSpec]) -> list[str]:
@@ -199,22 +251,37 @@ def _contract(
     specs: Mapping[str, NodeSpec],
     evidence: Assignment,
     scan: _Axes,
-    objective: Assignment,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum-product of the CPTs in ``specs`` (nodes of ``sub``) with
-    ``evidence`` fixed, by bucket elimination in reverse topological order.
+    prior: _Table | Assignment,
+) -> _Table:
+    """Multiply the CPTs in ``specs`` (nodes of ``sub``) into ``prior``,
+    with ``evidence`` fixed, and sum out every variable but ``scan``, by
+    bucket elimination in reverse topological order.
 
-    Returns ``(num, den)`` indexed by the ``scan`` axes: ``num`` is the
-    mass of the ``objective`` cell and ``den`` its sum over every
-    objective state. Each eliminated variable's factors are found through
-    an index from variable to factor ids. Each new factor is divided by
-    its maximum over the non-scan axes, separately per scan cell, so
-    ``num`` and ``den`` of one clamp share one positive scale.
+    ``prior`` is either an earlier table, whose axes must be in ``scan``
+    or in ``specs``, or the objective assignment to start from; then the
+    objective nodes stay output axes until the numerator (their objective
+    cell) and the normalizer (their sum) are read off. Because
+    sum-products are linear in their factors, contracting a sweep's band
+    of new CPTs into its previous table equals contracting every CPT
+    from the start.
+
+    Each eliminated variable's factors are found through an index from
+    variable to factor ids. Products whose peak at some scan cell falls
+    below _TINY are rescaled per scan cell (:func:`_product`), so the
+    numerator and normalizer of one clamp share one positive scale.
+    ``prior``'s own log-scales are first brought, per surviving scan cell,
+    to their maximum over the axes summed away.
     """
-    sizes = {n: len(sub.states_of(n)) for n in (*sub.interior, *sub.frontier)}
-    clamps = {n: _state_index(sub, n, v) for n, v in evidence.items()}
-    target = tuple(_state_index(sub, n, v) for n, v in objective.items())
-    keep = (*scan, *objective)
+    start = not isinstance(prior, _Table)
+    keep = (*scan, *prior) if start else (*scan, _NUM_DEN)
+    sizes: dict = {_NUM_DEN: 2}
+    for n in (*scan, *(prior if start else prior.axes)):
+        sizes[n] = len(sub.states_of(n))
+    for spec in specs.values():
+        for a in (*spec.parents, spec.name):
+            if a not in sizes:
+                sizes[a] = len(sub.states_of(a))
+    clamps = {n: _state_index(sub, n, evidence[n]) for n in sizes if n in evidence}
     live: dict[int, _Factor] = {}
     index: dict[str, set[int]] = {}
     ids = itertools.count()
@@ -225,6 +292,17 @@ def _contract(
         for a in factor[0]:
             index.setdefault(a, set()).add(fid)
 
+    logscale = None
+    if not start:
+        table = prior.table
+        if prior.logscale is not None:
+            gone = tuple(i for i, a in enumerate(prior.axes) if a not in scan)
+            peak = prior.logscale.max(axis=gone, keepdims=True)
+            base = np.where(np.isfinite(peak), peak, 0.0)
+            table = table * np.exp(prior.logscale - base)[..., None]
+            kept = tuple(a for a in prior.axes if a in scan)
+            logscale = _align(kept, peak.reshape([sizes[a] for a in kept]), scan)
+        add(((*prior.axes, _NUM_DEN), table))
     for spec in specs.values():
         add(_reduce(_cpt_factor(spec, sizes), clamps))
     for h in reversed(_topo_order(specs)):
@@ -235,14 +313,26 @@ def _contract(
         if not group:
             continue
         union: _Axes = tuple(dict.fromkeys(a for axes, _ in group for a in axes))
-        summed = _product(group, union, sizes).sum(axis=union.index(h))
-        axes = tuple(a for a in union if a != h)
-        add((axes, _rescale(axes, summed, scan)))
+        # summing h out cannot lower the peak at any scan cell
+        product, logscale = _product(group, union, sizes, scan, logscale)
+        add((tuple(a for a in union if a != h), product.sum(axis=union.index(h))))
 
-    table = _product(list(live.values()), keep, sizes)
-    num = table[(Ellipsis, *target)]
-    den = table.sum(axis=tuple(range(len(scan), len(keep))))
-    return num, den
+    table, logscale = _product(list(live.values()), keep, sizes, scan, logscale)
+    if start:
+        target = tuple(_state_index(sub, n, v) for n, v in prior.items())
+        pair = np.empty((*table.shape[: len(scan)], 2))
+        pair[..., 0] = table[(Ellipsis, *target)]
+        pair[..., 1] = table.sum(axis=tuple(range(len(scan), len(keep))))
+        table = pair
+    den = table[..., 1]  # the peak of each clamp, as num <= den
+    if den.min() < _TINY:
+        zero = den == 0.0
+        den = np.where(zero, 1.0, den)
+        table = table / den[..., None]
+        logscale = np.where(zero, -np.inf, np.log(den) + (0.0 if logscale is None else logscale))
+    elif logscale is not None:
+        logscale = np.broadcast_to(logscale, den.shape)
+    return _Table(scan, table, logscale)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +344,7 @@ def cpl(net: NetworkLike, query: Query) -> tuple[str, float]:
 
     Ties break lexicographically on the node name.
     """
-    pl_star, o_star = min((_spec_of(net, n).pl, n) for n in query.objective)
+    pl_star, o_star = min((net.resolve(n).pl, n) for n in query.objective)
     return o_star, pl_star
 
 
@@ -321,7 +411,7 @@ def frontier_conditional(
         raise QueryError(f"{sorted(clash)} are both objective and evidence")
 
     evidence = {**frontier_values, **evidence_plus}
-    num, den = _contract(sub, sub.interior, evidence, (), objective)
+    num, den = _contract(sub, sub.interior, evidence, (), objective).table
     if den == 0.0:
         raise ZeroEvidenceError(
             "zero normalizer: this frontier clamp is inconsistent with the elevated evidence"
@@ -329,8 +419,21 @@ def frontier_conditional(
     return float(num / den)
 
 
+@dataclass
+class SweepState:
+    """What a sweep carries from one threshold to the next: the retrieval
+    walk, the latest retrieval, and the clamp table over its unobserved
+    frontier. A state belongs to one sweep: pass it to :func:`bounds_at`
+    calls with decreasing thresholds, shallowest first, and drop it once a
+    call raises."""
+
+    walk: Walk = field(default_factory=Walk)
+    retrieval: RootSetResult | None = None
+    table: _Table | None = None
+
+
 def frontier_clamp_table(
-    rs: RootSetResult, query: Query
+    rs: RootSetResult, query: Query, state: SweepState | None = None
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Conditional numerators/denominators for every clamp of the
     unobserved frontier, in one contraction.
@@ -341,12 +444,21 @@ def frontier_clamp_table(
     ``num`` and ``den`` are scaled by the same positive factor at each
     clamp, chosen per clamp so that neither underflows; only their ratio
     and whether ``den`` is exactly zero carry meaning.
+
+    Given the ``state`` whose walk produced ``rs``, only the CPTs of
+    ``rs.band`` are contracted, into the state's previous table, and the
+    new table replaces it.
     """
     sub = rs.submodel
     scan = tuple(sorted(rs.frontier - rs.evidence_in_frontier))
-    evidence = {e: query.evidence[e] for e in rs.evidence_in_frontier | rs.evidence_plus}
-    num, den = _contract(sub, sub.interior, evidence, scan, query.objective)
-    return scan, num, den
+    if state is None or state.table is None:
+        table = _contract(sub, sub.interior, query.evidence, scan, query.objective)
+    else:
+        band = {n: sub.interior[n] for n in rs.band}
+        table = _contract(sub, band, query.evidence, scan, state.table)
+    if state is not None:
+        state.table = table
+    return scan, table.table[..., 0], table.table[..., 1]
 
 
 def exactness_status(
@@ -369,21 +481,20 @@ def exactness_status(
     return Exactness.NOT_EXACT
 
 
-def _exact_from_retrieval(net: NetworkLike, rs: RootSetResult, query: Query) -> float | None:
-    """Exact value when the retrieval closed the past: interior CPTs plus
-    the frontier roots' own priors. None when a frontier prior is missing
-    (truncated fragment), in which case exactness cannot be certified."""
-    sub = rs.submodel
-    frontier_specs = []
+def _exact_from_retrieval(
+    net: NetworkLike, rs: RootSetResult, query: Query, table: _Table
+) -> float | None:
+    """Exact value when the retrieval closed the past: the clamp table of
+    the interior times the frontier roots' own priors. None when a
+    frontier prior is missing (truncated fragment), in which case
+    exactness cannot be certified."""
+    roots = {}
     for name in sorted(rs.frontier):
-        spec = _spec_of(net, name)
+        spec = net.resolve(name)
         if spec.parents or spec.cpt is None:
             return None
-        frontier_specs.append(spec)
-
-    specs = dict(sub.interior)
-    specs.update({s.name: s for s in frontier_specs})
-    num, den = _contract(sub, specs, query.evidence, (), query.objective)
+        roots[name] = spec
+    num, den = _contract(rs.submodel, roots, query.evidence, (), table).table
     if den == 0.0:
         raise ZeroEvidenceError(f"evidence {dict(query.evidence)!r} has probability zero")
     return float(num / den)
@@ -396,6 +507,7 @@ def bounds_at(
     *,
     max_clamps: int | None = None,
     max_nodes: int = DEFAULT_EXPANSION_CAP,
+    state: SweepState | None = None,
 ) -> QueryBounds:
     """Certified bounds on the query from the submodel retrieved at
     ``threshold``.
@@ -404,22 +516,26 @@ def bounds_at(
     earliest objective node); the full-past sentinel additionally needs a
     closed past. Frontier clamps with a zero normalizer are skipped; if
     all of them are, the evidence is unreachable and an error is raised.
+
+    A sweep passes one ``state`` to its calls, shallowest threshold
+    first: each call then extends the previous walk and clamp table
+    rather than starting over, and leaves its retrieval in
+    ``state.retrieval``. Without a state the call starts from an empty one.
     """
     o_star, pl_star = cpl(net, query)
     if threshold.v > pl_star:
         raise ThresholdError(threshold.v, pl_star, o_star)
     if threshold.is_full_past and net.open_past:
         raise OpenPastError("the full-past threshold needs a closed past (roots with priors)")
-
-    rs = root_set(net, query, threshold, max_nodes=max_nodes)
+    state = SweepState() if state is None else state
+    rs = state.retrieval = root_set(net, query, threshold, max_nodes=max_nodes, walk=state.walk)
     cap = DEFAULT_MAX_CLAMPS if max_clamps is None else max_clamps
     width = math.prod(
-        len(rs.submodel.frontier[n].states)
-        for n in rs.frontier - rs.evidence_in_frontier
+        len(rs.submodel.frontier[n].states) for n in rs.frontier - rs.evidence_in_frontier
     )
     if width > cap:
         raise FrontierTooWideError(width, cap)
-    scan, num, den = frontier_clamp_table(rs, query)
+    scan, num, den = frontier_clamp_table(rs, query, state)
 
     valid = den > 0.0
     if not valid.any():
@@ -435,7 +551,7 @@ def bounds_at(
     else:
         status = exactness_status(rs, threshold, net.t0, lower, upper)
         if status is Exactness.FULL_PAST:
-            exact = _exact_from_retrieval(net, rs, query)
+            exact = _exact_from_retrieval(net, rs, query, state.table)
             if exact is None:
                 status = Exactness.NOT_EXACT
             else:
@@ -537,14 +653,18 @@ def anytime_sweep(
 ) -> list[QueryBounds]:
     """Bounds at each scheduled threshold, shallowest first.
 
-    Deeper thresholds revisit a superset of the shallower retrieval; on
-    lazy models the resolver cache makes that reuse incremental. With
+    Deeper thresholds retrieve a superset of the shallower retrieval, so
+    the sweep carries one :class:`SweepState`: each step walks only from
+    the frontier the threshold has passed and contracts only the CPTs of
+    the nodes it newly retrieved into the previous clamp table. Every
+    node is resolved, checked and contracted once per sweep. With
     ``stop_on_exact`` (the default) the sweep ends as soon as a result is
     certified exact, since nothing deeper can move it.
     """
     out: list[QueryBounds] = []
+    state = SweepState()
     for th in schedule:
-        qb = bounds_at(net, query, th, max_clamps=max_clamps, max_nodes=max_nodes)
+        qb = bounds_at(net, query, th, max_clamps=max_clamps, max_nodes=max_nodes, state=state)
         out.append(qb)
         if stop_on_exact and qb.exactness.is_exact:
             break
@@ -567,13 +687,14 @@ def map_decision(
     if len(query.objective) != 1:
         raise QueryError("map_decision needs exactly one objective node")
     ((name, label),) = query.objective.items()
-    states = _spec_of(net, name).states
+    states = net.resolve(name).states
     if len(states) != 2:
         raise QueryError(f"map_decision needs a binary objective; {name!r} has {len(states)} states")
     other = states[0] if states[1] == label else states[1]
 
+    state = SweepState()
     for th in schedule:
-        qb = bounds_at(net, query, th, max_clamps=max_clamps)
+        qb = bounds_at(net, query, th, max_clamps=max_clamps, state=state)
         # separation must clear the probability tolerance, so an exact
         # tie at 0.5 never decides on float noise
         if qb.lower > 0.5 + PROB_TOL:

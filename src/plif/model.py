@@ -25,8 +25,9 @@ parentless placeholder whose prior was cut away during materialization;
 stubs are legal only in open-past networks.
 
 Unbounded models are represented by :class:`LazyNetwork`, a deterministic
-name-to-spec resolver. :func:`materialize` expands the finite fragment
-needed for a given retrieval floor.
+name-to-spec resolver. Both kinds answer ``resolve(name)``, the one
+interface retrieval walks. :func:`materialize` expands the finite
+fragment above a floor as a finite :class:`Network`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ExpansionCapError,
@@ -83,6 +84,9 @@ class Network:
             return self.nodes[name]
         except KeyError:
             raise UnknownNodeError(f"unknown node: {name!r}") from None
+
+    #: the name-to-spec interface shared with :class:`LazyNetwork`
+    resolve = spec
 
     def __contains__(self, name: str) -> bool:
         return name in self.nodes
@@ -196,18 +200,62 @@ def _local_spec_violations(spec: NodeSpec) -> list[Violation]:
     return out
 
 
+def t0_violations(t0: float, open_past: bool) -> list[Violation]:
+    """Whether ``t0`` can be a time origin."""
+    if math.isnan(t0) or (math.isinf(t0) and t0 > 0):
+        return [Violation("t0-invalid", f"t0={t0!r} is not a time origin")]
+    if math.isinf(t0) and not open_past:
+        return [Violation("t0-not-finite", "closed-past networks need a finite t0")]
+    return []
+
+
+def edge_violations(spec: NodeSpec, parents: Sequence[NodeSpec]) -> list[Violation]:
+    """Strict temporal precedence on every edge from ``parents`` (the specs
+    of the declared parents that exist) and, when all of them exist, the
+    CPT row count. Strict precedence also rules out cycles."""
+    out: list[Violation] = []
+    if spec.cpt is not None and len(parents) == len(spec.parents):
+        expected = math.prod(len(p.states) for p in parents)
+        if len(spec.cpt) != expected:
+            out.append(
+                Violation(
+                    "cpt-shape",
+                    f"node {spec.name!r} has {len(spec.cpt)} CPT rows, expected {expected}",
+                )
+            )
+    for parent in parents:
+        if not (parent.pl < spec.pl):
+            out.append(
+                Violation(
+                    "temporal-precedence",
+                    f"edge {parent.name!r}->{spec.name!r} has pl({parent.name!r})={parent.pl:g} "
+                    f">= pl({spec.name!r})={spec.pl:g}",
+                )
+            )
+    return out
+
+
+def root_violations(spec: NodeSpec, t0: float, open_past: bool) -> list[Violation]:
+    """Where a node with no parents (or whose parents were cut away) may sit."""
+    if not open_past and spec.pl != t0:
+        return [
+            Violation(
+                "root-pl",
+                f"root {spec.name!r} has pl={spec.pl:g}, closed-past roots must sit at t0={t0:g}",
+            )
+        ]
+    if open_past and spec.pl < t0:
+        return [Violation("root-pl", f"root {spec.name!r} has pl={spec.pl:g} before t0={t0:g}")]
+    return []
+
+
 def validate(net: Network) -> list[Violation]:
     """Return every violated invariant; an empty list means the network is valid.
 
     Violations are data, not exceptions: a network that fails several
     rules reports all of them, each naming the offending nodes.
     """
-    out: list[Violation] = []
-    if math.isnan(net.t0) or (math.isinf(net.t0) and net.t0 > 0):
-        out.append(Violation("t0-invalid", f"t0={net.t0!r} is not a time origin"))
-    elif math.isinf(net.t0) and not net.open_past:
-        out.append(Violation("t0-not-finite", "closed-past networks need a finite t0"))
-
+    out = t0_violations(net.t0, net.open_past)
     for key, spec in net.nodes.items():
         if key != spec.name:
             out.append(Violation("node-key", f"node keyed {key!r} is named {spec.name!r}"))
@@ -219,40 +267,9 @@ def validate(net: Network) -> list[Violation]:
         for p in spec.parents:
             if p not in net.nodes:
                 out.append(Violation("unknown-parent", f"node {spec.name!r} lists missing parent {p!r}"))
-        if spec.cpt is not None and all(p in net.nodes for p in spec.parents):
-            expected = 1
-            for p in spec.parents:
-                expected *= len(net.nodes[p].states)
-            if len(spec.cpt) != expected:
-                out.append(
-                    Violation(
-                        "cpt-shape",
-                        f"node {spec.name!r} has {len(spec.cpt)} CPT rows, expected {expected}",
-                    )
-                )
-
-    for spec in net.nodes.values():
-        for p in spec.parents:
-            parent = net.nodes.get(p)
-            if parent is not None and not (parent.pl < spec.pl):
-                out.append(
-                    Violation(
-                        "temporal-precedence",
-                        f"edge {p!r}->{spec.name!r} has pl({p!r})={parent.pl:g} >= pl({spec.name!r})={spec.pl:g}",
-                    )
-                )
+        out.extend(edge_violations(spec, [net.nodes[p] for p in spec.parents if p in net.nodes]))
         if not spec.parents:
-            if not net.open_past and spec.pl != net.t0:
-                out.append(
-                    Violation(
-                        "root-pl",
-                        f"root {spec.name!r} has pl={spec.pl:g}, closed-past roots must sit at t0={net.t0:g}",
-                    )
-                )
-            elif net.open_past and spec.pl < net.t0:
-                out.append(
-                    Violation("root-pl", f"root {spec.name!r} has pl={spec.pl:g} before t0={net.t0:g}")
-                )
+            out.extend(root_violations(spec, net.t0, net.open_past))
 
     cycle = _cycle_nodes(net)
     if cycle:
@@ -280,17 +297,17 @@ def _cycle_nodes(net: Network) -> set[str]:
     return set() if seen == len(net.nodes) else {n for n, d in indeg.items() if d > 0}
 
 
-def check_assignment(net: Network, assignment: Assignment) -> None:
+def check_assignment(net: Network | LazyNetwork, assignment: Assignment) -> None:
     """Raise unless every named node exists and every label is one of its states."""
     for name, label in assignment.items():
-        spec = net.spec(name)
+        spec = net.resolve(name)
         if label not in spec.states:
             raise UnknownStateError(
                 f"node {name!r} has no state {label!r}; states are {list(spec.states)}"
             )
 
 
-def check_query(net: Network, query: Query) -> None:
+def check_query(net: Network | LazyNetwork, query: Query) -> None:
     check_assignment(net, query.objective)
     check_assignment(net, query.evidence)
 

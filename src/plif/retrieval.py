@@ -7,17 +7,25 @@ backtracking along every ancestral path stops at the first node below
 ``v``. Those stopping points form the *frontier*: the clamp points behind
 which the past is never consulted. The interior specs plus the frontier
 stubs make up the retrieved submodel, which is all downstream inference
-is allowed to touch.
+is allowed to touch. A :class:`Walk` carries one retrieval to the next,
+deeper threshold, so a sweep walks every node once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from .errors import NoStartNodesError, OpenPastError, QueryError, UnknownNodeError
+from .errors import (
+    ExpansionCapError,
+    InvalidNetworkError,
+    NoStartNodesError,
+    OpenPastError,
+    QueryError,
+    UnknownNodeError,
+)
 from .model import (
     DEFAULT_EXPANSION_CAP,
     LazyNetwork,
@@ -25,7 +33,11 @@ from .model import (
     NodeSpec,
     Query,
     check_query,
-    materialize,
+    edge_violations,
+    materialize,  # noqa: F401  (bench/tracing.py wraps it here)
+    network_to_document,
+    root_violations,
+    t0_violations,
 )
 
 NetworkLike = Union[Network, LazyNetwork]
@@ -84,26 +96,11 @@ class Submodel:
         raise UnknownNodeError(f"node {name!r} is not in the submodel")
 
     def to_document(self) -> dict:
-        nodes = [
-            {
-                "name": s.name,
-                "states": list(s.states),
-                "pl": s.pl,
-                "parents": list(s.parents),
-                "cpt": None if s.cpt is None else [list(r) for r in s.cpt],
-            }
-            for s in self.interior.values()
-        ]
-        nodes += [
-            {"name": f.name, "states": list(f.states), "pl": f.pl, "parents": [], "cpt": None}
-            for f in self.frontier.values()
-        ]
-        return {
-            "t0": "-inf" if math.isinf(self.t0) else self.t0,
-            "open_past": True,
-            "nodes": nodes,
-            "frontier": sorted(self.frontier),
-        }
+        """An open-past network document with the frontier as truncation
+        stubs, plus a ``"frontier"`` list of their names."""
+        stubs = {f.name: NodeSpec(f.name, f.states, (), None, f.pl) for f in self.frontier.values()}
+        net = Network(t0=self.t0, open_past=True, nodes={**self.interior, **stubs})
+        return {**network_to_document(net), "frontier": sorted(self.frontier)}
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,10 @@ class RootSetResult:
     The evidence partition is relative to the threshold: ``evidence_plus``
     sits at or above it, ``evidence_in_frontier`` was reached as a clamp
     point, ``evidence_minus`` is the rest (below threshold, never
-    reached, and provably irrelevant given the frontier).
+    reached, and provably irrelevant given the frontier). ``band`` lists
+    the interior nodes the walk added at this threshold (all of them for
+    a fresh walk); two retrievals at one threshold are equal whatever
+    walk they extended.
     """
 
     frontier: frozenset[str]
@@ -122,12 +122,57 @@ class RootSetResult:
     evidence_in_frontier: frozenset[str]
     evidence_minus: frozenset[str]
     submodel: Submodel
+    band: tuple[str, ...] = field(compare=False)
 
 
-def _spec_of(net: NetworkLike, name: str) -> NodeSpec:
-    if isinstance(net, LazyNetwork):
-        return net.resolve(name)
-    return net.spec(name)
+@dataclass
+class Walk:
+    """One retrieval walk, extended in place as the threshold deepens.
+
+    ``specs`` holds every node resolved so far (the query's nodes and
+    every node reached); each reached node is interior (kept with its
+    spec, in the order reached) or frontier. ``pending`` lists the query
+    nodes the threshold has not yet passed, deepest first. A walk whose
+    extension raised is left half extended and must not be extended
+    again.
+    """
+
+    specs: dict[str, NodeSpec] = field(default_factory=dict)
+    interior: dict[str, NodeSpec] = field(default_factory=dict)
+    frontier: set[str] = field(default_factory=set)
+    pending: list[str] = field(default_factory=list)
+
+    def resolve(self, net: NetworkLike, name: str, max_nodes: int) -> NodeSpec:
+        """``net.resolve(name)``, once per walk, up to ``max_nodes`` nodes."""
+        spec = self.specs.get(name)
+        if spec is None:
+            spec = self.specs[name] = net.resolve(name)
+            if len(self.specs) > max_nodes:
+                raise ExpansionCapError(
+                    f"retrieval resolved more than {max_nodes} nodes; raise the threshold or the cap"
+                )
+        return spec
+
+    def start(self, net: NetworkLike, query: Query, max_nodes: int) -> None:
+        """Resolve and check the query's nodes (every one, whatever its pl)."""
+        check_query(net, query)
+        names = query.names
+        report = t0_violations(net.t0, True)
+        for name in names:
+            report += _cut_violations(self.resolve(net, name, max_nodes), net.t0)
+        if report:
+            raise InvalidNetworkError(report)
+        self.pending = sorted(names, key=lambda n: (self.specs[n].pl, n))
+
+
+def _cut_violations(spec: NodeSpec, t0: float) -> list:
+    """The rules for a root, or for a node whose parents the walk does not
+    follow (a frontier node, or a query node not yet reached): like a root
+    of an open past, it may not sit before ``t0``, and a genuine root has
+    one CPT row."""
+    if spec.pl >= t0 and (spec.parents or spec.cpt is None or len(spec.cpt) == 1):
+        return []
+    return root_violations(spec, t0, True) + ([] if spec.parents else edge_violations(spec, ()))
 
 
 def ancestors(net: Network, targets: Iterable[str]) -> set[str]:
@@ -199,70 +244,83 @@ def root_set(
     threshold: Threshold,
     *,
     max_nodes: int = DEFAULT_EXPANSION_CAP,
+    walk: Walk | None = None,
 ) -> RootSetResult:
     """Backtrack from every query/evidence node at or above the threshold.
 
     Expansion stops at the first sub-threshold node on each ancestral
-    path; those nodes form the frontier. Lazy networks are materialized
-    on demand with the threshold as the expansion floor, so only the
-    fragment the retrieval actually touches is ever resolved.
+    path; those nodes form the frontier. Nodes are resolved one by one
+    through ``net.resolve``, finite and lazy networks alike, and nothing
+    is materialized. Instead every node the walk expands is checked
+    against its resolved parents (strict temporal precedence and CPT
+    shape), and no parentless or frontier node may sit before ``t0``.
+    Resolving more than ``max_nodes`` nodes raises
+    :class:`ExpansionCapError`.
+
+    Given the ``walk`` of a shallower threshold, the walk is extended in
+    place: only its old frontier nodes now at or above the threshold,
+    and query nodes newly above it, are expanded. The result equals a
+    fresh walk's.
 
     A parentless interior node contributes nothing to the frontier: its
     past is already complete.
     """
     v = threshold.v
-    if isinstance(net, LazyNetwork):
-        base = materialize(net, sorted(query.names), v, max_nodes=max_nodes)
-    else:
-        base = net
-    check_query(base, query)
+    if walk is None:
+        walk = Walk()
+    if not walk.specs:
+        walk.start(net, query, max_nodes)
+    specs, interior, frontier, pending = walk.specs, walk.interior, walk.frontier, walk.pending
 
-    starts = sorted(n for n in query.names if base.spec(n).pl >= v)
-    if not starts:
+    seen = {n for n in frontier if specs[n].pl >= v}
+    frontier -= seen
+    while pending and specs[pending[-1]].pl >= v:
+        name = pending.pop()
+        if name not in interior:
+            seen.add(name)
+    if not seen and not interior:
         raise NoStartNodesError(
             f"no query or evidence node has pl >= {v:g}; nothing to retrieve"
         )
 
-    interior: set[str] = set()
-    frontier: set[str] = set()
-    seen = set(starts)
-    queue = deque(starts)
+    band: list[str] = []
+    queue = deque(sorted(seen))
     while queue:
         name = queue.popleft()
-        spec = base.spec(name)
-        if spec.pl >= v:
-            interior.add(name)
-            for p in spec.parents:
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        else:
+        spec = specs[name]
+        parents = [walk.resolve(net, p, max_nodes) for p in spec.parents] if spec.pl >= v else ()
+        report = edge_violations(spec, parents) if parents else _cut_violations(spec, net.t0)
+        if report:
+            raise InvalidNetworkError(report)
+        if spec.pl < v:
             frontier.add(name)
-
-    interior_specs: dict[str, NodeSpec] = {}
-    for name in sorted(interior):
-        spec = base.spec(name)
+            continue
         if spec.is_stub:
             raise OpenPastError(
                 f"interior node {name!r} is a truncation stub with no CPD; "
-                "materialize deeper or raise the threshold"
+                "retrieve from a deeper truncation or raise the threshold"
             )
-        interior_specs[name] = spec
-    stubs = {
-        name: FrontierStub(name, base.spec(name).states, base.spec(name).pl)
-        for name in sorted(frontier)
-    }
+        interior[name] = spec
+        band.append(name)
+        for p in spec.parents:
+            if p not in seen and p not in interior and p not in frontier:
+                seen.add(p)
+                queue.append(p)
 
-    evidence = set(query.evidence)
-    e_plus = frozenset(e for e in evidence if base.spec(e).pl >= v)
-    e_front = frozenset(evidence & frontier)
-    e_minus = frozenset(evidence - e_plus - e_front)
-
+    # whole-set copies at C speed; everything else in a step scales with its band
+    evidence = query.evidence.keys()
+    e_plus = frozenset(evidence - set(pending))
+    e_front = frozenset(frontier & evidence)
     return RootSetResult(
         frontier=frozenset(frontier),
         interior=frozenset(interior),
         evidence_plus=e_plus,
         evidence_in_frontier=e_front,
-        evidence_minus=e_minus,
-        submodel=Submodel(interior=interior_specs, frontier=stubs, t0=base.t0),
+        evidence_minus=frozenset(evidence - e_plus - e_front),
+        submodel=Submodel(
+            interior=dict(interior),
+            frontier={n: FrontierStub(n, specs[n].states, specs[n].pl) for n in sorted(frontier)},
+            t0=net.t0,
+        ),
+        band=tuple(band),
     )

@@ -25,6 +25,7 @@ from plif import (
     RandomNetSpec,
     RootSetResult,
     Threshold,
+    anytime_sweep,
     bounds_at,
     d_separated,
     default_schedule,
@@ -322,3 +323,23 @@ def test_criterion_10_dsep_implies_numeric_independence(corpus):
         f"(worst gap {worst:.2e})",
     )
     assert found >= 100
+
+
+def test_incremental_sweep_matches_one_shot_on_corpus(corpus):
+    # not a criterion: every row of one sweep that carries its walk and
+    # clamp table across thresholds equals the fresh per-threshold bounds_at
+    records, _ = corpus
+    rows = 0
+    for rec in records:
+        schedule = default_schedule(rec.net, rec.query)
+        swept = anytime_sweep(rec.net, rec.query, schedule, stop_on_exact=False)
+        assert len(swept) == len(rec.steps)
+        for qb, step in zip(swept, rec.steps):
+            rows += 1
+            ref = step.bounds
+            assert qb.threshold == ref.threshold
+            assert qb.lower == pytest.approx(ref.lower, abs=1e-12)
+            assert qb.upper == pytest.approx(ref.upper, abs=1e-12)
+            assert qb.exactness is ref.exactness
+            assert (qb.frontier_size, qb.interior_size) == (ref.frontier_size, ref.interior_size)
+    assert rows > len(records)

@@ -1,0 +1,269 @@
+"""Validation parity and incremental sweeps.
+
+The first half checks that retrieval enforces the network rules on a
+lazy model, and the truncation rule on a finite one, whether it goes
+through one ``bounds_at`` call or a sweep that deepens step by step. The
+second half checks that every row of an incremental sweep equals a
+fresh one-shot ``bounds_at`` at the same threshold, and that the
+carried clamp table stays right across wide bands, underflow-scale
+windows, forced rescaling and exactly-zero normalizers.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+import oracles
+import plif.infer as infer
+from conftest import make_net
+from plif import (
+    ExpansionCapError,
+    HmmParams,
+    InvalidNetworkError,
+    LazyNetwork,
+    Network,
+    NodeSpec,
+    OpenPastError,
+    Query,
+    RandomNetSpec,
+    Schedule,
+    Threshold,
+    anytime_sweep,
+    bounds_at,
+    default_schedule,
+    hmm_model,
+    hmm_query,
+    random_network,
+    random_query,
+)
+from plif.gen import hmm_node_name
+
+HMM = HmmParams()
+DEEP = Threshold(-3.0)
+
+
+def _one_shot(net, query, th, **kw):
+    return bounds_at(net, query, th, **kw)
+
+
+def _swept(net, query, th, **kw):
+    # reaches th only after two shallower steps of the same sweep
+    schedule = Schedule((Threshold(-1.0), Threshold(-2.0), th))
+    return anytime_sweep(net, query, schedule, stop_on_exact=False, **kw)
+
+
+RUNS = pytest.mark.parametrize("run", [_one_shot, _swept], ids=["bounds_at", "anytime_sweep"])
+
+
+def _tweaked(params=HMM, t0=float("-inf"), **changes):
+    """The paper's chain with some node specs replaced field by field."""
+    inner = hmm_model(params)
+
+    def resolve(name):
+        spec = inner.resolve(name)
+        return dataclasses.replace(spec, **changes[name]) if name in changes else spec
+
+    return LazyNetwork(resolver=resolve, t0=t0, open_past=True)
+
+
+def _rules(exc_info) -> set[str]:
+    return {v.rule for v in exc_info.value.violations}
+
+
+# --- the network rules hold on every edge the walk crosses -----------------------
+
+
+@RUNS
+def test_lazy_edge_breaking_temporal_precedence_is_rejected(run):
+    # x_t-1 sits at pl -3; moving its parent x_t-2 up to -3 breaks strict precedence
+    lazy = _tweaked(**{"x_t-2": {"pl": -3.0}})
+    with pytest.raises(InvalidNetworkError) as exc:
+        run(lazy, hmm_query(HMM), DEEP)
+    assert "temporal-precedence" in _rules(exc)
+
+
+@RUNS
+def test_lazy_cpt_rows_not_matching_parents_are_rejected(run):
+    rows = ((0.9, 0.1), (0.1, 0.9), (0.5, 0.5))
+    lazy = _tweaked(**{"x_t-1": {"cpt": rows}})
+    with pytest.raises(InvalidNetworkError) as exc:
+        run(lazy, hmm_query(HMM), DEEP)
+    assert "cpt-shape" in _rules(exc)
+
+
+@RUNS
+@pytest.mark.parametrize("v", [-3.0, -2.5], ids=["interior", "frontier"])
+def test_lazy_open_past_root_before_t0_is_rejected(run, v):
+    # x_t-1 (pl -3) becomes a genuine root, but the past only starts at
+    # -2.75; the window of two keeps every observation after t0. The walk
+    # meets x_t-1 as an interior node at -3 and as a frontier node at -2.5
+    p = HmmParams(window=2)
+    lazy = _tweaked(p, t0=-2.75, **{"x_t-1": {"parents": (), "cpt": ((0.5, 0.5),)}})
+    with pytest.raises(InvalidNetworkError) as exc:
+        run(lazy, hmm_query(p), Threshold(v))
+    assert "root-pl" in _rules(exc)
+
+
+@RUNS
+def test_lazy_expansion_cap_is_enforced(run):
+    with pytest.raises(ExpansionCapError):
+        run(hmm_model(HMM), hmm_query(HMM), DEEP, max_nodes=5)
+
+
+@RUNS
+def test_interior_truncation_stub_raises_open_past(run):
+    # an open-past network whose node at pl -2 lost its prior in truncation
+    stub = NodeSpec("s", ("0", "1"), (), None, pl=-2.0)
+    mid = NodeSpec("m", ("0", "1"), ("s",), ((0.7, 0.3), (0.2, 0.8)), pl=-1.5)
+    top = NodeSpec("o", ("0", "1"), ("m",), ((0.6, 0.4), (0.1, 0.9)), pl=-1.0)
+    net = make_net(-5.0, True, stub, mid, top)
+    with pytest.raises(OpenPastError):
+        run(net, Query({"o": "1"}), DEEP)
+
+
+# --- incremental rows equal one-shot rows ----------------------------------------
+
+
+def _assert_same_rows(rows, fresh):
+    assert len(rows) == len(fresh)
+    for qb, ref in zip(rows, fresh):
+        assert qb.threshold == ref.threshold
+        assert qb.lower == pytest.approx(ref.lower, abs=1e-12)
+        assert qb.upper == pytest.approx(ref.upper, abs=1e-12)
+        assert qb.exactness is ref.exactness
+        assert qb.frontier_size == ref.frontier_size
+        assert qb.interior_size == ref.interior_size
+
+
+def test_incremental_sweep_matches_one_shot_on_long_chain():
+    p = HmmParams(window=120)
+    lazy, q = hmm_model(p), hmm_query(p)
+    schedule = default_schedule(lazy, q, max_steps=120)
+    rows = anytime_sweep(lazy, q, schedule, stop_on_exact=False)
+    _assert_same_rows(rows, [bounds_at(hmm_model(p), q, th) for th in schedule])
+
+
+def test_incremental_sweep_mixes_narrow_and_wide_bands_at_w2500():
+    window = 2500
+    p = HmmParams(window=window)
+    depths = [*range(1, 11), *range(250, window + 1, 250)]
+    schedule = Schedule(tuple(Threshold(-float(d)) for d in depths))
+    rows = anytime_sweep(hmm_model(p), hmm_query(p), schedule, stop_on_exact=False)
+    by_depth = dict(zip(depths, rows))
+    for depth in (1, 10, 1250, 2500):
+        lo = oracles.hmm_clamp_filter(0.9, 0.8, 0, depth, window)
+        hi = oracles.hmm_clamp_filter(0.9, 0.8, 1, depth, window)
+        assert by_depth[depth].lower == pytest.approx(lo, abs=1e-9)
+        assert by_depth[depth].upper == pytest.approx(hi, abs=1e-9)
+
+
+def test_incremental_sweep_skips_zero_normalizer_across_the_gate():
+    # the gated chain of test_bounds_exact_zero_normalizer_survives_scaling:
+    # at threshold -2500 the clamp x_t-2499 = 0 has an exactly zero
+    # normalizer, and the other clamp's normalizer underflows unscaled
+    window = 2500
+    p = HmmParams(window=window)
+    gate = {
+        hmm_node_name("x", 2 - window): {"cpt": ((1.0, 0.0), (0.1, 0.9))},
+        hmm_node_name("y", 2 - window): {"cpt": ((1.0, 0.0), (0.2, 0.8))},
+    }
+    q = hmm_query(p)
+    depths = [1, 2, 1000, 2497, 2498, 2499, 2500]
+    schedule = Schedule(tuple(Threshold(-float(d)) for d in depths))
+    rows = anytime_sweep(_tweaked(p, **gate), q, schedule, stop_on_exact=False)
+    _assert_same_rows(rows, [bounds_at(_tweaked(p, **gate), q, th) for th in schedule])
+    want = oracles.hmm_clamp_filter(0.9, 0.8, 1, window - 1, window)
+    assert rows[-1].lower == rows[-1].upper == pytest.approx(want, abs=1e-9)
+
+
+def test_incremental_sweep_keeps_per_clamp_scales_of_a_surviving_frontier_node():
+    # every observation also depends on a root switch s far in the past:
+    # with s = 1 it shows 1 with probability 0.05 whatever the hidden
+    # state. s stays on the frontier through the whole sweep, while the
+    # evidence masses of its two clamps drift apart by a factor of about 14
+    # per step, far past the range of a double
+    window = 1000
+    p = HmmParams(window=window)
+    inner = hmm_model(p)
+    switched = ((0.8, 0.2), (0.95, 0.05), (0.2, 0.8), (0.95, 0.05))
+
+    def resolve(name):
+        if name == "s":
+            return NodeSpec("s", ("0", "1"), (), ((0.5, 0.5),), pl=-1e6)
+        spec = inner.resolve(name)
+        if name.startswith("y"):
+            return dataclasses.replace(spec, parents=(*spec.parents, "s"), cpt=switched)
+        return spec
+
+    q = hmm_query(p)
+    depths = [1, 2, 3, 400, 401, 1000]
+    schedule = Schedule(tuple(Threshold(-float(d)) for d in depths))
+    rows = anytime_sweep(LazyNetwork(resolve, float("-inf")), q, schedule, stop_on_exact=False)
+    for depth, qb in zip(depths, rows):
+        ends = [
+            oracles.hmm_clamp_filter(0.9, emit, clamp, depth, window)
+            for emit in (0.8, 0.5)  # s = 1 leaves the hidden state unobserved
+            for clamp in (0, 1)
+        ]
+        assert qb.lower == pytest.approx(min(ends), abs=1e-9)
+        assert qb.upper == pytest.approx(max(ends), abs=1e-9)
+    fresh = [bounds_at(LazyNetwork(resolve, float("-inf")), q, th) for th in schedule]
+    _assert_same_rows(rows, fresh)
+
+
+@RUNS
+def test_bounds_keep_a_clamp_whose_many_small_factors_underflow_together(run):
+    # a frontier node f with 200 interior children, each with an observed
+    # child: every child leaves one factor over f alone, about 0.01 at f = 0,
+    # and their plain product there (1e-400) is below the range of a double.
+    # o depends on the evidence only through f, so the bounds are
+    # P(o | f = 0) and P(o | f = 1)
+    kids = []
+    for i in range(200):
+        kids.append(NodeSpec(f"c{i}", ("0", "1"), ("f",), ((1.0, 0.0), (0.0, 1.0)), pl=-3.0))
+        kids.append(NodeSpec(f"e{i}", ("0", "1"), (f"c{i}",), ((0.99, 0.01), (0.1, 0.9)), pl=-2.5))
+    f = NodeSpec("f", ("0", "1"), (), ((0.5, 0.5),), pl=-10.0)
+    o = NodeSpec("o", ("0", "1"), ("f",), ((0.8, 0.2), (0.3, 0.7)), pl=0.0)
+    net = make_net(-20.0, True, f, o, *kids)
+    q = Query({"o": "1"}, {f"e{i}": "1" for i in range(200)})
+    out = run(net, q, Threshold(-5.0))
+    qb = out[-1] if run is _swept else out
+    assert qb.lower == pytest.approx(0.2, abs=1e-12)
+    assert qb.upper == pytest.approx(0.7, abs=1e-12)
+    assert not qb.exactness.is_exact
+
+
+def _with_zeros(net, rng):
+    """``net`` with about a third of its CPT rows given one zero entry."""
+    nodes = {}
+    for name, spec in net.nodes.items():
+        rows = []
+        for row in spec.cpt:
+            if rng.random() < 0.3:
+                row = list(row)
+                row[rng.randrange(len(row))] = 0.0
+                row = tuple(x / sum(row) for x in row)
+            rows.append(row)
+        nodes[name] = dataclasses.replace(spec, cpt=tuple(rows))
+    return Network(net.t0, net.open_past, nodes)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_incremental_sweep_with_rescaling_at_every_step(seed, monkeypatch):
+    # random networks never get near underflow, so force the rescaling
+    # (and with it the carried log-scales) at every elimination; zero CPT
+    # entries add exactly-zero normalizers to carry
+    monkeypatch.setattr(infer, "_TINY", 1.0)
+    net = random_network(RandomNetSpec(seed=seed, node_count=3 + seed % 10, state_count=2 + seed % 2))
+    if seed % 2:
+        net = _with_zeros(net, random.Random(seed))
+    q = random_query(net, seed + 7)
+    schedule = default_schedule(net, q)
+    try:
+        fresh = [bounds_at(net, q, th) for th in schedule]
+    except infer.ZeroEvidenceError:
+        with pytest.raises(infer.ZeroEvidenceError):
+            anytime_sweep(net, q, schedule, stop_on_exact=False)
+        return
+    _assert_same_rows(anytime_sweep(net, q, schedule, stop_on_exact=False), fresh)
