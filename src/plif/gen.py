@@ -117,13 +117,14 @@ def format_threshold(th: Threshold) -> str:
 
 
 def sweep_csv(rows: list[QueryBounds]) -> str:
-    """CSV table: threshold,lower,upper,frontier_size,interior_size with
-    probabilities at 9 decimal places."""
-    lines = ["threshold,lower,upper,frontier_size,interior_size"]
+    """CSV table: threshold,lower,upper,frontier_size,interior_size,exactness
+    with probabilities at 9 decimal places; the last column shows why a
+    sweep stopped."""
+    lines = ["threshold,lower,upper,frontier_size,interior_size,exactness"]
     for qb in rows:
         lines.append(
             f"{format_threshold(qb.threshold)},{qb.lower:.9f},{qb.upper:.9f},"
-            f"{qb.frontier_size},{qb.interior_size}"
+            f"{qb.frontier_size},{qb.interior_size},{qb.exactness.value}"
         )
     return "\n".join(lines) + "\n"
 

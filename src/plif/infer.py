@@ -422,14 +422,17 @@ def frontier_conditional(
 @dataclass
 class SweepState:
     """What a sweep carries from one threshold to the next: the retrieval
-    walk, the latest retrieval, and the clamp table over its unobserved
+    walk, the retrieval of the latest step (a view of the walk, valid
+    until the next step), and the clamp table over its unobserved
     frontier. A state belongs to one sweep: pass it to :func:`bounds_at`
-    calls with decreasing thresholds, shallowest first, and drop it once a
-    call raises."""
+    calls with decreasing thresholds, shallowest first. Once a call
+    raises, the walk or table may be half extended, and later calls with
+    the state raise :class:`QueryError`."""
 
     walk: Walk = field(default_factory=Walk)
     retrieval: RootSetResult | None = None
     table: _Table | None = None
+    failed: bool = False
 
 
 def frontier_clamp_table(
@@ -470,11 +473,13 @@ def exactness_status(
     clamp is free; (2) every frontier node sits at the time origin and no
     evidence was left below the threshold, so the retrieved past is
     complete; (3) the bounds coincide anyway. Under inclusive thresholds
-    condition (2)'s evidence clause is exactly "evidence_minus is empty".
+    condition (2)'s evidence clause is exactly "evidence_minus is empty",
+    which the sizes of the disjoint parts answer without building it.
     """
-    if rs.frontier == rs.evidence_in_frontier:
+    if len(rs.frontier) == len(rs.evidence_in_frontier):
         return Exactness.FRONTIER_SUBSET_OF_EVIDENCE
-    if not rs.evidence_minus and all(f.pl == t0 for f in rs.submodel.frontier.values()):
+    dropped = len(rs.evidence) - len(rs.evidence_plus) - len(rs.evidence_in_frontier)
+    if not dropped and all(f.pl == t0 for f in rs.submodel.frontier.values()):
         return Exactness.FULL_PAST
     if abs(upper - lower) < PROB_TOL:
         return Exactness.COINCIDENCE
@@ -522,12 +527,15 @@ def bounds_at(
     rather than starting over, and leaves its retrieval in
     ``state.retrieval``. Without a state the call starts from an empty one.
     """
+    state = SweepState() if state is None else state
+    if state.failed:
+        raise QueryError("an earlier step of this sweep state raised; start a new SweepState")
+    state.failed = True  # until this step returns
     o_star, pl_star = cpl(net, query)
     if threshold.v > pl_star:
         raise ThresholdError(threshold.v, pl_star, o_star)
     if threshold.is_full_past and net.open_past:
         raise OpenPastError("the full-past threshold needs a closed past (roots with priors)")
-    state = SweepState() if state is None else state
     rs = state.retrieval = root_set(net, query, threshold, max_nodes=max_nodes, walk=state.walk)
     cap = DEFAULT_MAX_CLAMPS if max_clamps is None else max_clamps
     width = math.prod(
@@ -556,6 +564,7 @@ def bounds_at(
                 status = Exactness.NOT_EXACT
             else:
                 lower = upper = exact
+    state.failed = False
     return QueryBounds(
         threshold=threshold,
         lower=lower,

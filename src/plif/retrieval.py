@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from types import MappingProxyType
+from typing import AbstractSet, Iterable, Mapping, Union
 
 from .errors import (
     ExpansionCapError,
@@ -81,11 +82,12 @@ class Submodel:
 
     Interior nodes are parent-closed: every parent of an interior node is
     itself interior or a frontier stub, so conditionals given the frontier
-    are computable from this object alone.
+    are computable from this object alone. Both mappings are read-only
+    views of a :class:`Walk`'s dicts (see :func:`root_set`).
     """
 
-    interior: dict[str, NodeSpec]
-    frontier: dict[str, FrontierStub]
+    interior: Mapping[str, NodeSpec]
+    frontier: Mapping[str, FrontierStub]
     t0: float
 
     def states_of(self, name: str) -> tuple[str, ...]:
@@ -98,7 +100,7 @@ class Submodel:
     def to_document(self) -> dict:
         """An open-past network document with the frontier as truncation
         stubs, plus a ``"frontier"`` list of their names."""
-        stubs = {f.name: NodeSpec(f.name, f.states, (), None, f.pl) for f in self.frontier.values()}
+        stubs = {n: NodeSpec(n, f.states, (), None, f.pl) for n, f in sorted(self.frontier.items())}
         net = Network(t0=self.t0, open_past=True, nodes={**self.interior, **stubs})
         return {**network_to_document(net), "frontier": sorted(self.frontier)}
 
@@ -110,19 +112,27 @@ class RootSetResult:
     The evidence partition is relative to the threshold: ``evidence_plus``
     sits at or above it, ``evidence_in_frontier`` was reached as a clamp
     point, ``evidence_minus`` is the rest (below threshold, never
-    reached, and provably irrelevant given the frontier). ``band`` lists
-    the interior nodes the walk added at this threshold (all of them for
-    a fresh walk); two retrievals at one threshold are equal whatever
-    walk they extended.
+    reached, and provably irrelevant given the frontier), built only when
+    read. ``band`` lists the interior nodes the walk added at this
+    threshold (all of them for a fresh walk); two retrievals at one
+    threshold are equal whatever walk they extended.
+
+    The sets are read-only views of the walk's dicts (``keys()``), not
+    copies, so a result costs nothing to build; see :func:`root_set` for
+    how long it stays valid.
     """
 
-    frontier: frozenset[str]
-    interior: frozenset[str]
-    evidence_plus: frozenset[str]
-    evidence_in_frontier: frozenset[str]
-    evidence_minus: frozenset[str]
+    frontier: AbstractSet[str]
+    interior: AbstractSet[str]
+    evidence: AbstractSet[str]
+    evidence_plus: AbstractSet[str]
+    evidence_in_frontier: AbstractSet[str]
     submodel: Submodel
     band: tuple[str, ...] = field(compare=False)
+
+    @property
+    def evidence_minus(self) -> frozenset[str]:
+        return frozenset(self.evidence - self.evidence_plus - self.evidence_in_frontier)
 
 
 @dataclass
@@ -131,16 +141,20 @@ class Walk:
 
     ``specs`` holds every node resolved so far (the query's nodes and
     every node reached); each reached node is interior (kept with its
-    spec, in the order reached) or frontier. ``pending`` lists the query
-    nodes the threshold has not yet passed, deepest first. A walk whose
-    extension raised is left half extended and must not be extended
-    again.
+    spec, in the order reached) or frontier (kept as its stub).
+    ``pending`` lists the query nodes the threshold has not yet passed,
+    deepest first; the evidence partition (name to observed state) is
+    kept up to date as nodes leave ``pending`` and join or leave the
+    frontier. Retrievals share these dicts. A walk whose extension raised
+    is left half extended and must not be extended again.
     """
 
     specs: dict[str, NodeSpec] = field(default_factory=dict)
     interior: dict[str, NodeSpec] = field(default_factory=dict)
-    frontier: set[str] = field(default_factory=set)
+    frontier: dict[str, FrontierStub] = field(default_factory=dict)
     pending: list[str] = field(default_factory=list)
+    evidence_plus: dict[str, str] = field(default_factory=dict)
+    evidence_in_frontier: dict[str, str] = field(default_factory=dict)
 
     def resolve(self, net: NetworkLike, name: str, max_nodes: int) -> NodeSpec:
         """``net.resolve(name)``, once per walk, up to ``max_nodes`` nodes."""
@@ -259,8 +273,11 @@ def root_set(
 
     Given the ``walk`` of a shallower threshold, the walk is extended in
     place: only its old frontier nodes now at or above the threshold,
-    and query nodes newly above it, are expanded. The result equals a
-    fresh walk's.
+    and query nodes newly above it, are expanded, so a step costs its
+    band and frontier. The result equals a fresh walk's, and it is a view
+    of the walk: once the walk is extended again, it reads as the deeper
+    retrieval (``band`` aside). Without a ``walk`` the call owns its
+    walk, so its result never changes.
 
     A parentless interior node contributes nothing to the frontier: its
     past is already complete.
@@ -271,11 +288,16 @@ def root_set(
     if not walk.specs:
         walk.start(net, query, max_nodes)
     specs, interior, frontier, pending = walk.specs, walk.interior, walk.frontier, walk.pending
+    evidence, e_plus, e_front = query.evidence, walk.evidence_plus, walk.evidence_in_frontier
 
     seen = {n for n in frontier if specs[n].pl >= v}
-    frontier -= seen
+    for name in seen:
+        del frontier[name]
+        e_front.pop(name, None)
     while pending and specs[pending[-1]].pl >= v:
         name = pending.pop()
+        if name in evidence:
+            e_plus[name] = evidence[name]
         if name not in interior:
             seen.add(name)
     if not seen and not interior:
@@ -293,7 +315,9 @@ def root_set(
         if report:
             raise InvalidNetworkError(report)
         if spec.pl < v:
-            frontier.add(name)
+            frontier[name] = FrontierStub(name, spec.states, spec.pl)
+            if name in evidence:
+                e_front[name] = evidence[name]
             continue
         if spec.is_stub:
             raise OpenPastError(
@@ -307,20 +331,12 @@ def root_set(
                 seen.add(p)
                 queue.append(p)
 
-    # whole-set copies at C speed; everything else in a step scales with its band
-    evidence = query.evidence.keys()
-    e_plus = frozenset(evidence - set(pending))
-    e_front = frozenset(frontier & evidence)
     return RootSetResult(
-        frontier=frozenset(frontier),
-        interior=frozenset(interior),
-        evidence_plus=e_plus,
-        evidence_in_frontier=e_front,
-        evidence_minus=frozenset(evidence - e_plus - e_front),
-        submodel=Submodel(
-            interior=dict(interior),
-            frontier={n: FrontierStub(n, specs[n].states, specs[n].pl) for n in sorted(frontier)},
-            t0=net.t0,
-        ),
+        frontier=frontier.keys(),
+        interior=interior.keys(),
+        evidence=evidence.keys(),
+        evidence_plus=e_plus.keys(),
+        evidence_in_frontier=e_front.keys(),
+        submodel=Submodel(MappingProxyType(interior), MappingProxyType(frontier), net.t0),
         band=tuple(band),
     )

@@ -123,7 +123,7 @@ def test_sweep_hmm_csv_rows(cli):
     code, out, _ = cli("sweep", "--hmm", "--depth", "10", "--window", "10", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "threshold,lower,upper,frontier_size,interior_size"
+    assert lines[0] == "threshold,lower,upper,frontier_size,interior_size,exactness"
     assert len(lines) == 11
     rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
     assert float(rows["-3"][1]) > 0.5
@@ -133,7 +133,7 @@ def test_sweep_hmm_csv_rows(cli):
 def test_sweep_depth_one_reads_transition_column(cli):
     code, out, _ = cli("sweep", "--hmm", "--depth", "1", "--format", "csv")
     assert code == 0
-    assert out.strip().splitlines()[1] == "-1,0.100000000,0.900000000,1,1"
+    assert out.strip().splitlines()[1] == "-1,0.100000000,0.900000000,1,1,not_exact"
 
 
 def test_sweep_csv_and_human_numbers_match(cli):
@@ -153,6 +153,12 @@ def test_sweep_on_file_stops_early_and_full_sweep_overrides(cli, chain_file):
     assert len(short.strip().splitlines()) == 4   # header + 3 rows
     assert len(full.strip().splitlines()) == 5    # sentinel row included
     assert full.strip().splitlines()[-1].startswith("-inf,")
+
+
+def test_sweep_csv_last_column_shows_why_the_sweep_stopped(cli, chain_file):
+    _, out, _ = cli("sweep", chain_file, "--target", "x=1", "--obs", "y=1", "--format", "csv")
+    column = [line.rsplit(",", 1)[1] for line in out.strip().splitlines()]
+    assert column == ["exactness", "not_exact", "not_exact", "frontier_subset_of_evidence"]
 
 
 def test_sweep_needs_path_or_hmm(cli):

@@ -81,8 +81,8 @@ def test_sweep_csv_schema():
     rows = hmm_sweep_experiment(HmmParams(), depth=2)
     text = sweep_csv(rows)
     lines = text.strip().splitlines()
-    assert lines[0] == "threshold,lower,upper,frontier_size,interior_size"
-    assert lines[1] == "-1,0.100000000,0.900000000,1,1"
+    assert lines[0] == "threshold,lower,upper,frontier_size,interior_size,exactness"
+    assert lines[1] == "-1,0.100000000,0.900000000,1,1,not_exact"
     assert len(lines) == 3
 
 

@@ -6,7 +6,10 @@ through one ``bounds_at`` call or a sweep that deepens step by step. The
 second half checks that every row of an incremental sweep equals a
 fresh one-shot ``bounds_at`` at the same threshold, and that the
 carried clamp table stays right across wide bands, underflow-scale
-windows, forced rescaling and exactly-zero normalizers.
+windows, forced rescaling and exactly-zero normalizers. The last part
+checks that a step's retrieval, which shares the walk's containers,
+equals a fresh one, and that a state refuses to go on after a step
+raised.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ import plif.infer as infer
 from conftest import make_net
 from plif import (
     ExpansionCapError,
+    FrontierTooWideError,
     HmmParams,
     InvalidNetworkError,
     LazyNetwork,
@@ -26,6 +30,7 @@ from plif import (
     NodeSpec,
     OpenPastError,
     Query,
+    QueryError,
     RandomNetSpec,
     Schedule,
     Threshold,
@@ -34,10 +39,13 @@ from plif import (
     default_schedule,
     hmm_model,
     hmm_query,
+    hmm_sweep_experiment,
     random_network,
     random_query,
+    root_set,
 )
 from plif.gen import hmm_node_name
+from plif.retrieval import Walk
 
 HMM = HmmParams()
 DEEP = Threshold(-3.0)
@@ -267,3 +275,100 @@ def test_incremental_sweep_with_rescaling_at_every_step(seed, monkeypatch):
             anytime_sweep(net, q, schedule, stop_on_exact=False)
         return
     _assert_same_rows(anytime_sweep(net, q, schedule, stop_on_exact=False), fresh)
+
+
+# --- a step's retrieval shares the walk; a failed step ends the state --------------
+
+
+def _assert_shared_retrievals_match_fresh(net, q, schedule):
+    # == compares the frontier, interior, evidence partition and submodel
+    # (interior specs and frontier stubs); evidence_minus is derived
+    state = infer.SweepState()
+    for th in schedule:
+        bounds_at(net, q, th, state=state)
+        fresh = root_set(net, q, th)
+        assert state.retrieval == fresh
+        assert state.retrieval.evidence_minus == fresh.evidence_minus
+
+
+def test_shared_retrieval_matches_fresh_on_long_chain():
+    p = HmmParams(window=120)
+    lazy, q = hmm_model(p), hmm_query(p)
+    _assert_shared_retrievals_match_fresh(lazy, q, default_schedule(lazy, q, max_steps=120))
+
+
+@pytest.mark.parametrize("seed", range(0, 500, 5))
+def test_shared_retrieval_matches_fresh_on_corpus_networks(seed):
+    # the recipe of the acceptance corpus, swept over its full schedule
+    net = random_network(RandomNetSpec(seed=seed, node_count=3 + seed % 10, state_count=2 + seed % 2))
+    q = random_query(net, seed + 1_000_000)
+    _assert_shared_retrievals_match_fresh(net, q, default_schedule(net, q))
+
+
+def test_retrieval_from_an_extended_walk_reads_as_the_deeper_one():
+    lazy, q = hmm_model(HMM), hmm_query(HMM)
+    walk = Walk()
+    shallow = root_set(lazy, q, Threshold(-1.0), walk=walk)
+    own = root_set(lazy, q, Threshold(-1.0))
+    band = shallow.band
+    assert shallow == own
+    deep = root_set(lazy, q, Threshold(-3.0), walk=walk)
+    assert shallow == deep == root_set(lazy, q, Threshold(-3.0))
+    assert shallow != own and shallow.band == band != deep.band
+    # a retrieval without a walk owns its walk and never changes
+    assert own == root_set(lazy, q, Threshold(-1.0))
+    with pytest.raises(TypeError):
+        shallow.submodel.interior["x_t"] = None
+
+
+def _assert_fresh_state_sweeps(net, q, thresholds, **kw):
+    state = infer.SweepState()
+    rows = [bounds_at(net, q, th, state=state, **kw) for th in thresholds]
+    _assert_same_rows(rows, [bounds_at(net, q, th, **kw) for th in thresholds])
+
+
+def test_state_refuses_a_step_after_the_expansion_cap_raised_mid_walk():
+    p = HmmParams(window=6)
+    lazy, q = hmm_model(p), hmm_query(p)
+    state = infer.SweepState()
+    bounds_at(lazy, q, Threshold(-1.0), state=state)
+    cap = len(state.walk.specs) + 2
+    with pytest.raises(ExpansionCapError):
+        bounds_at(lazy, q, Threshold(-4.0), state=state, max_nodes=cap)
+    with pytest.raises(QueryError, match="new SweepState"):
+        bounds_at(lazy, q, Threshold(-4.0), state=state)
+    _assert_fresh_state_sweeps(lazy, q, (Threshold(-1.0), Threshold(-4.0)))
+
+
+def test_state_refuses_a_step_after_the_frontier_cap_raised_past_the_walk():
+    # two root switches on x_t put three binary nodes on the frontier at -2
+    switches = {n: NodeSpec(n, ("0", "1"), (), ((0.5, 0.5),), pl=-100.0) for n in ("s1", "s2")}
+    inner = hmm_model(HMM)
+
+    def resolve(name):
+        if name in switches:
+            return switches[name]
+        spec = inner.resolve(name)
+        if name == "x_t":
+            rows = ((0.9, 0.1),) * 4 + ((0.1, 0.9),) * 4
+            return dataclasses.replace(spec, parents=("x_t-1", "s1", "s2"), cpt=rows)
+        return spec
+
+    lazy, q = LazyNetwork(resolve, float("-inf")), hmm_query(HMM)
+    state = infer.SweepState()
+    bounds_at(lazy, q, Threshold(-1.0), state=state, max_clamps=4)
+    with pytest.raises(FrontierTooWideError):
+        bounds_at(lazy, q, Threshold(-2.0), state=state, max_clamps=4)
+    with pytest.raises(QueryError, match="new SweepState"):
+        bounds_at(lazy, q, Threshold(-3.0), state=state, max_clamps=8)
+    _assert_fresh_state_sweeps(lazy, q, (Threshold(-1.0), Threshold(-2.0)), max_clamps=8)
+
+
+def test_ten_thousand_step_sweep_matches_the_filter_oracle():
+    window = 10_000
+    rows = hmm_sweep_experiment(HmmParams(window=window), window)
+    assert [qb.threshold.v for qb in rows] == [-float(d) for d in range(1, window + 1)]
+    for depth in (1, 10, 5000, window):
+        lo, hi = (oracles.hmm_clamp_filter(0.9, 0.8, c, depth, window) for c in (0, 1))
+        assert rows[depth - 1].lower == pytest.approx(lo, abs=1e-9)
+        assert rows[depth - 1].upper == pytest.approx(hi, abs=1e-9)
