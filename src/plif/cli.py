@@ -22,13 +22,8 @@ import os
 import sys
 
 from .errors import (
-    ExpansionCapError,
-    FactorTooLargeError,
-    FrontierTooWideError,
     InvalidNetworkError,
     NetworkFormatError,
-    NoStartNodesError,
-    OpenPastError,
     PlifError,
     QueryError,
     ThresholdError,
@@ -65,10 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NetworkFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (UnknownNodeError, UnknownStateError) as exc:
+    except (NetworkFormatError, UnknownNodeError, UnknownStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InvalidNetworkError as exc:
@@ -84,15 +76,6 @@ def main(argv: list[str] | None = None) -> int:
     except ZeroEvidenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ZERO_EVIDENCE
-    except (
-        FrontierTooWideError,
-        FactorTooLargeError,
-        ExpansionCapError,
-        OpenPastError,
-        NoStartNodesError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFERENCE
     except PlifError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFERENCE

@@ -384,52 +384,20 @@ def exact_query(net: Network, query: Query, *, max_cells: int = MAX_JOINT_CELLS)
     return mass({**query.evidence, **query.objective}) / p_evidence
 
 
-def frontier_conditional(
-    sub: Submodel,
-    objective: Assignment,
-    frontier_values: Assignment,
-    evidence_plus: Assignment | None = None,
-) -> float:
-    """P(objective | frontier clamp, elevated evidence) inside the submodel.
-
-    Every frontier stub must be clamped; objective and evidence nodes
-    must be interior. Only the submodel's own CPTs are consulted.
-    """
-    evidence_plus = dict(evidence_plus or {})
-    missing = set(sub.frontier) - set(frontier_values)
-    if missing:
-        raise QueryError(f"frontier nodes {sorted(missing)} are unassigned")
-    stray = set(frontier_values) - set(sub.frontier)
-    if stray:
-        raise QueryError(f"{sorted(stray)} are not frontier nodes of this submodel")
-    for name in list(objective) + list(evidence_plus):
-        if name not in sub.interior:
-            raise QueryError(f"node {name!r} is not interior to the submodel")
-
-    clash = set(objective) & set(evidence_plus)
-    if clash:
-        raise QueryError(f"{sorted(clash)} are both objective and evidence")
-
-    evidence = {**frontier_values, **evidence_plus}
-    num, den = _contract(sub, sub.interior, evidence, (), objective).table
-    if den == 0.0:
-        raise ZeroEvidenceError(
-            "zero normalizer: this frontier clamp is inconsistent with the elevated evidence"
-        )
-    return float(num / den)
-
-
 @dataclass
 class SweepState:
     """What a sweep carries from one threshold to the next: the retrieval
     walk, the retrieval of the latest step (a view of the walk, valid
     until the next step), and the clamp table over its unobserved
     frontier. A state belongs to one sweep: pass it to :func:`bounds_at`
-    calls with decreasing thresholds, shallowest first. Once a call
-    raises, the walk or table may be half extended, and later calls with
-    the state raise :class:`QueryError`."""
+    calls with strictly decreasing thresholds, shallowest first; a call
+    whose threshold is not below ``threshold``, the latest step's, raises
+    :class:`QueryError` and leaves the state as it was. Once any other
+    error is raised, the walk or table may be half extended, and later
+    calls with the state raise :class:`QueryError`."""
 
     walk: Walk = field(default_factory=Walk)
+    threshold: Threshold | None = None
     retrieval: RootSetResult | None = None
     table: _Table | None = None
     failed: bool = False
@@ -443,7 +411,8 @@ def frontier_clamp_table(
 
     Returns ``(scan_nodes, num, den)``: arrays indexed by the state of
     each unobserved frontier node (sorted by name, odometer order), where
-    ``num/den`` at a clamp equals :func:`frontier_conditional` there.
+    ``num/den`` at a clamp is P(objective | that clamp, the observed
+    frontier, the evidence at or above the threshold) inside the submodel.
     ``num`` and ``den`` are scaled by the same positive factor at each
     clamp, chosen per clamp so that neither underflows; only their ratio
     and whether ``den`` is exactly zero carry meaning.
@@ -464,9 +433,7 @@ def frontier_clamp_table(
     return scan, table.table[..., 0], table.table[..., 1]
 
 
-def exactness_status(
-    rs: RootSetResult, threshold: Threshold, t0: float, lower: float, upper: float
-) -> Exactness:
+def exactness_status(rs: RootSetResult, t0: float, lower: float, upper: float) -> Exactness:
     """Classify a retrieval per the first matching exactness condition.
 
     In order: (1) the frontier lies entirely inside the evidence, so no
@@ -530,7 +497,13 @@ def bounds_at(
     state = SweepState() if state is None else state
     if state.failed:
         raise QueryError("an earlier step of this sweep state raised; start a new SweepState")
+    if state.threshold is not None and threshold.v >= state.threshold.v:
+        raise QueryError(
+            f"a sweep state needs strictly decreasing thresholds; "
+            f"got {threshold.v:g} after {state.threshold.v:g}"
+        )
     state.failed = True  # until this step returns
+    state.threshold = threshold
     o_star, pl_star = cpl(net, query)
     if threshold.v > pl_star:
         raise ThresholdError(threshold.v, pl_star, o_star)
@@ -557,7 +530,7 @@ def bounds_at(
     if threshold.is_full_past:
         status = Exactness.FULL_PAST
     else:
-        status = exactness_status(rs, threshold, net.t0, lower, upper)
+        status = exactness_status(rs, net.t0, lower, upper)
         if status is Exactness.FULL_PAST:
             exact = _exact_from_retrieval(net, rs, query, state.table)
             if exact is None:
@@ -586,69 +559,56 @@ def default_schedule(
     the critical potential level and ending with the full-past sentinel
     when the network's past is closed.
 
-    Unbounded (lazy, open-past) models have infinitely many ancestor
-    levels, so ``max_steps`` is required there and caps the list length.
+    The levels come from one walk over ``net.resolve``, finite and lazy
+    networks alike: a heap pops the query nodes' strict ancestors latest
+    first. Nothing is scheduled at or below ``t0`` or a truncation stub
+    among the query nodes and their ancestors, since retrieval there
+    would surface the stub as a CPD-less interior node; the walk stops
+    at the first one. Unbounded (lazy, open-past) models have infinitely
+    many ancestor levels, so ``max_steps`` is required there and caps the
+    list length.
     """
-    o_star, pl_star = cpl(net, query)
-    closed = not net.open_past
+    if max_steps is None and net.open_past and isinstance(net, LazyNetwork):
+        raise QueryError("an unbounded model needs max_steps to bound the schedule")
+    pl_star = cpl(net, query)[1]
+    specs = [net.resolve(n) for n in query.names]
+    limit = max([net.t0] + [s.pl for s in specs if s.is_stub])
+    values = [pl_star]
+    heap: list[tuple[float, str, NodeSpec]] = []
+    seen: set[str] = set()
 
-    if isinstance(net, LazyNetwork):
-        values = _lazy_schedule_values(net, query, pl_star, max_steps, max_nodes)
-    else:
-        pool = {net.spec(a).pl for a in ancestors(net, query.names)}
-        pool.add(pl_star)
-        values = sorted((p for p in pool if p <= pl_star), reverse=True)
+    def push(spec: NodeSpec) -> None:
+        for p in spec.parents:
+            if p not in seen:
+                seen.add(p)
+                if len(seen) > max_nodes:
+                    raise ExpansionCapError(f"schedule walk resolved more than {max_nodes} nodes")
+                parent = net.resolve(p)
+                heapq.heappush(heap, (-parent.pl, p, parent))
 
-    if closed:
-        values = [v for v in values if v > net.t0]
-    else:
-        # never schedule below a truncation stub: it would surface as a
-        # CPD-less interior node
-        stub_pls = (
-            [s.pl for s in net.nodes.values() if s.is_stub] if isinstance(net, Network) else []
-        )
-        limit = max(stub_pls) if stub_pls else net.t0
-        values = [v for v in values if v > limit]
-    if max_steps is not None:
-        values = values[:max_steps]
+    for spec in specs:
+        push(spec)
+    # parents sit strictly earlier than their children, so the heap streams
+    # ancestors in nonincreasing pl order: a strict-decrease check is all
+    # dedup needs, and every node at a level pops before any deeper one
+    while heap:
+        spec = heapq.heappop(heap)[2]
+        if spec.pl < values[-1]:
+            if spec.pl <= limit or (max_steps is not None and len(values) >= max_steps):
+                break
+            values.append(spec.pl)
+        if spec.is_stub:
+            limit = spec.pl
+            break
+        push(spec)
 
+    values = [v for v in values if v > limit][:max_steps]
     thresholds = [Threshold(v) for v in values]
-    if closed and (max_steps is None or len(thresholds) < max_steps):
+    if not net.open_past and (max_steps is None or len(thresholds) < max_steps):
         thresholds.append(Threshold.full_past())
     if not thresholds:
         raise QueryError("no usable thresholds: the objective sits at or below the retrieval limit")
     return Schedule(tuple(thresholds))
-
-
-def _lazy_schedule_values(
-    net: LazyNetwork, query: Query, pl_star: float, max_steps: int | None, max_nodes: int
-) -> list[float]:
-    if max_steps is None and net.open_past:
-        raise QueryError("an unbounded model needs max_steps to bound the schedule")
-    values = [pl_star]
-    heap: list[tuple[float, str]] = []
-    seen = set(query.names)
-    for name in sorted(query.names):
-        for p in net.resolve(name).parents:
-            if p not in seen:
-                seen.add(p)
-                heapq.heappush(heap, (-net.resolve(p).pl, p))
-    expanded = 0
-    while heap and (max_steps is None or len(values) < max_steps):
-        neg_pl, name = heapq.heappop(heap)
-        pl = -neg_pl
-        expanded += 1
-        if expanded > max_nodes:
-            raise ExpansionCapError(f"schedule expansion exceeded {max_nodes} nodes")
-        # the heap streams ancestors in nonincreasing pl order, so a
-        # strict-decrease check is all dedup needs
-        if pl <= pl_star and pl < values[-1]:
-            values.append(pl)
-        for p in net.resolve(name).parents:
-            if p not in seen:
-                seen.add(p)
-                heapq.heappush(heap, (-net.resolve(p).pl, p))
-    return values
 
 
 def anytime_sweep(

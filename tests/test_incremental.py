@@ -8,8 +8,8 @@ fresh one-shot ``bounds_at`` at the same threshold, and that the
 carried clamp table stays right across wide bands, underflow-scale
 windows, forced rescaling and exactly-zero normalizers. The last part
 checks that a step's retrieval, which shares the walk's containers,
-equals a fresh one, and that a state refuses to go on after a step
-raised.
+equals a fresh one, that a state refuses to go on after a step raised,
+and that it refuses a threshold not below its last one.
 """
 
 import dataclasses
@@ -362,6 +362,17 @@ def test_state_refuses_a_step_after_the_frontier_cap_raised_past_the_walk():
     with pytest.raises(QueryError, match="new SweepState"):
         bounds_at(lazy, q, Threshold(-3.0), state=state, max_clamps=8)
     _assert_fresh_state_sweeps(lazy, q, (Threshold(-1.0), Threshold(-2.0)), max_clamps=8)
+
+
+def test_state_refuses_a_threshold_not_below_the_last_and_goes_on_deeper():
+    lazy, q = hmm_model(HMM), hmm_query(HMM)
+    state = infer.SweepState()
+    bounds_at(lazy, q, Threshold(-3.0), state=state)
+    for shallower in (Threshold(-1.0), Threshold(-3.0)):
+        with pytest.raises(QueryError, match="strictly decreasing"):
+            bounds_at(lazy, q, shallower, state=state)
+    deeper = bounds_at(lazy, q, Threshold(-4.0), state=state)
+    _assert_same_rows([deeper], [bounds_at(lazy, q, Threshold(-4.0))])
 
 
 def test_ten_thousand_step_sweep_matches_the_filter_oracle():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -7,6 +8,7 @@ import plif.infer as infer
 from conftest import make_net
 from plif import (
     Exactness,
+    ExpansionCapError,
     FactorTooLargeError,
     FrontierTooWideError,
     HmmParams,
@@ -26,7 +28,6 @@ from plif import (
     default_schedule,
     exact_query,
     exactness_status,
-    frontier_conditional,
     hmm_model,
     hmm_query,
     map_decision,
@@ -35,6 +36,7 @@ from plif import (
     random_network,
     random_query,
     root_set,
+    validate,
 )
 from plif.gen import hmm_node_name
 
@@ -136,31 +138,40 @@ def test_exact_rejects_open_past():
         exact_query(frag, Query({"x_t+1": "1"}))
 
 
-# --- frontier_conditional -------------------------------------------------------
+# --- frontier conditionals: the cells of the clamp table ------------------------
+
+
+def _clamp_values(rs, query):
+    """The clamp table's conditional at every clamp, by scan node."""
+    scan, num, den = infer.frontier_clamp_table(rs, query)
+    assert (den > 0.0).all()
+    return scan, num / den
 
 
 def test_frontier_conditional_chain_is_cpt_row(chain_net):
-    rs = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold(4.0))
-    assert frontier_conditional(rs.submodel, {"x": "1"}, {"t1": "0"}) == pytest.approx(0.25)
-    assert frontier_conditional(rs.submodel, {"x": "1"}, {"t1": "1"}) == pytest.approx(0.9)
+    q = Query({"x": "1"}, {"y": "1"})
+    scan, values = _clamp_values(root_set(chain_net, q, Threshold(4.0)), q)
+    assert scan == ("t1",)
+    assert values.tolist() == pytest.approx([0.25, 0.9])
+    for s, got in zip(("0", "1"), values):
+        assert got == pytest.approx(exact_query(chain_net, Query({"x": "1"}, {"t1": s})))
 
 
 def test_frontier_conditional_single_factor_lookup(two_node_net):
-    rs = root_set(two_node_net, Query({"e": "1"}), Threshold(1.0))
-    assert frontier_conditional(rs.submodel, {"e": "1"}, {"c": "0"}) == pytest.approx(0.1)
-
-
-def test_frontier_conditional_requires_full_clamp(chain_net):
-    rs = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold(4.0))
-    with pytest.raises(QueryError):
-        frontier_conditional(rs.submodel, {"x": "1"}, {})
+    q = Query({"e": "1"})
+    scan, values = _clamp_values(root_set(two_node_net, q, Threshold(1.0)), q)
+    assert scan == ("c",)
+    assert values[0] == pytest.approx(0.1)
+    assert values[0] == pytest.approx(exact_query(two_node_net, Query({"e": "1"}, {"c": "0"})))
 
 
 def test_frontier_conditional_normalizes_over_states(chain_net):
-    rs = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold(3.0))
-    total = sum(
-        frontier_conditional(rs.submodel, {"x": s}, {"t2": "1"}) for s in ("0", "1")
-    )
+    total = 0.0
+    for s in ("0", "1"):
+        q = Query({"x": s}, {"y": "1"})
+        scan, values = _clamp_values(root_set(chain_net, q, Threshold(3.0)), q)
+        assert scan == ("t2",)
+        total += values[1]
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -174,12 +185,12 @@ def test_frontier_conditional_matches_full_network(seed):
     )
     for v in levels:
         rs = root_set(net, query, Threshold(v))
-        scan = sorted(rs.frontier - set(query.evidence))
+        scan, values = _clamp_values(rs, query)
+        assert scan == tuple(sorted(rs.frontier - set(query.evidence)))
         e_plus = {e: query.evidence[e] for e in rs.evidence_plus}
         observed = {e: query.evidence[e] for e in rs.evidence_in_frontier}
-        for clamp in _assignments(net, scan):
+        for clamp, got in zip(_assignments(net, scan), values.flat, strict=True):
             full = {**clamp, **observed}
-            got = frontier_conditional(rs.submodel, query.objective, full, e_plus)
             want = exact_query(net, Query(dict(query.objective), {**full, **e_plus}))
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -318,13 +329,13 @@ def test_intermediate_factor_cap(monkeypatch, chain_net):
 
 def test_status_frontier_subset_of_evidence(chain_net):
     rs = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold(2.0))
-    status = exactness_status(rs, Threshold(2.0), chain_net.t0, 0.3, 0.7)
+    status = exactness_status(rs, chain_net.t0, 0.3, 0.7)
     assert status is Exactness.FRONTIER_SUBSET_OF_EVIDENCE
 
 
 def test_status_full_past_when_frontier_sits_at_origin(collider_net):
     rs = root_set(collider_net, Query({"c": "1"}), Threshold(1.0))
-    status = exactness_status(rs, Threshold(1.0), collider_net.t0, 0.2, 0.8)
+    status = exactness_status(rs, collider_net.t0, 0.2, 0.8)
     assert status is Exactness.FULL_PAST
 
 
@@ -334,7 +345,7 @@ def test_status_coincidence_when_bounds_meet():
     o = NodeSpec("o", ("0", "1"), ("m",), ((0.42, 0.58), (0.42, 0.58)), pl=2.0)
     net = make_net(0.0, False, r, m, o)
     rs = root_set(net, Query({"o": "1"}), Threshold(2.0))
-    status = exactness_status(rs, Threshold(2.0), net.t0, 0.42, 0.42)
+    status = exactness_status(rs, net.t0, 0.42, 0.42)
     assert status is Exactness.COINCIDENCE
     qb = bounds_at(net, Query({"o": "0"}), Threshold(2.0))
     assert qb.exactness is Exactness.COINCIDENCE
@@ -344,7 +355,7 @@ def test_status_coincidence_when_bounds_meet():
 def test_status_not_exact(chain_net):
     rs = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold(4.0))
     assert (
-        exactness_status(rs, Threshold(4.0), chain_net.t0, 0.25, 0.9)
+        exactness_status(rs, chain_net.t0, 0.25, 0.9)
         is Exactness.NOT_EXACT
     )
 
@@ -372,13 +383,75 @@ def test_schedule_lazy_requires_cap():
         default_schedule(hmm_model(HMM), hmm_query(HMM))
 
 
+def test_schedule_walk_is_capped():
+    with pytest.raises(ExpansionCapError):
+        default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=50, max_nodes=20)
+    assert len(default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=15, max_nodes=20)) == 15
+
+
 def test_schedule_through_closed_lazy_wrapper_matches_finite(chain_net):
     from plif import as_lazy
 
-    q = Query({"x": "1"}, {"y": "1"})
-    finite = default_schedule(chain_net, q)
-    wrapped = default_schedule(as_lazy(chain_net), q)
-    assert [t.v for t in wrapped] == [t.v for t in finite]
+    # e is evidence and an ancestor of the objective o: its level counts
+    r = NodeSpec("r", ("0", "1"), (), ((0.5, 0.5),), pl=0.0)
+    e = NodeSpec("e", ("0", "1"), ("r",), ((0.7, 0.3), (0.2, 0.8)), pl=3.0)
+    m = NodeSpec("m", ("0", "1"), ("e",), ((0.6, 0.4), (0.1, 0.9)), pl=4.0)
+    o = NodeSpec("o", ("0", "1"), ("m",), ((0.8, 0.2), (0.3, 0.7)), pl=5.0)
+    remo, remo_q = make_net(0.0, False, r, e, m, o), Query({"o": "1"}, {"e": "1"})
+    cases = [(chain_net, Query({"x": "1"}, {"y": "1"})), (remo, remo_q)]
+    for seed in range(500):
+        net = random_network(RandomNetSpec(seed=seed, node_count=3 + seed % 10))
+        cases.append((net, random_query(net, seed + 1000)))
+    for net, q in cases:
+        finite = default_schedule(net, q)
+        wrapped = default_schedule(as_lazy(net), q)
+        assert [t.v for t in wrapped] == [t.v for t in finite]
+    assert [t.v for t in default_schedule(remo, remo_q)] == [5.0, 4.0, 3.0, -math.inf]
+
+
+def _open_past_chain(*extra):
+    """r (pl 0, with its prior) -> b (1) -> a (2) -> o (3), open past;
+    ``extra`` adds nodes or replaces them by name."""
+    r = NodeSpec("r", ("0", "1"), (), ((0.5, 0.5),), pl=0.0)
+    b = NodeSpec("b", ("0", "1"), ("r",), ((0.7, 0.3), (0.2, 0.8)), pl=1.0)
+    a = NodeSpec("a", ("0", "1"), ("b",), ((0.6, 0.4), (0.1, 0.9)), pl=2.0)
+    o = NodeSpec("o", ("0", "1"), ("a",), ((0.8, 0.2), (0.3, 0.7)), pl=3.0)
+    return make_net(0.0, True, r, b, a, o, *extra)
+
+
+def test_schedule_passes_below_a_stub_outside_the_query_closure():
+    # the stub z (and its child w) sit off every path back from o, so
+    # retrieval never reaches z and the schedule need not stop above it
+    z = NodeSpec("z", ("0", "1"), (), None, pl=1.5)
+    w = NodeSpec("w", ("0", "1"), ("z",), ((0.5, 0.5), (0.5, 0.5)), pl=2.5)
+    net = _open_past_chain(z, w)
+    assert validate(net) == []
+    q = Query({"o": "1"})
+    sched = default_schedule(net, q)
+    assert [t.v for t in sched] == [3.0, 2.0, 1.0]
+    rows = anytime_sweep(net, q, sched)
+    assert len(rows) == 3
+    assert rows[-1].exactness is Exactness.FULL_PAST
+    closed = dataclasses.replace(_open_past_chain(), open_past=False)
+    assert rows[-1].lower == rows[-1].upper == pytest.approx(exact_query(closed, q), abs=1e-12)
+
+
+@pytest.mark.parametrize("where", ["query_node", "ancestor"])
+def test_schedule_stops_above_a_stub_among_the_query_nodes_and_their_ancestors(where):
+    # a threshold at or below the stub s would retrieve it as a CPD-less
+    # interior node; s is evidence, or a second parent of a
+    s = NodeSpec("s", ("0", "1"), (), None, pl=1.5)
+    if where == "query_node":
+        net, q = _open_past_chain(s), Query({"o": "1"}, {"s": "1"})
+    else:
+        rows = ((0.6, 0.4), (0.5, 0.5), (0.1, 0.9), (0.2, 0.8))
+        a = NodeSpec("a", ("0", "1"), ("b", "s"), rows, pl=2.0)
+        net, q = _open_past_chain(s, a), Query({"o": "1"})
+    assert validate(net) == []
+    assert [t.v for t in default_schedule(net, q)] == [3.0, 2.0]
+    with pytest.raises(OpenPastError):
+        bounds_at(net, q, Threshold(1.0))
+    assert len(anytime_sweep(net, q, default_schedule(net, q))) == 2
 
 
 # --- anytime_sweep ---------------------------------------------------------------
