@@ -41,7 +41,7 @@ from .gen import (
     random_network,
     sweep_csv,
 )
-from .infer import QueryBounds, SweepState, anytime_sweep, bounds_at, default_schedule, exact_query
+from .infer import QueryBounds, SweepState, anytime_sweep, bounds_at, default_schedule
 from .model import Query, load_network, materialize, serialize
 from .retrieval import Threshold, d_separated
 
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="inclusive threshold value; --threshold=-inf retrieves the whole past",
     )
     mode.add_argument("--at-pl-of", metavar="NODE", help="use the named node's potential level as the threshold")
-    mode.add_argument("--exact", action="store_true", help="exact enumeration (closed-past networks only)")
+    mode.add_argument("--exact", action="store_true", help="the full-past bracket as one value (closed past only)")
     p.add_argument("--format", choices=("human", "csv", "json"), default="human")
     p.add_argument("--dump-submodel", metavar="OUT", help="write the retrieved submodel document to OUT")
     p.set_defaults(func=_cmd_query)
@@ -188,9 +188,12 @@ def _clamp_cap() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise QueryError(f"PLIF_MAX_FRONTIER must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise QueryError(f"PLIF_MAX_FRONTIER must be at least 1, got {cap}")
+    return cap
 
 
 def _read(path: str) -> str:
@@ -212,8 +215,7 @@ def _cmd_query(args) -> int:
     query = _query_from_args(args)
 
     if args.exact:
-        value = exact_query(net, query)
-        _emit_exact(value, args.format)
+        _emit_exact(bounds_at(net, query, Threshold.full_past()).lower, args.format)
         return EXIT_OK
 
     v = net.spec(args.at_pl_of).pl if args.at_pl_of is not None else args.threshold

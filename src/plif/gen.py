@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownNodeError
-from .infer import QueryBounds, anytime_sweep, default_schedule, exact_query
+from .infer import QueryBounds, anytime_sweep, bounds_at, default_schedule
 from .model import LazyNetwork, Network, NodeSpec, Query
 from .retrieval import Threshold
 
@@ -230,7 +230,7 @@ def random_query(net: Network, seed: int) -> Query:
             q = draw(max_evidence)
             if not q.evidence:
                 return q
-            if exact_query(net, Query(objective=dict(q.evidence))) > 0.0:
+            if bounds_at(net, Query(dict(q.evidence)), Threshold.full_past()).lower > 0.0:
                 return q
         if max_evidence == 0:
             return draw(0)

@@ -1,17 +1,14 @@
-"""Probability computation: certified bounds from retrieved submodels,
-anytime sweeps, and an exact reference.
+"""Probability computation: certified bounds from retrieved submodels
+and anytime sweeps.
 
-Two routes are deliberately kept independent:
-
-* :func:`exact_query` materializes the full joint table over the
-  ancestral closure and sums it. Slow, simple, and the reference that
-  everything else is tested against.
-* Everything else goes through one contraction, :func:`_contract`: bucket
-  elimination that multiplies CPTs into a table of numerators and
-  normalizers over the frontier clamps. Factors are rescaled per clamp,
-  and the scales are kept as logs, so long evidence chains cannot
-  underflow. A sweep keeps that table and, at each deeper threshold,
-  contracts only the CPTs of the newly retrieved nodes into it.
+Every probability goes through one contraction, :func:`_contract`:
+bucket elimination that multiplies CPTs into a table of numerators and
+normalizers over the frontier clamps. Factors are rescaled per clamp,
+and the scales are kept as logs, so long evidence chains cannot
+underflow. A sweep keeps that table and, at each deeper threshold,
+contracts only the CPTs of the newly retrieved nodes into it. The exact
+value of a closed-past query is its bracket at the full-past threshold,
+where the frontier is empty and the bounds coincide.
 
 Bounds come from scanning the unobserved frontier: for every joint clamp
 of those stubs the submodel yields one conditional value, and the true
@@ -36,7 +33,6 @@ from .errors import (
     ExpansionCapError,
     FactorTooLargeError,
     OpenPastError,
-    PlifError,
     QueryError,
     ThresholdError,
     ZeroEvidenceError,
@@ -46,10 +42,8 @@ from .model import (
     DEFAULT_EXPANSION_CAP,
     Assignment,
     LazyNetwork,
-    Network,
     NodeSpec,
     Query,
-    check_query,
 )
 from .retrieval import (
     NetworkLike,
@@ -57,7 +51,6 @@ from .retrieval import (
     Submodel,
     Threshold,
     Walk,
-    ancestors,
     root_set,
 )
 
@@ -348,42 +341,6 @@ def cpl(net: NetworkLike, query: Query) -> tuple[str, float]:
     return o_star, pl_star
 
 
-def exact_query(net: Network, query: Query, *, max_cells: int = MAX_JOINT_CELLS) -> float:
-    """P(objective | evidence) by direct summation of the factored joint
-    over the ancestral closure of the query variables.
-
-    Needs a closed past: every root must carry its prior.
-    """
-    if not isinstance(net, Network):
-        raise QueryError("exact_query needs a finite Network; materialize lazy models first")
-    if net.open_past:
-        raise OpenPastError("exact inference needs a closed past; truncated roots have no priors")
-    check_query(net, query)
-
-    closure = tuple(sorted(query.names | ancestors(net, query.names)))
-    sizes = {n: len(net.spec(n).states) for n in closure}
-    cells = math.prod(sizes.values())
-    if cells > max_cells:
-        raise PlifError(f"ancestral closure needs a {cells}-cell joint table; refusing")
-
-    joint = np.ones(tuple(sizes[n] for n in closure))
-    for n in closure:
-        axes, table = _cpt_factor(net.spec(n), sizes)
-        joint = joint * _align(axes, table, closure)
-
-    def mass(assignment: Assignment) -> float:
-        idx = tuple(
-            net.spec(n).states.index(assignment[n]) if n in assignment else slice(None)
-            for n in closure
-        )
-        return float(joint[idx].sum())
-
-    p_evidence = mass(query.evidence)
-    if p_evidence == 0.0:
-        raise ZeroEvidenceError(f"evidence {dict(query.evidence)!r} has probability zero")
-    return mass({**query.evidence, **query.objective}) / p_evidence
-
-
 @dataclass
 class SweepState:
     """What a sweep carries from one threshold to the next: the retrieval
@@ -520,7 +477,7 @@ def bounds_at(
 
     valid = den > 0.0
     if not valid.any():
-        raise ZeroEvidenceError("every frontier clamp has a zero normalizer")
+        raise ZeroEvidenceError(f"evidence {dict(query.evidence)!r} has probability zero")
     # num <= den holds exactly in real arithmetic; the clip only absorbs
     # last-ulp drift from summing the objective axis into den
     ratios = np.clip(num[valid] / den[valid], 0.0, 1.0)
@@ -568,6 +525,8 @@ def default_schedule(
     many ancestor levels, so ``max_steps`` is required there and caps the
     list length.
     """
+    if max_steps is not None and max_steps < 1:
+        raise QueryError(f"max_steps must be at least 1, got {max_steps}")
     if max_steps is None and net.open_past and isinstance(net, LazyNetwork):
         raise QueryError("an unbounded model needs max_steps to bound the schedule")
     pl_star = cpl(net, query)[1]

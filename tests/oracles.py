@@ -89,6 +89,17 @@ def joint_marginal(
     return np.transpose(out, [current.index(k) for k in keep]) if keep else out
 
 
+def joint_conditional(net, names, joint, target: dict[str, str], given: dict[str, str]) -> float:
+    """P(target | given) from the numpy joint ``names, joint = net_joint(net)``:
+    the reference for networks too large for ``enumerate_joint``."""
+
+    def mass(assignment: dict[str, str]) -> float:
+        clamps = {n: net.nodes[n].states.index(s) for n, s in assignment.items()}
+        return float(joint_marginal(names, joint, clamps, []))
+
+    return mass({**given, **target}) / mass(given)
+
+
 def hmm_clamp_filter(stay: float, emit: float, clamp: int, depth: int, window: int) -> float:
     """P(hidden state at t+1 is 1 | clamped hidden state depth steps back,
     all observations in the window that sit at/above threshold -depth).

@@ -23,13 +23,11 @@ from plif import (
     Query,
     QueryBounds,
     RandomNetSpec,
-    RootSetResult,
     Threshold,
     anytime_sweep,
     bounds_at,
     d_separated,
     default_schedule,
-    exact_query,
     hmm_sweep_experiment,
     load_network,
     network_to_document,
@@ -40,6 +38,7 @@ from plif import (
 )
 from plif.cli import main as cli_main
 from plif.infer import Exactness, frontier_clamp_table
+from plif.retrieval import RootSetResult
 
 CORPUS_SIZE = 500
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "test_artifacts"
@@ -73,7 +72,8 @@ def corpus():
         )
         net = random_network(spec)
         query = random_query(net, seed + 1_000_000)
-        exact = exact_query(net, query)
+        names, joint = oracles.net_joint(net)
+        exact = oracles.joint_conditional(net, names, joint, query.objective, query.evidence)
         steps = [
             Step(th, root_set(net, query, th), bounds_at(net, query, th))
             for th in default_schedule(net, query)

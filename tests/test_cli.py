@@ -53,6 +53,20 @@ def test_query_exact_two_node(cli, two_node_file):
     assert out.strip() == "exact=0.310000000"
 
 
+def test_query_exact_unknown_state_exits_1(cli, two_node_file):
+    code, _, err = cli("query", two_node_file, "--target", "e=maybe", "--exact")
+    assert code == 1
+    assert "maybe" in err
+
+
+def test_query_exact_open_past_exits_5(cli, tmp_path):
+    path = tmp_path / "frag.json"
+    assert cli("gen-hmm", "--depth", "2", "--out", str(path))[0] == 0
+    code, _, err = cli("query", str(path), "--target", "x_t+1=1", "--exact")
+    assert code == 5
+    assert "closed past" in err
+
+
 def test_query_threshold_above_cpl_exits_3_quoting_level(cli, chain_file):
     code, _, err = cli("query", chain_file, "--target", "x=1", "--threshold", "4.5")
     assert code == 3
@@ -174,6 +188,23 @@ def test_sweep_frontier_cap_env_var(cli, chain_file):
     )
     assert code == 5
     assert "frontier too wide" in err
+
+
+def test_frontier_cap_env_var_below_one_is_a_usage_error(cli, chain_file):
+    for raw in ("0", "-3"):
+        code, _, err = cli(
+            "query", chain_file, "--target", "x=1", "--threshold", "4.0",
+            env={"PLIF_MAX_FRONTIER": raw},
+        )
+        assert code == 2
+        assert "PLIF_MAX_FRONTIER must be at least 1" in err
+
+
+def test_sweep_depth_below_one_is_a_usage_error(cli, chain_file):
+    for depth in ("0", "-1"):
+        code, _, err = cli("sweep", chain_file, "--target", "x=1", "--depth", depth)
+        assert code == 2
+        assert "max_steps must be at least 1" in err
 
 
 def test_intermediate_factor_cap_exits_5(cli, chain_file, monkeypatch):

@@ -1,10 +1,9 @@
 import pytest
 
+import oracles
 from plif import (
     HmmParams,
-    Query,
     RandomNetSpec,
-    exact_query,
     hmm_model,
     hmm_query,
     hmm_sweep_experiment,
@@ -151,7 +150,8 @@ def test_random_query_evidence_has_positive_probability(seed):
     net = random_network(RandomNetSpec(seed=seed, node_count=3 + seed % 10))
     q = random_query(net, seed)
     if q.evidence:
-        assert exact_query(net, Query(dict(q.evidence))) > 0.0
+        names, joint = oracles.net_joint(net)
+        assert oracles.joint_conditional(net, names, joint, q.evidence, {}) > 0.0
 
 
 def test_random_chain_shape_and_margin():

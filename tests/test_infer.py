@@ -24,13 +24,9 @@ from plif import (
     ZeroEvidenceError,
     anytime_sweep,
     bounds_at,
-    cpl,
     default_schedule,
-    exact_query,
-    exactness_status,
     hmm_model,
     hmm_query,
-    map_decision,
     materialize,
     random_chain,
     random_network,
@@ -39,6 +35,7 @@ from plif import (
     validate,
 )
 from plif.gen import hmm_node_name
+from plif.infer import cpl, exactness_status, map_decision
 
 HMM = HmmParams()
 
@@ -57,7 +54,7 @@ def test_query_unknown_state_label_raises(two_node_net):
     from plif import UnknownStateError
 
     with pytest.raises(UnknownStateError):
-        exact_query(two_node_net, Query({"e": "maybe"}))
+        bounds_at(two_node_net, Query({"e": "maybe"}), Threshold.full_past())
 
 
 def test_threshold_rejects_nan_and_plus_inf():
@@ -93,20 +90,22 @@ def test_cpl_tie_breaks_lexicographically(collider_net):
     assert cpl(collider_net, Query({"b": "1", "a": "1"})) == ("a", 0.0)
 
 
-# --- exact_query ----------------------------------------------------------------
+# --- exact values: the full-past bracket, where lower equals upper --------------
 
 
 def test_exact_two_node_total_probability(two_node_net):
-    assert exact_query(two_node_net, Query({"e": "1"})) == pytest.approx(0.31, abs=1e-12)
+    qb = bounds_at(two_node_net, Query({"e": "1"}), Threshold.full_past())
+    assert qb.lower == qb.upper == pytest.approx(0.31, abs=1e-12)
 
 
 def test_exact_root_prior_identity(two_node_net):
-    assert exact_query(two_node_net, Query({"c": "1"})) == pytest.approx(0.3, abs=1e-15)
+    qb = bounds_at(two_node_net, Query({"c": "1"}), Threshold.full_past())
+    assert qb.lower == qb.upper == pytest.approx(0.3, abs=1e-15)
 
 
 def test_exact_hmm_fragment_matches_filter_oracle(hmm4_net):
     q = Query({"x_t+1": "1"}, {"y_t": "1", "y_t-1": "1", "x_t-2": "1"})
-    value = exact_query(hmm4_net, q)
+    value = bounds_at(hmm4_net, q, Threshold.full_past()).lower
     assert value == pytest.approx(2349 / 2690, abs=1e-12)
     assert value == pytest.approx(0.87324, abs=1e-5)
     assert value == pytest.approx(oracles.hmm_clamp_filter(0.9, 0.8, 1, 3, 10), abs=1e-12)
@@ -121,21 +120,22 @@ def test_exact_matches_pure_python_enumeration(seed):
         if query.evidence
         else oracles.probability(net, query.objective)
     )
-    assert exact_query(net, query) == pytest.approx(expected, abs=1e-12)
+    qb = bounds_at(net, query, Threshold.full_past())
+    assert qb.lower == qb.upper == pytest.approx(expected, abs=1e-12)
 
 
 def test_exact_rejects_zero_probability_evidence():
     sure = NodeSpec("s", ("0", "1"), (), ((1.0, 0.0),), pl=0.0)
     child = NodeSpec("k", ("0", "1"), ("s",), ((1.0, 0.0), (0.0, 1.0)), pl=1.0)
     net = make_net(0.0, False, sure, child)
-    with pytest.raises(ZeroEvidenceError):
-        exact_query(net, Query({"s": "0"}, {"k": "1"}))
+    with pytest.raises(ZeroEvidenceError, match="probability zero"):
+        bounds_at(net, Query({"s": "0"}, {"k": "1"}), Threshold.full_past())
 
 
 def test_exact_rejects_open_past():
     frag = materialize(hmm_model(HMM), ["x_t+1"], -2.0)
     with pytest.raises(OpenPastError):
-        exact_query(frag, Query({"x_t+1": "1"}))
+        bounds_at(frag, Query({"x_t+1": "1"}), Threshold.full_past())
 
 
 # --- frontier conditionals: the cells of the clamp table ------------------------
@@ -154,7 +154,7 @@ def test_frontier_conditional_chain_is_cpt_row(chain_net):
     assert scan == ("t1",)
     assert values.tolist() == pytest.approx([0.25, 0.9])
     for s, got in zip(("0", "1"), values):
-        assert got == pytest.approx(exact_query(chain_net, Query({"x": "1"}, {"t1": s})))
+        assert got == pytest.approx(oracles.conditional(chain_net, {"x": "1"}, {"t1": s}))
 
 
 def test_frontier_conditional_single_factor_lookup(two_node_net):
@@ -162,7 +162,7 @@ def test_frontier_conditional_single_factor_lookup(two_node_net):
     scan, values = _clamp_values(root_set(two_node_net, q, Threshold(1.0)), q)
     assert scan == ("c",)
     assert values[0] == pytest.approx(0.1)
-    assert values[0] == pytest.approx(exact_query(two_node_net, Query({"e": "1"}, {"c": "0"})))
+    assert values[0] == pytest.approx(oracles.conditional(two_node_net, {"e": "1"}, {"c": "0"}))
 
 
 def test_frontier_conditional_normalizes_over_states(chain_net):
@@ -179,6 +179,7 @@ def test_frontier_conditional_normalizes_over_states(chain_net):
 def test_frontier_conditional_matches_full_network(seed):
     net = random_network(RandomNetSpec(seed=seed, node_count=4 + seed % 9))
     query = random_query(net, seed + 2000)
+    names, joint = oracles.net_joint(net)
     pl_star = min(net.spec(n).pl for n in query.objective)
     levels = sorted(
         {net.spec(n).pl for n in net.nodes if net.spec(n).pl <= pl_star}, reverse=True
@@ -191,7 +192,7 @@ def test_frontier_conditional_matches_full_network(seed):
         observed = {e: query.evidence[e] for e in rs.evidence_in_frontier}
         for clamp, got in zip(_assignments(net, scan), values.flat, strict=True):
             full = {**clamp, **observed}
-            want = exact_query(net, Query(dict(query.objective), {**full, **e_plus}))
+            want = oracles.joint_conditional(net, names, joint, query.objective, {**full, **e_plus})
             assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -221,7 +222,8 @@ def test_bounds_exact_when_frontier_is_evidence(chain_net):
     q = Query({"x": "1"}, {"y": "1"})
     qb = bounds_at(chain_net, q, Threshold(2.0))
     assert qb.exactness is Exactness.FRONTIER_SUBSET_OF_EVIDENCE
-    assert qb.lower == qb.upper == pytest.approx(exact_query(chain_net, q), abs=1e-12)
+    want = oracles.conditional(chain_net, q.objective, q.evidence)
+    assert qb.lower == qb.upper == pytest.approx(want, abs=1e-12)
 
 
 def test_bounds_threshold_above_cpl_raises(chain_net):
@@ -234,7 +236,9 @@ def test_bounds_full_past_sentinel_is_exact(chain_net):
     q = Query({"x": "1"}, {"y": "1"})
     qb = bounds_at(chain_net, q, Threshold.full_past())
     assert qb.exactness is Exactness.FULL_PAST
-    assert qb.lower == pytest.approx(exact_query(chain_net, q), abs=1e-12)
+    assert qb.lower == pytest.approx(
+        oracles.conditional(chain_net, q.objective, q.evidence), abs=1e-12
+    )
     assert qb.frontier_size == 0
 
 
@@ -273,7 +277,8 @@ def test_bounds_error_when_every_clamp_is_impossible():
 def test_bounds_bracket_the_exact_value(seed):
     net = random_network(RandomNetSpec(seed=seed, node_count=4 + seed % 9))
     query = random_query(net, seed + 3000)
-    exact = exact_query(net, query)
+    names, joint = oracles.net_joint(net)
+    exact = oracles.joint_conditional(net, names, joint, query.objective, query.evidence)
     for th in default_schedule(net, query):
         qb = bounds_at(net, query, th)
         assert qb.lower - 1e-9 <= exact <= qb.upper + 1e-9
@@ -383,6 +388,12 @@ def test_schedule_lazy_requires_cap():
         default_schedule(hmm_model(HMM), hmm_query(HMM))
 
 
+@pytest.mark.parametrize("max_steps", [0, -2])
+def test_schedule_rejects_max_steps_below_one(chain_net, max_steps):
+    with pytest.raises(QueryError, match="max_steps must be at least 1"):
+        default_schedule(chain_net, Query({"x": "1"}), max_steps=max_steps)
+
+
 def test_schedule_walk_is_capped():
     with pytest.raises(ExpansionCapError):
         default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=50, max_nodes=20)
@@ -433,7 +444,8 @@ def test_schedule_passes_below_a_stub_outside_the_query_closure():
     assert len(rows) == 3
     assert rows[-1].exactness is Exactness.FULL_PAST
     closed = dataclasses.replace(_open_past_chain(), open_past=False)
-    assert rows[-1].lower == rows[-1].upper == pytest.approx(exact_query(closed, q), abs=1e-12)
+    want = oracles.probability(closed, q.objective)
+    assert rows[-1].lower == rows[-1].upper == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("where", ["query_node", "ancestor"])
@@ -557,6 +569,7 @@ def test_sentinel_converges_to_exact(seed):
     net = random_network(RandomNetSpec(seed=seed, node_count=4 + seed % 9))
     query = random_query(net, seed + 4000)
     qb = bounds_at(net, query, Threshold.full_past())
-    exact = exact_query(net, query)
+    names, joint = oracles.net_joint(net)
+    exact = oracles.joint_conditional(net, names, joint, query.objective, query.evidence)
     assert qb.lower == pytest.approx(exact, abs=1e-9)
     assert qb.upper == pytest.approx(exact, abs=1e-9)
