@@ -215,17 +215,19 @@ def _cmd_query(args) -> int:
     query = _query_from_args(args)
 
     if args.exact:
-        _emit_exact(bounds_at(net, query, Threshold.full_past()).lower, args.format)
-        return EXIT_OK
-
-    v = net.spec(args.at_pl_of).pl if args.at_pl_of is not None else args.threshold
+        v = float("-inf")
+    else:
+        v = net.spec(args.at_pl_of).pl if args.at_pl_of is not None else args.threshold
     state = SweepState()
     qb = bounds_at(net, query, Threshold(v), max_clamps=_clamp_cap(), state=state)
     if args.dump_submodel:
         with open(args.dump_submodel, "w", encoding="utf-8") as fh:
             json.dump(state.retrieval.submodel.to_document(), fh)
             fh.write("\n")
-    _emit_bounds(qb, args.format)
+    if args.exact:
+        _emit_exact(qb.lower, args.format)
+    else:
+        _emit_bounds(qb, args.format)
     return EXIT_OK
 
 

@@ -3,12 +3,18 @@ and anytime sweeps.
 
 Every probability goes through one contraction, :func:`_contract`:
 bucket elimination that multiplies CPTs into a table of numerators and
-normalizers over the frontier clamps. Factors are rescaled per clamp,
-and the scales are kept as logs, so long evidence chains cannot
-underflow. A sweep keeps that table and, at each deeper threshold,
-contracts only the CPTs of the newly retrieved nodes into it. The exact
-value of a closed-past query is its bracket at the full-past threshold,
-where the frontier is empty and the bounds coincide.
+normalizers over the frontier clamps. It eliminates latest first, in
+decreasing potential level, which puts every node's children before
+it, and builds each CPT only when it reaches the node, so only the cut
+is live. Each bucket is one einsum call, checked against underflow by
+its summed message (at most ``|h|`` times its product's peak); a bucket
+that fails, or has more than 31 factors, is redone one factor at a
+time and rescaled per clamp. The scales are kept as logs, so long
+evidence chains cannot underflow. A sweep keeps that table and, at
+each deeper threshold, contracts only the CPTs of the newly retrieved
+nodes into it. The exact value of a closed-past query is its bracket
+at the full-past threshold, where the frontier is empty and the bounds
+coincide.
 
 Bounds come from scanning the unobserved frontier: for every joint clamp
 of those stubs the submodel yields one conditional value, and the true
@@ -20,7 +26,6 @@ that combination and are excluded from the scan.
 from __future__ import annotations
 
 import enum
-import functools
 import heapq
 import itertools
 import math
@@ -116,6 +121,8 @@ _NUM_DEN = object()
 #: factors are rescaled once their peak at some clamp falls below this;
 #: they never exceed 1, since every variable summed out brings its own CPT
 _TINY = 2.0**-64
+#: numpy 1.x einsum takes at most 31 operands (numpy 2 takes 63)
+_EINSUM_MAX = 31
 
 
 @dataclass(frozen=True)
@@ -179,56 +186,50 @@ def _rescale(
 
 
 def _product(
-    factors: Sequence[_Factor],
-    out_axes: _Axes,
+    factors: Sequence[_Factor], out_axes: _Axes, scan: _Axes, logscale: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The product of ``factors`` over ``out_axes``, one factor at a time,
+    rescaling (:func:`_rescale`) after each, so that a scan cell is zero
+    only where it is exactly zero; and ``logscale`` plus the logs of the
+    rescaling."""
+    out, logscale = _rescale(out_axes, _align(*factors[0], out_axes), scan, logscale)
+    for axes, table in factors[1:]:
+        out, logscale = _rescale(out_axes, out * _align(axes, table, out_axes), scan, logscale)
+    return out, logscale
+
+
+def _bucket(
+    group: Sequence[_Factor],
+    union: _Axes,
+    h: str | None,
     sizes: Mapping[str, int],
     scan: _Axes,
     logscale: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The product of ``factors`` over ``out_axes``, which may share memory
-    with a factor and so must not be written to, and ``logscale`` plus the
-    logs of any rescaling.
+) -> tuple[_Factor, np.ndarray | None]:
+    """The product of ``group`` (factors over ``union``) with ``h`` summed
+    out (None sums nothing), which may share memory with a factor and so
+    must not be written to, and ``logscale`` plus the logs of any
+    rescaling.
 
-    No factor exceeds 1, so multiplying one in never raises the peak at a
-    scan cell: if the whole product keeps every scan cell's peak at or
-    above _TINY, no partial product fell below it. Otherwise a product of
-    two or more factors is redone one factor at a time, rescaling
-    (:func:`_rescale`) after each, so that a scan cell is zero only where
-    it is exactly zero."""
-    shape = tuple(sizes[a] for a in out_axes)
-    cells = math.prod(shape)
+    One :func:`numpy.einsum` call multiplies and sums. No factor exceeds
+    1, so multiplying one in never raises the peak at a scan cell, and
+    summing ``h`` out raises it at most ``|h|``-fold: if the sum's peak is
+    at least ``|h|`` times _TINY at every scan cell, no partial product
+    fell below _TINY. Otherwise, or past numpy 1.x einsum's 31 operands,
+    two or more factors are multiplied by :func:`_product`."""
+    cells = math.prod(sizes[a] for a in union)
     if cells > MAX_JOINT_CELLS:
         raise FactorTooLargeError(cells, MAX_JOINT_CELLS)
-    aligned = [_align(axes, table, out_axes) for axes, table in factors]
-    out = functools.reduce(np.multiply, aligned) if aligned else np.ones(shape)
-    if len(aligned) > 1 and _peak(out_axes, out, scan).min() < _TINY:
-        out, logscale = _rescale(out_axes, aligned[0], scan, logscale)
-        for table in aligned[1:]:
-            out, logscale = _rescale(out_axes, out * table, scan, logscale)
-    return (out if out.shape == shape else np.broadcast_to(out, shape)), logscale
-
-
-def _topo_order(specs: Mapping[str, NodeSpec]) -> list[str]:
-    """Deterministic topological order over the given nodes (external
-    parents, e.g. frontier stubs, are ignored)."""
-    indeg = {n: 0 for n in specs}
-    kids: dict[str, list[str]] = {n: [] for n in specs}
-    for name, spec in specs.items():
-        for p in set(spec.parents):
-            if p in specs:
-                indeg[name] += 1
-                kids[p].append(name)
-    heap = [n for n, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    out: list[str] = []
-    while heap:
-        n = heapq.heappop(heap)
-        out.append(n)
-        for c in sorted(kids[n]):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(heap, c)
-    return out
+    out_axes = tuple(a for a in union if a != h)
+    if len(group) <= _EINSUM_MAX:
+        ids = {a: i for i, a in enumerate(union)}
+        operands = itertools.chain.from_iterable((t, [ids[a] for a in axes]) for axes, t in group)
+        out = np.einsum(*operands, [ids[a] for a in out_axes])
+        bound = _TINY if h is None else _TINY * sizes[h]
+        if len(group) == 1 or _peak(out_axes, out, scan).min() >= bound:
+            return (out_axes, out), logscale
+    out, logscale = _product(group, union, scan, logscale)
+    return (out_axes, out if h is None else out.sum(axis=union.index(h))), logscale
 
 
 def _state_index(sub: Submodel, name: str, label: str) -> int:
@@ -248,7 +249,7 @@ def _contract(
 ) -> _Table:
     """Multiply the CPTs in ``specs`` (nodes of ``sub``) into ``prior``,
     with ``evidence`` fixed, and sum out every variable but ``scan``, by
-    bucket elimination in reverse topological order.
+    bucket elimination in decreasing ``(pl, name)``.
 
     ``prior`` is either an earlier table, whose axes must be in ``scan``
     or in ``specs``, or the objective assignment to start from; then the
@@ -258,12 +259,15 @@ def _contract(
     of new CPTs into its previous table equals contracting every CPT
     from the start.
 
-    Each eliminated variable's factors are found through an index from
-    variable to factor ids. Products whose peak at some scan cell falls
-    below _TINY are rescaled per scan cell (:func:`_product`), so the
-    numerator and normalizer of one clamp share one positive scale.
-    ``prior``'s own log-scales are first brought, per surviving scan cell,
-    to their maximum over the axes summed away.
+    Every edge runs from a strictly lower pl to a higher one, so the
+    order reaches each node after its children. A CPT is built when the
+    order reaches its node and each factor waits in the bucket of its
+    first variable summed out, so only the cut is live. A bucket is one
+    einsum call, or one factor at a time past its _TINY check or 31
+    factors (:func:`_bucket`), so the numerator and normalizer of one
+    clamp share one positive scale. ``prior``'s own log-scales are first
+    brought, per surviving scan cell, to their maximum over the axes
+    summed away.
     """
     start = not isinstance(prior, _Table)
     keep = (*scan, *prior) if start else (*scan, _NUM_DEN)
@@ -275,15 +279,14 @@ def _contract(
             if a not in sizes:
                 sizes[a] = len(sub.states_of(a))
     clamps = {n: _state_index(sub, n, evidence[n]) for n in sizes if n in evidence}
-    live: dict[int, _Factor] = {}
-    index: dict[str, set[int]] = {}
-    ids = itertools.count()
+    order = sorted(specs.values(), key=lambda s: (s.pl, s.name), reverse=True)
+    rank = {s.name: i for i, s in enumerate(order) if s.name not in clamps and s.name not in keep}
+    buckets: dict[str, list[_Factor]] = {}
+    rest: list[_Factor] = []
 
-    def add(factor: _Factor) -> None:
-        fid = next(ids)
-        live[fid] = factor
-        for a in factor[0]:
-            index.setdefault(a, set()).add(fid)
+    def place(factor: _Factor) -> None:
+        h = min((a for a in factor[0] if a in rank), key=rank.__getitem__, default=None)
+        (rest if h is None else buckets.setdefault(h, [])).append(factor)
 
     logscale = None
     if not start:
@@ -295,22 +298,16 @@ def _contract(
             table = table * np.exp(prior.logscale - base)[..., None]
             kept = tuple(a for a in prior.axes if a in scan)
             logscale = _align(kept, peak.reshape([sizes[a] for a in kept]), scan)
-        add(((*prior.axes, _NUM_DEN), table))
-    for spec in specs.values():
-        add(_reduce(_cpt_factor(spec, sizes), clamps))
-    for h in reversed(_topo_order(specs)):
-        if h in clamps or h in keep:
-            continue
-        # ids of factors already eliminated stay in the index; skip them
-        group = [live.pop(fid) for fid in sorted(index.pop(h, ())) if fid in live]
-        if not group:
-            continue
-        union: _Axes = tuple(dict.fromkeys(a for axes, _ in group for a in axes))
-        # summing h out cannot lower the peak at any scan cell
-        product, logscale = _product(group, union, sizes, scan, logscale)
-        add((tuple(a for a in union if a != h), product.sum(axis=union.index(h))))
+        place(((*prior.axes, _NUM_DEN), table))
+    for spec in order:
+        place(_reduce(_cpt_factor(spec, sizes), clamps))
+        if spec.name in rank:
+            group = buckets.pop(spec.name)
+            union: _Axes = tuple(dict.fromkeys(a for axes, _ in group for a in axes))
+            message, logscale = _bucket(group, union, spec.name, sizes, scan, logscale)
+            place(message)
 
-    table, logscale = _product(list(live.values()), keep, sizes, scan, logscale)
+    (_, table), logscale = _bucket(rest, keep, None, sizes, scan, logscale)
     if start:
         target = tuple(_state_index(sub, n, v) for n, v in prior.items())
         pair = np.empty((*table.shape[: len(scan)], 2))

@@ -122,6 +122,19 @@ def test_query_dump_submodel(cli, chain_file, tmp_path):
     assert reloaded.spec("t2").is_stub
 
 
+def test_query_exact_dumps_the_full_past_submodel(cli, tmp_path):
+    net_path, out_path = tmp_path / "random.json", tmp_path / "sub.json"
+    assert cli("gen-random", "--seed", "7", "--nodes", "10", "--out", str(net_path))[0] == 0
+    flags = ("query", str(net_path), "--target", "n09=1", "--exact")
+    _, plain, _ = cli(*flags)
+    code, dumped, _ = cli(*flags, "--dump-submodel", str(out_path))
+    assert code == 0
+    assert dumped == plain
+    doc = json.loads(out_path.read_text())
+    assert doc["frontier"] == []
+    assert "n09" in {n["name"] for n in doc["nodes"]}
+
+
 def test_query_bad_pair_is_usage_error(cli, chain_file):
     code, _, err = cli("query", chain_file, "--target", "x", "--threshold", "4.0")
     assert code == 2

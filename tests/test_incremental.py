@@ -15,6 +15,7 @@ and that it refuses a threshold not below its last one.
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -242,6 +243,36 @@ def test_bounds_keep_a_clamp_whose_many_small_factors_underflow_together(run):
     assert not qb.exactness.is_exact
 
 
+@pytest.mark.parametrize("children", [29, 30, 31])
+def test_bucket_at_the_einsum_operand_limit(children, monkeypatch):
+    # h's bucket holds its own CPT, o's and one factor per observed child:
+    # 31, 32 and 33 factors. numpy 1.x einsum refuses 32 operands or more
+    # (numpy 2 refuses 64); einsum is held to that limit here, so a bucket
+    # past it must take the stepwise product on any numpy
+    einsum = np.einsum
+
+    def numpy1_einsum(*operands_and_sublists):
+        if len(operands_and_sublists) // 2 >= 32:
+            raise ValueError("too many operands")
+        return einsum(*operands_and_sublists)
+
+    monkeypatch.setattr(np, "einsum", numpy1_einsum)
+    f = NodeSpec("f", ("0", "1"), (), ((0.5, 0.5),), pl=-10.0)
+    h = NodeSpec("h", ("0", "1"), ("f",), ((0.9, 0.1), (0.2, 0.8)), pl=-3.0)
+    o = NodeSpec("o", ("0", "1"), ("h",), ((0.8, 0.2), (0.3, 0.7)), pl=0.0)
+    kids = [NodeSpec(f"e{i}", ("0", "1"), ("h",), ((0.3, 0.7), (0.6, 0.4)), pl=-2.0) for i in range(children)]
+    net = make_net(-20.0, True, f, h, o, *kids)
+    q = Query({"o": "1"}, {f"e{i}": "1" for i in range(children)})
+    qb = bounds_at(net, q, Threshold(-5.0))
+    # P(o = 1 | f, e) through h's posterior, at each clamp of f
+    ends = []
+    for row in h.cpt:
+        post = [row[s] * kids[0].cpt[s][1] ** children for s in (0, 1)]
+        ends.append(sum(p * o.cpt[s][1] for s, p in enumerate(post)) / sum(post))
+    assert qb.lower == pytest.approx(min(ends), abs=1e-12)
+    assert qb.upper == pytest.approx(max(ends), abs=1e-12)
+
+
 def _with_zeros(net, rng):
     """``net`` with about a third of its CPT rows given one zero entry."""
     nodes = {}
@@ -257,24 +288,38 @@ def _with_zeros(net, rng):
     return Network(net.t0, net.open_past, nodes)
 
 
-@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("seed", range(100))
 def test_incremental_sweep_with_rescaling_at_every_step(seed, monkeypatch):
     # random networks never get near underflow, so force the rescaling
-    # (and with it the carried log-scales) at every elimination; zero CPT
-    # entries add exactly-zero normalizers to carry
-    monkeypatch.setattr(infer, "_TINY", 1.0)
+    # (and with it the carried log-scales) at every elimination: with
+    # _TINY = 1 no bucket of two or more factors passes the fused check
+    # (h's own CPT sums to 1 over h), so each is redone one factor at a
+    # time. Zero CPT entries add exactly-zero normalizers to carry
     net = random_network(RandomNetSpec(seed=seed, node_count=3 + seed % 10, state_count=2 + seed % 2))
     if seed % 2:
         net = _with_zeros(net, random.Random(seed))
     q = random_query(net, seed + 7)
     schedule = default_schedule(net, q)
     try:
+        fused = anytime_sweep(net, q, schedule, stop_on_exact=False)
+    except infer.ZeroEvidenceError:
+        fused = None
+    monkeypatch.setattr(infer, "_TINY", 1.0)
+    try:
         fresh = [bounds_at(net, q, th) for th in schedule]
     except infer.ZeroEvidenceError:
+        assert fused is None
         with pytest.raises(infer.ZeroEvidenceError):
             anytime_sweep(net, q, schedule, stop_on_exact=False)
         return
-    _assert_same_rows(anytime_sweep(net, q, schedule, stop_on_exact=False), fresh)
+    rows = anytime_sweep(net, q, schedule, stop_on_exact=False)
+    _assert_same_rows(rows, fresh)
+    assert fused is not None
+    _assert_same_rows(rows, fused)
+    names, joint = oracles.net_joint(net)
+    want = oracles.joint_conditional(net, names, joint, q.objective, q.evidence)
+    for qb in rows:
+        assert qb.lower - 1e-12 <= want <= qb.upper + 1e-12
 
 
 # --- a step's retrieval shares the walk; a failed step ends the state --------------

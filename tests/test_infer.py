@@ -329,6 +329,43 @@ def test_intermediate_factor_cap(monkeypatch, chain_net):
     assert exc.value.cap == 3
 
 
+def _coupled_chains(k, window):
+    """k binary hidden chains with an unbounded past, wired as in
+    ``bench/kchain.py``: ``x<i>_t<s>`` has the parents ``x<i>_t<s-1>`` and
+    ``x<(i+1) mod k>_t<s-1>`` and one observed child ``y<i>_t<s>``."""
+
+    def name(var, i, s):
+        return f"{var}{i}_t{s}"
+
+    def resolve(n):
+        var, i, s = n[0], int(n[1 : n.index("_")]), int(n[n.index("_t") + 2 :])
+        if var == "x":
+            rows = tuple((1.0 - p, p) for p in (0.2, 0.45, 0.55, 0.8))
+            parents = (name("x", i, s - 1), name("x", (i + 1) % k, s - 1))
+            return NodeSpec(n, ("0", "1"), parents, rows, pl=s - 2.0)
+        return NodeSpec(n, ("0", "1"), (name("x", i, s),), ((0.8, 0.2), (0.2, 0.8)), pl=s - 1.5)
+
+    net = LazyNetwork(resolver=resolve, t0=float("-inf"), open_past=True)
+    obs = {name("y", i, -j): str((i + j) % 2) for i in range(k) for j in range(window)}
+    return net, Query({name("x", 0, 1): "1"}, obs)
+
+
+@pytest.mark.parametrize("cap, fits", [(2**7, True), (2**7 - 1, False)])
+def test_widest_bucket_of_coupled_chains_is_pinned(monkeypatch, cap, fits):
+    # a reverse topological order needs buckets of 2^7 cells here: seven
+    # binary axes, the numerator/normalizer axis among them. An
+    # elimination order that widens a bucket fails the first case
+    net, q = _coupled_chains(4, 4)
+    schedule = Schedule(tuple(Threshold(-float(d)) for d in range(1, 8)))
+    monkeypatch.setattr(infer, "MAX_JOINT_CELLS", cap)
+    if fits:
+        rows = anytime_sweep(net, q, schedule, stop_on_exact=False)
+        assert len(rows) == 7 and rows[-1].upper - rows[-1].lower < rows[0].upper - rows[0].lower
+    else:
+        with pytest.raises(FactorTooLargeError):
+            anytime_sweep(net, q, schedule, stop_on_exact=False)
+
+
 # --- exactness_status -----------------------------------------------------------
 
 
