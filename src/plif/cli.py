@@ -41,7 +41,7 @@ from .gen import (
     random_network,
     sweep_csv,
 )
-from .infer import QueryBounds, SweepState, anytime_sweep, bounds_at, default_schedule
+from .infer import QueryBounds, SweepState, anytime_sweep, bounds_at
 from .model import Query, load_network, materialize, serialize
 from .retrieval import Threshold, d_separated
 
@@ -112,9 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hmm", action="store_true", help="run the built-in unbounded chain experiment")
     _add_query_flags(p, required=False)
     p.add_argument("--depth", type=int, default=10, help="number of thresholds (default 10)")
-    p.add_argument("--window", type=int, default=10, help="observation window for --hmm (default 10)")
-    p.add_argument("--stay", type=float, default=0.9, help="hidden-state stay probability for --hmm")
-    p.add_argument("--emit", type=float, default=0.8, help="observation match probability for --hmm")
+    p.add_argument("--window", type=int, help="observation window for --hmm (default 10)")
+    p.add_argument("--stay", type=float, help="hidden-state stay probability for --hmm (default 0.9)")
+    p.add_argument("--emit", type=float, help="observation match probability for --hmm (default 0.8)")
     p.add_argument("--full-sweep", action="store_true", help="do not stop early on an exact result")
     p.add_argument("--format", choices=("human", "csv"), default="human")
     p.set_defaults(func=_cmd_sweep)
@@ -147,21 +147,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_query_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument(
-        "--target",
-        action="append",
-        default=None,
-        required=required,
-        metavar="NODE=STATE",
-        help="objective assignment; repeatable",
-    )
-    p.add_argument(
-        "--obs",
-        action="append",
-        default=None,
-        metavar="NODE=STATE",
-        help="evidence assignment; repeatable",
-    )
+    pair = {"action": "append", "metavar": "NODE=STATE"}  # None when not given
+    p.add_argument("--target", required=required, help="objective assignment; repeatable", **pair)
+    p.add_argument("--obs", help="evidence assignment; repeatable", **pair)
 
 
 def _parse_pairs(pairs: list[str] | None, flag: str) -> dict[str, str]:
@@ -270,19 +258,22 @@ def _emit_bounds(qb: QueryBounds, fmt: str) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    chain = {"--window": args.window, "--stay": args.stay, "--emit": args.emit}
+    unused = {"network path": args.path, "--target": args.target, "--obs": args.obs} if args.hmm else chain
+    for flag, value in unused.items():
+        if value is not None:
+            raise QueryError(f"sweep takes no {flag} {'with' if args.hmm else 'without'} --hmm")
     if args.hmm:
-        params = HmmParams(transition_stay=args.stay, emission_true=args.emit, window=args.window)
-        rows = hmm_sweep_experiment(params, args.depth)
+        given = zip(("window", "transition_stay", "emission_true"), chain.values())
+        rows = hmm_sweep_experiment(HmmParams(**{k: v for k, v in given if v is not None}), args.depth)
     else:
         if args.path is None:
             raise QueryError("sweep needs a network path or --hmm")
         if not args.target:
             raise QueryError("sweep needs at least one --target (or --hmm)")
-        net = load_network(_read(args.path))
-        query = _query_from_args(args)
-        schedule = default_schedule(net, query, max_steps=args.depth)
+        net, query = load_network(_read(args.path)), _query_from_args(args)
         rows = anytime_sweep(
-            net, query, schedule, stop_on_exact=not args.full_sweep, max_clamps=_clamp_cap()
+            net, query, max_steps=args.depth, stop_on_exact=not args.full_sweep, max_clamps=_clamp_cap()
         )
     _emit_sweep(rows, args.format)
     return EXIT_OK

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownNodeError
-from .infer import QueryBounds, anytime_sweep, bounds_at, default_schedule
+from .infer import QueryBounds, anytime_sweep, bounds_at
+from .infer import default_schedule  # noqa: F401  (bench/tracing.py wraps it here)
 from .model import LazyNetwork, Network, NodeSpec, Query
 from .retrieval import Threshold
 
@@ -102,14 +103,9 @@ def hmm_sweep_experiment(params: HmmParams, depth: int) -> list[QueryBounds]:
     """Sweep thresholds -1, -2, ..., -depth on the standard chain query.
 
     Returns one row per threshold regardless of exactness so the whole
-    shrinking-interval curve is available.
+    shrinking-interval curve is available. ``depth`` must be at least 1.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    lazy = hmm_model(params)
-    query = hmm_query(params)
-    schedule = default_schedule(lazy, query, max_steps=depth)
-    return anytime_sweep(lazy, query, schedule, stop_on_exact=False)
+    return anytime_sweep(hmm_model(params), hmm_query(params), max_steps=depth, stop_on_exact=False)
 
 
 def format_threshold(th: Threshold) -> str:

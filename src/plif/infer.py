@@ -12,9 +12,11 @@ that fails, or has more than 31 factors, is redone one factor at a
 time and rescaled per clamp. The scales are kept as logs, so long
 evidence chains cannot underflow. A sweep keeps that table and, at
 each deeper threshold, contracts only the CPTs of the newly retrieved
-nodes into it. The exact value of a closed-past query is its bracket
-at the full-past threshold, where the frontier is empty and the bounds
-coincide.
+nodes into it, and reads each next threshold off its own retrieval
+walk, whose resolved nodes, query nodes included, count against the
+:class:`ExpansionCapError` cap. The exact value of a closed-past query
+is its bracket at the full-past threshold, where the frontier is empty
+and the bounds coincide.
 
 Bounds come from scanning the unobserved frontier: for every joint clamp
 of those stubs the submodel yields one conditional value, and the true
@@ -26,7 +28,6 @@ that combination and are excluded from the scan.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    ExpansionCapError,
     FactorTooLargeError,
     OpenPastError,
     QueryError,
@@ -502,6 +502,32 @@ def bounds_at(
     )
 
 
+def _levels(
+    net: NetworkLike, query: Query, walk: Walk, max_steps: int | None, max_nodes: int
+) -> Iterator[Threshold]:
+    """The default thresholds, each read off ``walk`` (:meth:`Walk.next_level`)
+    once the caller has retrieved at the one before: the critical level
+    first, none at or below ``t0``, a truncation stub among the query
+    nodes or a level holding a stub, then the full-past sentinel for a
+    closed past; at most ``max_steps``, which an unbounded model needs."""
+    if max_steps is not None and max_steps < 1:
+        raise QueryError(f"max_steps must be at least 1, got {max_steps}")
+    if max_steps is None and net.open_past and isinstance(net, LazyNetwork):
+        raise QueryError("an unbounded model needs max_steps to bound the schedule")
+    steps = math.inf if max_steps is None else max_steps
+    limit = max([net.t0] + [s.pl for s in map(net.resolve, query.names) if s.is_stub])
+    v, count = cpl(net, query)[1], 0
+    while v > limit and count < steps:
+        yield Threshold(v)
+        count += 1
+        if count < steps:
+            v = walk.next_level(net, max_nodes)
+    if not net.open_past and count < steps:
+        yield Threshold.full_past()
+    elif not count:
+        raise QueryError("no usable thresholds: the objective sits at or below the retrieval limit")
+
+
 def default_schedule(
     net: NetworkLike,
     query: Query,
@@ -509,86 +535,51 @@ def default_schedule(
     max_steps: int | None = None,
     max_nodes: int = DEFAULT_EXPANSION_CAP,
 ) -> Schedule:
-    """Thresholds at every distinct ancestor potential level, starting at
-    the critical potential level and ending with the full-past sentinel
-    when the network's past is closed.
-
-    The levels come from one walk over ``net.resolve``, finite and lazy
-    networks alike: a heap pops the query nodes' strict ancestors latest
-    first. Nothing is scheduled at or below ``t0`` or a truncation stub
-    among the query nodes and their ancestors, since retrieval there
-    would surface the stub as a CPD-less interior node; the walk stops
-    at the first one. Unbounded (lazy, open-past) models have infinitely
-    many ancestor levels, so ``max_steps`` is required there and caps the
-    list length.
-    """
-    if max_steps is not None and max_steps < 1:
-        raise QueryError(f"max_steps must be at least 1, got {max_steps}")
-    if max_steps is None and net.open_past and isinstance(net, LazyNetwork):
-        raise QueryError("an unbounded model needs max_steps to bound the schedule")
-    pl_star = cpl(net, query)[1]
-    specs = [net.resolve(n) for n in query.names]
-    limit = max([net.t0] + [s.pl for s in specs if s.is_stub])
-    values = [pl_star]
-    heap: list[tuple[float, str, NodeSpec]] = []
-    seen: set[str] = set()
-
-    def push(spec: NodeSpec) -> None:
-        for p in spec.parents:
-            if p not in seen:
-                seen.add(p)
-                if len(seen) > max_nodes:
-                    raise ExpansionCapError(f"schedule walk resolved more than {max_nodes} nodes")
-                parent = net.resolve(p)
-                heapq.heappush(heap, (-parent.pl, p, parent))
-
-    for spec in specs:
-        push(spec)
-    # parents sit strictly earlier than their children, so the heap streams
-    # ancestors in nonincreasing pl order: a strict-decrease check is all
-    # dedup needs, and every node at a level pops before any deeper one
-    while heap:
-        spec = heapq.heappop(heap)[2]
-        if spec.pl < values[-1]:
-            if spec.pl <= limit or (max_steps is not None and len(values) >= max_steps):
-                break
-            values.append(spec.pl)
-        if spec.is_stub:
-            limit = spec.pl
-            break
-        push(spec)
-
-    values = [v for v in values if v > limit][:max_steps]
-    thresholds = [Threshold(v) for v in values]
-    if not net.open_past and (max_steps is None or len(thresholds) < max_steps):
-        thresholds.append(Threshold.full_past())
-    if not thresholds:
-        raise QueryError("no usable thresholds: the objective sits at or below the retrieval limit")
-    return Schedule(tuple(thresholds))
+    """The thresholds a schedule-less :func:`anytime_sweep` visits: every
+    distinct ancestor potential level from the critical one down, then
+    the full-past sentinel for a closed past. One retrieval walk steps
+    through them without contracting; like a sweep's, it counts the nodes
+    it resolves, query nodes included, against ``max_nodes``. Nothing is
+    scheduled at or below ``t0`` or a truncation stub among the query
+    nodes and their ancestors; a stub above the critical level surfaces
+    as the first retrieval's :class:`OpenPastError`."""
+    walk = Walk()
+    out = []
+    for th in _levels(net, query, walk, max_steps, max_nodes):
+        if not th.is_full_past:
+            root_set(net, query, th, max_nodes=max_nodes, walk=walk)
+        out.append(th)
+    return Schedule(tuple(out))
 
 
 def anytime_sweep(
     net: NetworkLike,
     query: Query,
-    schedule: Schedule,
+    schedule: Schedule | None = None,
     *,
+    max_steps: int | None = None,
     stop_on_exact: bool = True,
     max_clamps: int | None = None,
     max_nodes: int = DEFAULT_EXPANSION_CAP,
 ) -> list[QueryBounds]:
-    """Bounds at each scheduled threshold, shallowest first.
+    """Bounds at each threshold of ``schedule``, shallowest first, or
+    without one at :func:`default_schedule`'s, each read off the sweep's
+    own walk and capped by ``max_steps``.
 
     Deeper thresholds retrieve a superset of the shallower retrieval, so
     the sweep carries one :class:`SweepState`: each step walks only from
     the frontier the threshold has passed and contracts only the CPTs of
     the nodes it newly retrieved into the previous clamp table. Every
-    node is resolved, checked and contracted once per sweep. With
-    ``stop_on_exact`` (the default) the sweep ends as soon as a result is
-    certified exact, since nothing deeper can move it.
+    node is resolved, checked and contracted once per sweep; the walk
+    counts the nodes it resolves, query nodes included, against
+    ``max_nodes``. With ``stop_on_exact`` (the default) the sweep ends
+    as soon as a result is certified exact.
     """
+    if schedule is not None and max_steps is not None:
+        raise QueryError("max_steps caps the default thresholds; it cannot cap a schedule")
     out: list[QueryBounds] = []
     state = SweepState()
-    for th in schedule:
+    for th in _levels(net, query, state.walk, max_steps, max_nodes) if schedule is None else schedule:
         qb = bounds_at(net, query, th, max_clamps=max_clamps, max_nodes=max_nodes, state=state)
         out.append(qb)
         if stop_on_exact and qb.exactness.is_exact:

@@ -8,7 +8,8 @@ backtracking along every ancestral path stops at the first node below
 which the past is never consulted. The interior specs plus the frontier
 stubs make up the retrieved submodel, which is all downstream inference
 is allowed to touch. A :class:`Walk` carries one retrieval to the next,
-deeper threshold, so a sweep walks every node once.
+deeper threshold, and gives that threshold (:meth:`Walk.next_level`), so
+a sweep walks every node once.
 """
 
 from __future__ import annotations
@@ -139,9 +140,10 @@ class RootSetResult:
 class Walk:
     """One retrieval walk, extended in place as the threshold deepens.
 
-    ``specs`` holds every node resolved so far (the query's nodes and
-    every node reached); each reached node is interior (kept with its
-    spec, in the order reached) or frontier (kept as its stub).
+    ``specs`` holds every node resolved so far (the query's nodes, every
+    node reached, and the parents :meth:`next_level` read); each reached
+    node is interior (kept with its spec, in the order reached) or
+    frontier (kept as its stub).
     ``pending`` lists the query nodes the threshold has not yet passed,
     deepest first; the evidence partition (name to observed state) is
     kept up to date as nodes leave ``pending`` and join or leave the
@@ -177,6 +179,25 @@ class Walk:
         if report:
             raise InvalidNetworkError(report)
         self.pending = sorted(names, key=lambda n: (self.specs[n].pl, n))
+
+    def next_level(self, net: NetworkLike, max_nodes: int) -> float:
+        """The latest level below the last retrieval: the largest pl among
+        the frontier and the parents of the pending query nodes (read
+        latest first, down to that level), behind which every other strict
+        ancestor lies; -inf when there is none or it holds a truncation stub."""
+        specs, level, stub = self.specs, -math.inf, False
+        for name in self.frontier:
+            spec = specs[name]
+            if spec.pl >= level:  # a tie keeps an earlier stub
+                level, stub = spec.pl, spec.is_stub or (stub and spec.pl == level)
+        for name in reversed(self.pending):
+            if specs[name].pl <= level:
+                break
+            for p in specs[name].parents:
+                spec = self.resolve(net, p, max_nodes)
+                if spec.pl >= level:
+                    level, stub = spec.pl, spec.is_stub or (stub and spec.pl == level)
+        return -math.inf if stub else level
 
 
 def _cut_violations(spec: NodeSpec, t0: float) -> list:

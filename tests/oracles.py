@@ -152,3 +152,28 @@ def reachable(parents: dict[str, tuple[str, ...]], start: str) -> set[str]:
                 changed = True
     out.discard(start)
     return out
+
+
+def ancestor_levels(net, query, max_steps=None) -> list[float]:
+    """The thresholds of a default sweep, from the parent lists of a finite
+    network: the critical level (the earliest objective node's pl), then
+    the distinct pls of the query nodes' strict ancestors below it,
+    latest first. Levels at or below ``t0``, or at or below the highest
+    truncation stub (no CPT) among the query nodes and their ancestors,
+    are dropped; ``-inf`` follows for a closed past, and ``max_steps``
+    keeps the first ones."""
+    names = set(query.objective) | set(query.evidence)
+    strict: set[str] = set()
+    todo = [p for n in names for p in net.nodes[n].parents]
+    while todo:
+        p = todo.pop()
+        if p not in strict:
+            strict.add(p)
+            todo.extend(net.nodes[p].parents)
+    floor = max([net.t0] + [net.nodes[n].pl for n in names | strict if net.nodes[n].cpt is None])
+    critical = min(net.nodes[n].pl for n in query.objective)
+    below = sorted({net.nodes[a].pl for a in strict if net.nodes[a].pl < critical}, reverse=True)
+    levels = [v for v in [critical, *below] if v > floor]
+    if not net.open_past:
+        levels.append(float("-inf"))
+    return levels[:max_steps]

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import TWO_NODE_DOC
 from plif import load_network
 
@@ -192,6 +194,31 @@ def test_sweep_needs_path_or_hmm(cli):
     code, _, err = cli("sweep", "--target", "x=1")
     assert code == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--target", "x_t+1=0"], "--target"),
+        (["--obs", "y_t=0"], "--obs"),
+        (["FILE"], "network path"),
+    ],
+    ids=["target", "obs", "path"],
+)
+def test_sweep_hmm_rejects_query_flags(cli, chain_file, extra, flag):
+    argv = [chain_file if a == "FILE" else a for a in extra]
+    code, out, err = cli("sweep", "--hmm", "--depth", "3", *argv, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert f"sweep takes no {flag}" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--window", "5"), ("--stay", "0.7"), ("--emit", "0.6")])
+def test_sweep_on_file_rejects_chain_flags(cli, chain_file, flag, value):
+    code, out, err = cli("sweep", chain_file, "--target", "x=1", flag, value, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert f"sweep takes no {flag}" in err
 
 
 def test_sweep_frontier_cap_env_var(cli, chain_file):

@@ -433,8 +433,81 @@ def test_schedule_rejects_max_steps_below_one(chain_net, max_steps):
 
 def test_schedule_walk_is_capped():
     with pytest.raises(ExpansionCapError):
-        default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=50, max_nodes=20)
-    assert len(default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=15, max_nodes=20)) == 15
+        default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=50, max_nodes=26)
+    assert len(default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=15, max_nodes=26)) == 15
+
+
+@pytest.mark.parametrize("route", ["default_schedule", "anytime_sweep"])
+def test_schedule_and_sweep_count_one_walk_against_the_node_cap(route):
+    # both walk the chain once, to the same depth, and resolve the same
+    # nodes: the query's 11, the 15 hidden nodes retrieved or on the
+    # frontier, and nothing more
+    def run(max_nodes):
+        if route == "default_schedule":
+            return default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=15, max_nodes=max_nodes)
+        return anytime_sweep(
+            hmm_model(HMM), hmm_query(HMM), max_steps=15, stop_on_exact=False, max_nodes=max_nodes
+        )
+
+    assert len(run(26)) == 15
+    with pytest.raises(ExpansionCapError):
+        run(25)
+
+
+def _corpus_cases():
+    for seed in range(500):
+        net = random_network(RandomNetSpec(seed=seed, node_count=3 + seed % 10))
+        yield net, random_query(net, seed + 1000)
+
+
+def _stub_cases():
+    s = NodeSpec("s", ("0", "1"), (), None, pl=1.5)
+    z = NodeSpec("z", ("0", "1"), (), None, pl=1.5)
+    w = NodeSpec("w", ("0", "1"), ("z",), ((0.5, 0.5), (0.5, 0.5)), pl=2.5)
+    rows = ((0.6, 0.4), (0.5, 0.5), (0.1, 0.9), (0.2, 0.8))
+    a = NodeSpec("a", ("0", "1"), ("b", "s"), rows, pl=2.0)
+    yield _open_past_chain(z, w), Query({"o": "1"})
+    yield _open_past_chain(s), Query({"o": "1"}, {"s": "1"})
+    yield _open_past_chain(s, a), Query({"o": "1"})
+
+
+def test_default_levels_match_the_ancestor_oracle():
+    from plif import as_lazy
+
+    for net, q in [*_corpus_cases(), *_stub_cases()]:
+        want = oracles.ancestor_levels(net, q)
+        # a lazy open past counts as unbounded and needs max_steps
+        for model in (net,) if net.open_past else (net, as_lazy(net)):
+            assert [t.v for t in default_schedule(model, q)] == want
+            rows = anytime_sweep(model, q, stop_on_exact=False)
+            assert [qb.threshold.v for qb in rows] == want
+        capped = oracles.ancestor_levels(net, q, max_steps=2)
+        assert [t.v for t in default_schedule(net, q, max_steps=2)] == capped
+        rows = anytime_sweep(net, q, max_steps=2, stop_on_exact=False)
+        assert [qb.threshold.v for qb in rows] == capped
+
+
+def test_stub_above_the_critical_level_surfaces_from_the_first_retrieval():
+    # e's parent s is a truncation stub above o's level, so no threshold
+    # is usable, and the first retrieval names the stub
+    s = NodeSpec("s", ("0", "1"), (), None, pl=4.5)
+    e = NodeSpec("e", ("0", "1"), ("s",), ((0.5, 0.5), (0.5, 0.5)), pl=5.0)
+    net, q = _open_past_chain(s, e), Query({"o": "1"}, {"e": "1"})
+    assert validate(net) == []
+    assert oracles.ancestor_levels(net, q) == []
+    for run in (lambda: default_schedule(net, q), lambda: anytime_sweep(net, q)):
+        with pytest.raises(OpenPastError, match="'s'"):
+            run()
+
+
+def test_sweep_takes_a_schedule_or_max_steps_not_both(chain_net):
+    q = Query({"x": "1"}, {"y": "1"})
+    with pytest.raises(QueryError, match="max_steps"):
+        anytime_sweep(chain_net, q, default_schedule(chain_net, q), max_steps=2)
+    with pytest.raises(QueryError, match="max_steps must be at least 1"):
+        anytime_sweep(chain_net, q, max_steps=0)
+    with pytest.raises(QueryError, match="unbounded model needs max_steps"):
+        anytime_sweep(hmm_model(HMM), hmm_query(HMM))
 
 
 def test_schedule_through_closed_lazy_wrapper_matches_finite(chain_net):
