@@ -514,15 +514,14 @@ def _levels(
         raise QueryError(f"max_steps must be at least 1, got {max_steps}")
     if max_steps is None and net.open_past and isinstance(net, LazyNetwork):
         raise QueryError("an unbounded model needs max_steps to bound the schedule")
-    steps = math.inf if max_steps is None else max_steps
     limit = max([net.t0] + [s.pl for s in map(net.resolve, query.names) if s.is_stub])
     v, count = cpl(net, query)[1], 0
-    while v > limit and count < steps:
+    while v > limit and count != max_steps:
         yield Threshold(v)
         count += 1
-        if count < steps:
+        if count != max_steps:
             v = walk.next_level(net, max_nodes)
-    if not net.open_past and count < steps:
+    if not net.open_past and count != max_steps:
         yield Threshold.full_past()
     elif not count:
         raise QueryError("no usable thresholds: the objective sits at or below the retrieval limit")
@@ -537,17 +536,17 @@ def default_schedule(
 ) -> Schedule:
     """The thresholds a schedule-less :func:`anytime_sweep` visits: every
     distinct ancestor potential level from the critical one down, then
-    the full-past sentinel for a closed past. One retrieval walk steps
-    through them without contracting; like a sweep's, it counts the nodes
-    it resolves, query nodes included, against ``max_nodes``. Nothing is
+    the full past for a closed past. A retrieval walk steps through them
+    without contracting and, like a sweep's, counts the nodes it
+    resolves, query nodes included, against ``max_nodes``. Nothing is
     scheduled at or below ``t0`` or a truncation stub among the query
-    nodes and their ancestors; a stub above the critical level surfaces
-    as the first retrieval's :class:`OpenPastError`."""
+    nodes and their ancestors (one above the critical level raises the
+    first retrieval's :class:`OpenPastError`)."""
     walk = Walk()
     out = []
     for th in _levels(net, query, walk, max_steps, max_nodes):
         if not th.is_full_past:
-            root_set(net, query, th, max_nodes=max_nodes, walk=walk)
+            walk.extend(net, query, th.v, max_nodes)
         out.append(th)
     return Schedule(tuple(out))
 
@@ -563,17 +562,14 @@ def anytime_sweep(
     max_nodes: int = DEFAULT_EXPANSION_CAP,
 ) -> list[QueryBounds]:
     """Bounds at each threshold of ``schedule``, shallowest first, or
-    without one at :func:`default_schedule`'s, each read off the sweep's
-    own walk and capped by ``max_steps``.
-
-    Deeper thresholds retrieve a superset of the shallower retrieval, so
-    the sweep carries one :class:`SweepState`: each step walks only from
-    the frontier the threshold has passed and contracts only the CPTs of
-    the nodes it newly retrieved into the previous clamp table. Every
-    node is resolved, checked and contracted once per sweep; the walk
-    counts the nodes it resolves, query nodes included, against
-    ``max_nodes``. With ``stop_on_exact`` (the default) the sweep ends
-    as soon as a result is certified exact.
+    without one at :func:`default_schedule`'s (at most ``max_steps``),
+    each read off the sweep's own walk. One :class:`SweepState` carries
+    the walk and the clamp table, so each step walks only from the
+    frontier the threshold has passed and contracts only the newly
+    retrieved CPTs: every node is resolved, checked and contracted once
+    per sweep, and the nodes the walk resolves, query nodes included,
+    count against ``max_nodes``. With ``stop_on_exact`` (the default)
+    the sweep ends at the first result certified exact.
     """
     if schedule is not None and max_steps is not None:
         raise QueryError("max_steps caps the default thresholds; it cannot cap a schedule")

@@ -147,8 +147,9 @@ class Walk:
     ``pending`` lists the query nodes the threshold has not yet passed,
     deepest first; the evidence partition (name to observed state) is
     kept up to date as nodes leave ``pending`` and join or leave the
-    frontier. Retrievals share these dicts. A walk whose extension raised
-    is left half extended and must not be extended again.
+    frontier. Retrievals share these dicts and ``submodel``, a view of
+    them. A walk whose extension raised is left half extended and must
+    not be extended again.
     """
 
     specs: dict[str, NodeSpec] = field(default_factory=dict)
@@ -157,6 +158,7 @@ class Walk:
     pending: list[str] = field(default_factory=list)
     evidence_plus: dict[str, str] = field(default_factory=dict)
     evidence_in_frontier: dict[str, str] = field(default_factory=dict)
+    submodel: Submodel | None = None
 
     def resolve(self, net: NetworkLike, name: str, max_nodes: int) -> NodeSpec:
         """``net.resolve(name)``, once per walk, up to ``max_nodes`` nodes."""
@@ -179,6 +181,55 @@ class Walk:
         if report:
             raise InvalidNetworkError(report)
         self.pending = sorted(names, key=lambda n: (self.specs[n].pl, n))
+        self.submodel = Submodel(MappingProxyType(self.interior), MappingProxyType(self.frontier), net.t0)
+
+    def extend(self, net: NetworkLike, query: Query, v: float, max_nodes: int) -> tuple[str, ...]:
+        """Extend the walk to the threshold ``v``, as :func:`root_set`
+        describes, and return the band: the interior nodes it added."""
+        if not self.specs:
+            self.start(net, query, max_nodes)
+        specs, interior, frontier, pending = self.specs, self.interior, self.frontier, self.pending
+        evidence, e_plus, e_front = query.evidence, self.evidence_plus, self.evidence_in_frontier
+
+        seen = {n for n in frontier if specs[n].pl >= v}
+        for name in seen:
+            del frontier[name]
+            e_front.pop(name, None)
+        while pending and specs[pending[-1]].pl >= v:
+            name = pending.pop()
+            if name in evidence:
+                e_plus[name] = evidence[name]
+            if name not in interior:
+                seen.add(name)
+        if not seen and not interior:
+            raise NoStartNodesError(f"no query or evidence node has pl >= {v:g}; nothing to retrieve")
+
+        band: list[str] = []
+        queue = deque(sorted(seen))
+        while queue:
+            name = queue.popleft()
+            spec = specs[name]
+            parents = [self.resolve(net, p, max_nodes) for p in spec.parents] if spec.pl >= v else ()
+            report = edge_violations(spec, parents) if parents else _cut_violations(spec, net.t0)
+            if report:
+                raise InvalidNetworkError(report)
+            if spec.pl < v:
+                frontier[name] = FrontierStub(name, spec.states, spec.pl)
+                if name in evidence:
+                    e_front[name] = evidence[name]
+                continue
+            if spec.is_stub:
+                raise OpenPastError(
+                    f"interior node {name!r} is a truncation stub with no CPD; "
+                    "retrieve from a deeper truncation or raise the threshold"
+                )
+            interior[name] = spec
+            band.append(name)
+            for p in spec.parents:
+                if p not in seen and p not in interior and p not in frontier:
+                    seen.add(p)
+                    queue.append(p)
+        return tuple(band)
 
     def next_level(self, net: NetworkLike, max_nodes: int) -> float:
         """The latest level below the last retrieval: the largest pl among
@@ -303,61 +354,14 @@ def root_set(
     A parentless interior node contributes nothing to the frontier: its
     past is already complete.
     """
-    v = threshold.v
-    if walk is None:
-        walk = Walk()
-    if not walk.specs:
-        walk.start(net, query, max_nodes)
-    specs, interior, frontier, pending = walk.specs, walk.interior, walk.frontier, walk.pending
-    evidence, e_plus, e_front = query.evidence, walk.evidence_plus, walk.evidence_in_frontier
-
-    seen = {n for n in frontier if specs[n].pl >= v}
-    for name in seen:
-        del frontier[name]
-        e_front.pop(name, None)
-    while pending and specs[pending[-1]].pl >= v:
-        name = pending.pop()
-        if name in evidence:
-            e_plus[name] = evidence[name]
-        if name not in interior:
-            seen.add(name)
-    if not seen and not interior:
-        raise NoStartNodesError(
-            f"no query or evidence node has pl >= {v:g}; nothing to retrieve"
-        )
-
-    band: list[str] = []
-    queue = deque(sorted(seen))
-    while queue:
-        name = queue.popleft()
-        spec = specs[name]
-        parents = [walk.resolve(net, p, max_nodes) for p in spec.parents] if spec.pl >= v else ()
-        report = edge_violations(spec, parents) if parents else _cut_violations(spec, net.t0)
-        if report:
-            raise InvalidNetworkError(report)
-        if spec.pl < v:
-            frontier[name] = FrontierStub(name, spec.states, spec.pl)
-            if name in evidence:
-                e_front[name] = evidence[name]
-            continue
-        if spec.is_stub:
-            raise OpenPastError(
-                f"interior node {name!r} is a truncation stub with no CPD; "
-                "retrieve from a deeper truncation or raise the threshold"
-            )
-        interior[name] = spec
-        band.append(name)
-        for p in spec.parents:
-            if p not in seen and p not in interior and p not in frontier:
-                seen.add(p)
-                queue.append(p)
-
+    walk = Walk() if walk is None else walk
+    band = walk.extend(net, query, threshold.v, max_nodes)
     return RootSetResult(
-        frontier=frontier.keys(),
-        interior=interior.keys(),
-        evidence=evidence.keys(),
-        evidence_plus=e_plus.keys(),
-        evidence_in_frontier=e_front.keys(),
-        submodel=Submodel(MappingProxyType(interior), MappingProxyType(frontier), net.t0),
-        band=tuple(band),
+        frontier=walk.frontier.keys(),
+        interior=walk.interior.keys(),
+        evidence=query.evidence.keys(),
+        evidence_plus=walk.evidence_plus.keys(),
+        evidence_in_frontier=walk.evidence_in_frontier.keys(),
+        submodel=walk.submodel,
+        band=band,
     )

@@ -440,8 +440,8 @@ def test_schedule_walk_is_capped():
 @pytest.mark.parametrize("route", ["default_schedule", "anytime_sweep"])
 def test_schedule_and_sweep_count_one_walk_against_the_node_cap(route):
     # both walk the chain once, to the same depth, and resolve the same
-    # nodes: the query's 11, the 15 hidden nodes retrieved or on the
-    # frontier, and nothing more
+    # nodes: the query's 11 and the 15 hidden nodes behind x_t+1, the
+    # deepest of them on the frontier, and nothing more
     def run(max_nodes):
         if route == "default_schedule":
             return default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=15, max_nodes=max_nodes)
