@@ -3,7 +3,8 @@
 Exit codes:
   0  success (dsep: separated)
   1  parse failure or unknown node/state
-  2  validation report (validate) or usage error
+  2  validation report (validate) or usage error, including an output file
+     that cannot be written
   3  threshold above the critical potential level
   4  zero-probability evidence / all clamps excluded
   5  other inference errors (frontier too wide, intermediate factor too large,
@@ -209,9 +210,7 @@ def _cmd_query(args) -> int:
     state = SweepState()
     qb = bounds_at(net, query, Threshold(v), max_clamps=_clamp_cap(), state=state)
     if args.dump_submodel:
-        with open(args.dump_submodel, "w", encoding="utf-8") as fh:
-            json.dump(state.retrieval.submodel.to_document(), fh)
-            fh.write("\n")
+        _write_doc(json.dumps(state.walk.to_document()), args.dump_submodel)
     if args.exact:
         _emit_exact(qb.lower, args.format)
     else:
@@ -265,16 +264,19 @@ def _cmd_sweep(args) -> int:
             raise QueryError(f"sweep takes no {flag} {'with' if args.hmm else 'without'} --hmm")
     if args.hmm:
         given = zip(("window", "transition_stay", "emission_true"), chain.values())
-        rows = hmm_sweep_experiment(HmmParams(**{k: v for k, v in given if v is not None}), args.depth)
+        params = HmmParams(**{k: v for k, v in given if v is not None})
     else:
         if args.path is None:
             raise QueryError("sweep needs a network path or --hmm")
         if not args.target:
             raise QueryError("sweep needs at least one --target (or --hmm)")
-        net, query = load_network(_read(args.path)), _query_from_args(args)
-        rows = anytime_sweep(
-            net, query, max_steps=args.depth, stop_on_exact=not args.full_sweep, max_clamps=_clamp_cap()
-        )
+        net, query, cap = load_network(_read(args.path)), _query_from_args(args), _clamp_cap()
+    if args.depth < 1:
+        raise QueryError(f"--depth must be at least 1, got {args.depth}")
+    if args.hmm:
+        rows = hmm_sweep_experiment(params, args.depth)
+    else:
+        rows = anytime_sweep(net, query, max_steps=args.depth, stop_on_exact=not args.full_sweep, max_clamps=cap)
     _emit_sweep(rows, args.format)
     return EXIT_OK
 
@@ -321,9 +323,12 @@ def _cmd_gen_hmm(args) -> int:
 def _write_doc(text: str, out: str | None) -> None:
     if out is None:
         print(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise QueryError(f"cannot write {out!r}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -50,14 +50,7 @@ from .model import (
     NodeSpec,
     Query,
 )
-from .retrieval import (
-    NetworkLike,
-    RootSetResult,
-    Submodel,
-    Threshold,
-    Walk,
-    root_set,
-)
+from .retrieval import NetworkLike, Threshold, Walk, root_set
 
 DEFAULT_MAX_CLAMPS = 2**16
 MAX_JOINT_CELLS = 50_000_000
@@ -232,8 +225,8 @@ def _bucket(
     return (out_axes, out if h is None else out.sum(axis=union.index(h))), logscale
 
 
-def _state_index(sub: Submodel, name: str, label: str) -> int:
-    states = sub.states_of(name)
+def _state_index(walk: Walk, name: str, label: str) -> int:
+    states = walk.states_of(name)
     try:
         return states.index(label)
     except ValueError:
@@ -241,13 +234,13 @@ def _state_index(sub: Submodel, name: str, label: str) -> int:
 
 
 def _contract(
-    sub: Submodel,
+    walk: Walk,
     specs: Mapping[str, NodeSpec],
     evidence: Assignment,
     scan: _Axes,
     prior: _Table | Assignment,
 ) -> _Table:
-    """Multiply the CPTs in ``specs`` (nodes of ``sub``) into ``prior``,
+    """Multiply the CPTs in ``specs`` (nodes of ``walk``) into ``prior``,
     with ``evidence`` fixed, and sum out every variable but ``scan``, by
     bucket elimination in decreasing ``(pl, name)``.
 
@@ -273,12 +266,12 @@ def _contract(
     keep = (*scan, *prior) if start else (*scan, _NUM_DEN)
     sizes: dict = {_NUM_DEN: 2}
     for n in (*scan, *(prior if start else prior.axes)):
-        sizes[n] = len(sub.states_of(n))
+        sizes[n] = len(walk.states_of(n))
     for spec in specs.values():
         for a in (*spec.parents, spec.name):
             if a not in sizes:
-                sizes[a] = len(sub.states_of(a))
-    clamps = {n: _state_index(sub, n, evidence[n]) for n in sizes if n in evidence}
+                sizes[a] = len(walk.states_of(a))
+    clamps = {n: _state_index(walk, n, evidence[n]) for n in sizes if n in evidence}
     order = sorted(specs.values(), key=lambda s: (s.pl, s.name), reverse=True)
     rank = {s.name: i for i, s in enumerate(order) if s.name not in clamps and s.name not in keep}
     buckets: dict[str, list[_Factor]] = {}
@@ -309,7 +302,7 @@ def _contract(
 
     (_, table), logscale = _bucket(rest, keep, None, sizes, scan, logscale)
     if start:
-        target = tuple(_state_index(sub, n, v) for n, v in prior.items())
+        target = tuple(_state_index(walk, n, v) for n, v in prior.items())
         pair = np.empty((*table.shape[: len(scan)], 2))
         pair[..., 0] = table[(Ellipsis, *target)]
         pair[..., 1] = table.sum(axis=tuple(range(len(scan), len(keep))))
@@ -329,21 +322,24 @@ def _contract(
 # operations
 
 
-def cpl(net: NetworkLike, query: Query) -> tuple[str, float]:
-    """The objective node furthest into the past and its potential level.
+def cpl(
+    net: NetworkLike, query: Query, walk: Walk | None = None, max_nodes: int = DEFAULT_EXPANSION_CAP
+) -> tuple[str, float]:
+    """The objective node furthest into the past and its potential level,
+    resolved through ``walk`` when one is given.
 
     Ties break lexicographically on the node name.
     """
-    pl_star, o_star = min((net.resolve(n).pl, n) for n in query.objective)
+    walk = Walk() if walk is None else walk
+    pl_star, o_star = min((walk.resolve(net, n, max_nodes).pl, n) for n in query.objective)
     return o_star, pl_star
 
 
 @dataclass
 class SweepState:
     """What a sweep carries from one threshold to the next: the retrieval
-    walk, the retrieval of the latest step (a view of the walk, valid
-    until the next step), and the clamp table over its unobserved
-    frontier. A state belongs to one sweep: pass it to :func:`bounds_at`
+    walk and the clamp table over its unobserved frontier. A state
+    belongs to one sweep: pass it to :func:`bounds_at`
     calls with strictly decreasing thresholds, shallowest first; a call
     whose threshold is not below ``threshold``, the latest step's, raises
     :class:`QueryError` and leaves the state as it was. Once any other
@@ -352,13 +348,12 @@ class SweepState:
 
     walk: Walk = field(default_factory=Walk)
     threshold: Threshold | None = None
-    retrieval: RootSetResult | None = None
     table: _Table | None = None
     failed: bool = False
 
 
 def frontier_clamp_table(
-    rs: RootSetResult, query: Query, state: SweepState | None = None
+    walk: Walk, query: Query, state: SweepState | None = None
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Conditional numerators/denominators for every clamp of the
     unobserved frontier, in one contraction.
@@ -366,28 +361,27 @@ def frontier_clamp_table(
     Returns ``(scan_nodes, num, den)``: arrays indexed by the state of
     each unobserved frontier node (sorted by name, odometer order), where
     ``num/den`` at a clamp is P(objective | that clamp, the observed
-    frontier, the evidence at or above the threshold) inside the submodel.
+    frontier, the evidence at or above the threshold) inside the retrieval.
     ``num`` and ``den`` are scaled by the same positive factor at each
     clamp, chosen per clamp so that neither underflows; only their ratio
     and whether ``den`` is exactly zero carry meaning.
 
-    Given the ``state`` whose walk produced ``rs``, only the CPTs of
-    ``rs.band`` are contracted, into the state's previous table, and the
+    Given the ``state`` that carries ``walk``, only the CPTs of
+    ``walk.band`` are contracted, into the state's previous table, and the
     new table replaces it.
     """
-    sub = rs.submodel
-    scan = tuple(sorted(rs.frontier - rs.evidence_in_frontier))
+    scan = tuple(sorted(walk.frontier.keys() - walk.evidence_in_frontier))
     if state is None or state.table is None:
-        table = _contract(sub, sub.interior, query.evidence, scan, query.objective)
+        table = _contract(walk, walk.interior, query.evidence, scan, query.objective)
     else:
-        band = {n: sub.interior[n] for n in rs.band}
-        table = _contract(sub, band, query.evidence, scan, state.table)
+        band = {n: walk.interior[n] for n in walk.band}
+        table = _contract(walk, band, query.evidence, scan, state.table)
     if state is not None:
         state.table = table
     return scan, table.table[..., 0], table.table[..., 1]
 
 
-def exactness_status(rs: RootSetResult, t0: float, lower: float, upper: float) -> Exactness:
+def exactness_status(walk: Walk, t0: float, lower: float, upper: float) -> Exactness:
     """Classify a retrieval per the first matching exactness condition.
 
     In order: (1) the frontier lies entirely inside the evidence, so no
@@ -397,30 +391,28 @@ def exactness_status(rs: RootSetResult, t0: float, lower: float, upper: float) -
     condition (2)'s evidence clause is exactly "evidence_minus is empty",
     which the sizes of the disjoint parts answer without building it.
     """
-    if len(rs.frontier) == len(rs.evidence_in_frontier):
+    if len(walk.frontier) == len(walk.evidence_in_frontier):
         return Exactness.FRONTIER_SUBSET_OF_EVIDENCE
-    dropped = len(rs.evidence) - len(rs.evidence_plus) - len(rs.evidence_in_frontier)
-    if not dropped and all(f.pl == t0 for f in rs.submodel.frontier.values()):
+    dropped = len(walk.evidence) - len(walk.evidence_plus) - len(walk.evidence_in_frontier)
+    if not dropped and all(f.pl == t0 for f in walk.frontier.values()):
         return Exactness.FULL_PAST
     if abs(upper - lower) < PROB_TOL:
         return Exactness.COINCIDENCE
     return Exactness.NOT_EXACT
 
 
-def _exact_from_retrieval(
-    net: NetworkLike, rs: RootSetResult, query: Query, table: _Table
-) -> float | None:
+def _exact_from_retrieval(walk: Walk, query: Query, table: _Table) -> float | None:
     """Exact value when the retrieval closed the past: the clamp table of
-    the interior times the frontier roots' own priors. None when a
-    frontier prior is missing (truncated fragment), in which case
-    exactness cannot be certified."""
+    the interior times the frontier roots' own priors (in ``walk.specs``).
+    None when a frontier prior is missing (truncated fragment), in which
+    case exactness cannot be certified."""
     roots = {}
-    for name in sorted(rs.frontier):
-        spec = net.resolve(name)
+    for name in sorted(walk.frontier):
+        spec = walk.specs[name]
         if spec.parents or spec.cpt is None:
             return None
         roots[name] = spec
-    num, den = _contract(rs.submodel, roots, query.evidence, (), table).table
+    num, den = _contract(walk, roots, query.evidence, (), table).table
     if den == 0.0:
         raise ZeroEvidenceError(f"evidence {dict(query.evidence)!r} has probability zero")
     return float(num / den)
@@ -445,8 +437,8 @@ def bounds_at(
 
     A sweep passes one ``state`` to its calls, shallowest threshold
     first: each call then extends the previous walk and clamp table
-    rather than starting over, and leaves its retrieval in
-    ``state.retrieval``. Without a state the call starts from an empty one.
+    rather than starting over, and every node it resolves goes through
+    ``state.walk``. Without a state the call starts from an empty one.
     """
     state = SweepState() if state is None else state
     if state.failed:
@@ -458,19 +450,17 @@ def bounds_at(
         )
     state.failed = True  # until this step returns
     state.threshold = threshold
-    o_star, pl_star = cpl(net, query)
+    o_star, pl_star = cpl(net, query, state.walk, max_nodes)
     if threshold.v > pl_star:
         raise ThresholdError(threshold.v, pl_star, o_star)
     if threshold.is_full_past and net.open_past:
         raise OpenPastError("the full-past threshold needs a closed past (roots with priors)")
-    rs = state.retrieval = root_set(net, query, threshold, max_nodes=max_nodes, walk=state.walk)
+    walk = root_set(net, query, threshold, max_nodes=max_nodes, walk=state.walk)
     cap = DEFAULT_MAX_CLAMPS if max_clamps is None else max_clamps
-    width = math.prod(
-        len(rs.submodel.frontier[n].states) for n in rs.frontier - rs.evidence_in_frontier
-    )
+    width = math.prod(len(walk.frontier[n].states) for n in walk.frontier.keys() - walk.evidence_in_frontier)
     if width > cap:
         raise FrontierTooWideError(width, cap)
-    scan, num, den = frontier_clamp_table(rs, query, state)
+    scan, num, den = frontier_clamp_table(walk, query, state)
 
     valid = den > 0.0
     if not valid.any():
@@ -484,9 +474,9 @@ def bounds_at(
     if threshold.is_full_past:
         status = Exactness.FULL_PAST
     else:
-        status = exactness_status(rs, net.t0, lower, upper)
+        status = exactness_status(walk, net.t0, lower, upper)
         if status is Exactness.FULL_PAST:
-            exact = _exact_from_retrieval(net, rs, query, state.table)
+            exact = _exact_from_retrieval(walk, query, state.table)
             if exact is None:
                 status = Exactness.NOT_EXACT
             else:
@@ -497,8 +487,8 @@ def bounds_at(
         lower=lower,
         upper=upper,
         exactness=status,
-        frontier_size=len(rs.frontier),
-        interior_size=len(rs.interior),
+        frontier_size=len(walk.frontier),
+        interior_size=len(walk.interior),
     )
 
 
@@ -514,8 +504,9 @@ def _levels(
         raise QueryError(f"max_steps must be at least 1, got {max_steps}")
     if max_steps is None and net.open_past and isinstance(net, LazyNetwork):
         raise QueryError("an unbounded model needs max_steps to bound the schedule")
-    limit = max([net.t0] + [s.pl for s in map(net.resolve, query.names) if s.is_stub])
-    v, count = cpl(net, query)[1], 0
+    specs = [walk.resolve(net, n, max_nodes) for n in query.names]
+    limit = max([net.t0] + [s.pl for s in specs if s.is_stub])
+    v, count = cpl(net, query, walk, max_nodes)[1], 0
     while v > limit and count != max_steps:
         yield Threshold(v)
         count += 1
@@ -599,12 +590,11 @@ def map_decision(
     if len(query.objective) != 1:
         raise QueryError("map_decision needs exactly one objective node")
     ((name, label),) = query.objective.items()
-    states = net.resolve(name).states
+    state = SweepState()
+    states = state.walk.resolve(net, name, DEFAULT_EXPANSION_CAP).states
     if len(states) != 2:
         raise QueryError(f"map_decision needs a binary objective; {name!r} has {len(states)} states")
     other = states[0] if states[1] == label else states[1]
-
-    state = SweepState()
     for th in schedule:
         qb = bounds_at(net, query, th, max_clamps=max_clamps, state=state)
         # separation must clear the probability tolerance, so an exact

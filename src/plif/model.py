@@ -44,7 +44,6 @@ from .errors import (
     NetworkFormatError,
     QueryError,
     UnknownNodeError,
-    UnknownStateError,
 )
 
 ROW_SUM_TOL = 1e-9
@@ -103,21 +102,15 @@ class LazyNetwork:
     """An on-demand network: ``resolver`` maps a node name to its spec.
 
     The resolver must be deterministic: resolving the same name twice
-    yields the same spec. Results are memoized here, which also gives
-    repeated retrievals over the same instance an incrementally growing
-    cache. The cache is a plain dict; share one instance across threads
-    only if the resolver itself is safe to call concurrently.
+    yields the same spec. Each call resolves and checks the spec afresh;
+    a retrieval walk resolves each node once.
     """
 
     resolver: Callable[[str], NodeSpec]
     t0: float
     open_past: bool = True
-    _cache: dict[str, NodeSpec] = field(default_factory=dict, repr=False, compare=False)
 
     def resolve(self, name: str) -> NodeSpec:
-        spec = self._cache.get(name)
-        if spec is not None:
-            return spec
         try:
             spec = self.resolver(name)
         except KeyError:
@@ -127,7 +120,6 @@ class LazyNetwork:
             problems.append(Violation("resolver-name", f"asked for {name!r}, got {spec.name!r}"))
         if problems:
             raise InvalidNetworkError(problems)
-        self._cache[name] = spec
         return spec
 
 
@@ -295,21 +287,6 @@ def _cycle_nodes(net: Network) -> set[str]:
             if indeg[c] == 0:
                 ready.append(c)
     return set() if seen == len(net.nodes) else {n for n, d in indeg.items() if d > 0}
-
-
-def check_assignment(net: Network | LazyNetwork, assignment: Assignment) -> None:
-    """Raise unless every named node exists and every label is one of its states."""
-    for name, label in assignment.items():
-        spec = net.resolve(name)
-        if label not in spec.states:
-            raise UnknownStateError(
-                f"node {name!r} has no state {label!r}; states are {list(spec.states)}"
-            )
-
-
-def check_query(net: Network | LazyNetwork, query: Query) -> None:
-    check_assignment(net, query.objective)
-    check_assignment(net, query.evidence)
 
 
 # ---------------------------------------------------------------------------

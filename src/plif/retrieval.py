@@ -7,9 +7,9 @@ backtracking along every ancestral path stops at the first node below
 ``v``. Those stopping points form the *frontier*: the clamp points behind
 which the past is never consulted. The interior specs plus the frontier
 stubs make up the retrieved submodel, which is all downstream inference
-is allowed to touch. A :class:`Walk` carries one retrieval to the next,
-deeper threshold, and gives that threshold (:meth:`Walk.next_level`), so
-a sweep walks every node once.
+is allowed to touch. One :class:`Walk` is that retrieval: it carries it
+to the next, deeper threshold, and gives that threshold
+(:meth:`Walk.next_level`), so a sweep walks every node once.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import AbstractSet, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import (
     ExpansionCapError,
@@ -27,6 +26,7 @@ from .errors import (
     OpenPastError,
     QueryError,
     UnknownNodeError,
+    UnknownStateError,
 )
 from .model import (
     DEFAULT_EXPANSION_CAP,
@@ -34,7 +34,6 @@ from .model import (
     Network,
     NodeSpec,
     Query,
-    check_query,
     edge_violations,
     materialize,  # noqa: F401  (bench/tracing.py wraps it here)
     network_to_document,
@@ -77,26 +76,46 @@ class FrontierStub:
     pl: float
 
 
-@dataclass(frozen=True)
-class Submodel:
-    """The retrieved fragment: full interior specs plus frontier stubs.
+@dataclass
+class Walk:
+    """One retrieval walk, extended in place as the threshold deepens; it
+    is the retrieval itself (:func:`root_set` returns it).
 
-    Interior nodes are parent-closed: every parent of an interior node is
-    itself interior or a frontier stub, so conditionals given the frontier
-    are computable from this object alone. Both mappings are read-only
-    views of a :class:`Walk`'s dicts (see :func:`root_set`).
+    ``specs`` holds every node resolved so far (the query's nodes, every
+    node reached, and the parents :meth:`next_level` read), the one memo
+    of a walk's resolutions; each reached node is interior (kept with its
+    spec, in the order reached) or frontier (kept as its stub, so that
+    inference, which reads the two through :meth:`states_of`, never sees
+    a frontier CPD). ``pending`` lists the query nodes the threshold has
+    not yet passed, deepest first. The query's ``evidence`` is
+    partitioned relative to the latest threshold: ``evidence_plus`` sits
+    at or above it, ``evidence_in_frontier`` was reached as a clamp
+    point, and :attr:`evidence_minus` is the rest. ``band`` lists the
+    interior nodes the latest extension added. A walk whose extension
+    raised is left half extended and must not be extended again.
     """
 
-    interior: Mapping[str, NodeSpec]
-    frontier: Mapping[str, FrontierStub]
-    t0: float
+    specs: dict[str, NodeSpec] = field(default_factory=dict)
+    interior: dict[str, NodeSpec] = field(default_factory=dict)
+    frontier: dict[str, FrontierStub] = field(default_factory=dict)
+    pending: list[str] = field(default_factory=list)
+    evidence: Mapping[str, str] | None = None  # None until started
+    evidence_plus: dict[str, str] = field(default_factory=dict)
+    evidence_in_frontier: dict[str, str] = field(default_factory=dict)
+    band: tuple[str, ...] = ()
+    t0: float = -math.inf
+
+    @property
+    def evidence_minus(self) -> frozenset[str]:
+        """Evidence below the threshold and never reached, which the
+        frontier screens off."""
+        return frozenset(self.evidence.keys() - self.evidence_plus.keys() - self.evidence_in_frontier.keys())
 
     def states_of(self, name: str) -> tuple[str, ...]:
-        if name in self.interior:
-            return self.interior[name].states
-        if name in self.frontier:
-            return self.frontier[name].states
-        raise UnknownNodeError(f"node {name!r} is not in the submodel")
+        node = self.interior.get(name) or self.frontier.get(name)
+        if node is None:
+            raise UnknownNodeError(f"node {name!r} is not in the retrieval")
+        return node.states
 
     def to_document(self) -> dict:
         """An open-past network document with the frontier as truncation
@@ -104,61 +123,6 @@ class Submodel:
         stubs = {n: NodeSpec(n, f.states, (), None, f.pl) for n, f in sorted(self.frontier.items())}
         net = Network(t0=self.t0, open_past=True, nodes={**self.interior, **stubs})
         return {**network_to_document(net), "frontier": sorted(self.frontier)}
-
-
-@dataclass(frozen=True)
-class RootSetResult:
-    """Everything one threshold retrieval produces.
-
-    The evidence partition is relative to the threshold: ``evidence_plus``
-    sits at or above it, ``evidence_in_frontier`` was reached as a clamp
-    point, ``evidence_minus`` is the rest (below threshold, never
-    reached, and provably irrelevant given the frontier), built only when
-    read. ``band`` lists the interior nodes the walk added at this
-    threshold (all of them for a fresh walk); two retrievals at one
-    threshold are equal whatever walk they extended.
-
-    The sets are read-only views of the walk's dicts (``keys()``), not
-    copies, so a result costs nothing to build; see :func:`root_set` for
-    how long it stays valid.
-    """
-
-    frontier: AbstractSet[str]
-    interior: AbstractSet[str]
-    evidence: AbstractSet[str]
-    evidence_plus: AbstractSet[str]
-    evidence_in_frontier: AbstractSet[str]
-    submodel: Submodel
-    band: tuple[str, ...] = field(compare=False)
-
-    @property
-    def evidence_minus(self) -> frozenset[str]:
-        return frozenset(self.evidence - self.evidence_plus - self.evidence_in_frontier)
-
-
-@dataclass
-class Walk:
-    """One retrieval walk, extended in place as the threshold deepens.
-
-    ``specs`` holds every node resolved so far (the query's nodes, every
-    node reached, and the parents :meth:`next_level` read); each reached
-    node is interior (kept with its spec, in the order reached) or
-    frontier (kept as its stub).
-    ``pending`` lists the query nodes the threshold has not yet passed,
-    deepest first; the evidence partition (name to observed state) is
-    kept up to date as nodes leave ``pending`` and join or leave the
-    frontier. Retrievals share these dicts and ``submodel``, a view of
-    them. A walk whose extension raised is left half extended and must
-    not be extended again.
-    """
-
-    specs: dict[str, NodeSpec] = field(default_factory=dict)
-    interior: dict[str, NodeSpec] = field(default_factory=dict)
-    frontier: dict[str, FrontierStub] = field(default_factory=dict)
-    pending: list[str] = field(default_factory=list)
-    evidence_plus: dict[str, str] = field(default_factory=dict)
-    evidence_in_frontier: dict[str, str] = field(default_factory=dict)
-    submodel: Submodel | None = None
 
     def resolve(self, net: NetworkLike, name: str, max_nodes: int) -> NodeSpec:
         """``net.resolve(name)``, once per walk, up to ``max_nodes`` nodes."""
@@ -172,21 +136,23 @@ class Walk:
         return spec
 
     def start(self, net: NetworkLike, query: Query, max_nodes: int) -> None:
-        """Resolve and check the query's nodes (every one, whatever its pl)."""
-        check_query(net, query)
-        names = query.names
+        """Resolve and check the query's nodes (every one, whatever its pl)
+        and the states it names."""
         report = t0_violations(net.t0, True)
-        for name in names:
-            report += _cut_violations(self.resolve(net, name, max_nodes), net.t0)
+        for name, label in (*query.objective.items(), *query.evidence.items()):
+            spec = self.resolve(net, name, max_nodes)
+            if label not in spec.states:
+                raise UnknownStateError(f"node {name!r} has no state {label!r}; states are {list(spec.states)}")
+            report += _cut_violations(spec, net.t0)
         if report:
             raise InvalidNetworkError(report)
-        self.pending = sorted(names, key=lambda n: (self.specs[n].pl, n))
-        self.submodel = Submodel(MappingProxyType(self.interior), MappingProxyType(self.frontier), net.t0)
+        self.pending = sorted(query.names, key=lambda n: (self.specs[n].pl, n))
+        self.evidence, self.t0 = query.evidence, net.t0
 
-    def extend(self, net: NetworkLike, query: Query, v: float, max_nodes: int) -> tuple[str, ...]:
+    def extend(self, net: NetworkLike, query: Query, v: float, max_nodes: int) -> None:
         """Extend the walk to the threshold ``v``, as :func:`root_set`
-        describes, and return the band: the interior nodes it added."""
-        if not self.specs:
+        describes, and record its band."""
+        if self.evidence is None:
             self.start(net, query, max_nodes)
         specs, interior, frontier, pending = self.specs, self.interior, self.frontier, self.pending
         evidence, e_plus, e_front = query.evidence, self.evidence_plus, self.evidence_in_frontier
@@ -229,7 +195,7 @@ class Walk:
                 if p not in seen and p not in interior and p not in frontier:
                     seen.add(p)
                     queue.append(p)
-        return tuple(band)
+        self.band = tuple(band)
 
     def next_level(self, net: NetworkLike, max_nodes: int) -> float:
         """The latest level below the last retrieval: the largest pl among
@@ -331,7 +297,7 @@ def root_set(
     *,
     max_nodes: int = DEFAULT_EXPANSION_CAP,
     walk: Walk | None = None,
-) -> RootSetResult:
+) -> Walk:
     """Backtrack from every query/evidence node at or above the threshold.
 
     Expansion stops at the first sub-threshold node on each ancestral
@@ -343,25 +309,15 @@ def root_set(
     Resolving more than ``max_nodes`` nodes raises
     :class:`ExpansionCapError`.
 
-    Given the ``walk`` of a shallower threshold, the walk is extended in
-    place: only its old frontier nodes now at or above the threshold,
-    and query nodes newly above it, are expanded, so a step costs its
-    band and frontier. The result equals a fresh walk's, and it is a view
-    of the walk: once the walk is extended again, it reads as the deeper
-    retrieval (``band`` aside). Without a ``walk`` the call owns its
-    walk, so its result never changes.
+    Returns the walk, extended in place from the ``walk`` of a
+    shallower threshold when one is given: only its old frontier nodes
+    now at or above the threshold, and query nodes newly above it, are
+    expanded, so a step costs its band and frontier, and the retrieval
+    equals a fresh walk's. Without a ``walk`` the call owns a new one.
 
     A parentless interior node contributes nothing to the frontier: its
     past is already complete.
     """
     walk = Walk() if walk is None else walk
-    band = walk.extend(net, query, threshold.v, max_nodes)
-    return RootSetResult(
-        frontier=walk.frontier.keys(),
-        interior=walk.interior.keys(),
-        evidence=query.evidence.keys(),
-        evidence_plus=walk.evidence_plus.keys(),
-        evidence_in_frontier=walk.evidence_in_frontier.keys(),
-        submodel=walk.submodel,
-        band=band,
-    )
+    walk.extend(net, query, threshold.v, max_nodes)
+    return walk

@@ -38,7 +38,7 @@ from plif import (
 )
 from plif.cli import main as cli_main
 from plif.infer import Exactness, frontier_clamp_table
-from plif.retrieval import RootSetResult
+from plif.retrieval import Walk
 
 CORPUS_SIZE = 500
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "test_artifacts"
@@ -46,7 +46,7 @@ ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "test_artifacts"
 
 class Step(NamedTuple):
     threshold: Threshold
-    rs: RootSetResult
+    rs: Walk
     bounds: QueryBounds
 
 
@@ -163,7 +163,7 @@ def test_criterion_04_submodel_conditionals_match_full_network(corpus):
             scan, num, den = frontier_clamp_table(step.rs, rec.query)
             observed = {
                 e: rec.query.evidence[e]
-                for e in step.rs.evidence_plus | step.rs.evidence_in_frontier
+                for e in step.rs.evidence_plus.keys() | step.rs.evidence_in_frontier.keys()
             }
             base = idx(observed)
             oracle_den = oracles.joint_marginal(names, joint, base, list(scan))
@@ -192,7 +192,7 @@ def test_criterion_05_frontier_screens_off_dropped_evidence(corpus):
                 rec.net,
                 set(rec.query.objective),
                 step.rs.evidence_minus,
-                step.rs.frontier | step.rs.evidence_plus,
+                step.rs.frontier.keys() | step.rs.evidence_plus.keys(),
             )
     _report(5, True, f"{checked} retrievals with dropped evidence are screened off")
     assert checked > 0

@@ -241,10 +241,28 @@ def test_frontier_cap_env_var_below_one_is_a_usage_error(cli, chain_file):
 
 
 def test_sweep_depth_below_one_is_a_usage_error(cli, chain_file):
-    for depth in ("0", "-1"):
-        code, _, err = cli("sweep", chain_file, "--target", "x=1", "--depth", depth)
-        assert code == 2
-        assert "max_steps must be at least 1" in err
+    for route in ((chain_file, "--target", "x=1"), ("--hmm",)):
+        for depth in ("0", "-1"):
+            code, _, err = cli("sweep", *route, "--depth", depth)
+            assert code == 2
+            assert f"--depth must be at least 1, got {depth}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("query", "{net}", "--target", "x=1", "--threshold", "3.0", "--dump-submodel", "{out}"),
+        ("gen-random", "--seed", "7", "--out", "{out}"),
+        ("gen-hmm", "--depth", "2", "--out", "{out}"),
+    ],
+    ids=["dump-submodel", "gen-random", "gen-hmm"],
+)
+def test_unwritable_output_is_a_usage_error(cli, chain_file, tmp_path, argv):
+    out = str(tmp_path / "missing" / "out.json")
+    code, stdout, err = cli(*(a.format(net=chain_file, out=out) for a in argv))
+    assert code == 2
+    assert err.startswith(f"usage error: cannot write {out!r}: ")
+    assert stdout == ""
 
 
 def test_intermediate_factor_cap_exits_5(cli, chain_file, monkeypatch):

@@ -187,7 +187,7 @@ def test_frontier_conditional_matches_full_network(seed):
     for v in levels:
         rs = root_set(net, query, Threshold(v))
         scan, values = _clamp_values(rs, query)
-        assert scan == tuple(sorted(rs.frontier - set(query.evidence)))
+        assert scan == tuple(sorted(rs.frontier.keys() - set(query.evidence)))
         e_plus = {e: query.evidence[e] for e in rs.evidence_plus}
         observed = {e: query.evidence[e] for e in rs.evidence_in_frontier}
         for clamp, got in zip(_assignments(net, scan), values.flat, strict=True):
@@ -622,10 +622,17 @@ def test_sweep_reuses_lazy_resolutions_incrementally():
 
     lazy = LazyNetwork(resolver=counting, t0=float("-inf"), open_past=True)
     q = hmm_query(HMM)
-    anytime_sweep(lazy, q, default_schedule(lazy, q, max_steps=5), stop_on_exact=False)
-    # deeper thresholds re-walk the shared cache, so the raw resolver is
-    # hit once per distinct node, not once per threshold
-    assert len(calls) == len(set(calls))
+    # the walk is the only memo: every node a bounds_at call resolves
+    # (the critical level and the query's states included) goes through it
+    state = infer.SweepState()
+    bounds_at(lazy, q, Threshold(-3.0), state=state)
+    assert len(calls) == len(state.walk.specs)
+    # so a sweep or a schedule, one walk each, hits the raw resolver once
+    # per distinct node, not once per threshold
+    for run in (anytime_sweep, default_schedule):
+        calls.clear()
+        run(lazy, q, max_steps=5)
+        assert calls and len(calls) == len(set(calls))
 
 
 def test_sweep_degenerate_schedule(two_node_net):

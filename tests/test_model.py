@@ -177,5 +177,4 @@ def test_materialize_deterministic():
 
 def test_lazy_resolver_is_cached_and_consistent():
     lazy = hmm_model(HmmParams())
-    assert lazy.resolve("x_t") is lazy.resolve("x_t")
-    assert lazy.resolve("x_t") == hmm_model(HmmParams()).resolve("x_t")
+    assert lazy.resolve("x_t") == lazy.resolve("x_t") == hmm_model(HmmParams()).resolve("x_t")

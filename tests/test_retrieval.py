@@ -84,31 +84,31 @@ def test_dsep_implies_numeric_independence():
 
 def test_chain_retrieval_at_target_level(chain_net):
     rs = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold(4.0))
-    assert rs.frontier == {"t1"}
-    assert rs.interior == {"x"}
+    assert rs.frontier.keys() == {"t1"}
+    assert rs.interior.keys() == {"x"}
     assert rs.evidence_minus == {"y"}
-    assert rs.evidence_plus == frozenset()
-    assert rs.evidence_in_frontier == frozenset()
+    assert rs.evidence_plus.keys() == frozenset()
+    assert rs.evidence_in_frontier.keys() == frozenset()
 
 
 def test_chain_retrieval_reaches_evidence(chain_net):
     rs = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold(2.0))
-    assert rs.frontier == {"y"}
-    assert rs.evidence_in_frontier == {"y"}
-    assert rs.interior == {"x", "t1", "t2"}
+    assert rs.frontier.keys() == {"y"}
+    assert rs.evidence_in_frontier.keys() == {"y"}
+    assert rs.interior.keys() == {"x", "t1", "t2"}
 
 
 def test_two_node_retrieval_lands_on_evidence_parent(two_node_net):
     query = Query({"e": "1"}, {"c": "1"})
     rs = root_set(two_node_net, query, Threshold(1.0))
-    assert rs.frontier == {"c"}
-    assert rs.frontier <= set(query.evidence)
+    assert rs.frontier.keys() == {"c"}
+    assert rs.frontier.keys() <= set(query.evidence)
 
 
 def test_full_past_threshold_empties_frontier(chain_net):
     rs = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold.full_past())
-    assert rs.frontier == frozenset()
-    assert rs.interior == {"x", "t1", "t2", "y"}
+    assert rs.frontier.keys() == frozenset()
+    assert rs.interior.keys() == {"x", "t1", "t2", "y"}
 
 
 def test_no_start_nodes_raises(chain_net):
@@ -118,7 +118,7 @@ def test_no_start_nodes_raises(chain_net):
 
 def test_frontier_stubs_carry_states_and_pl_but_no_cpd(chain_net):
     rs = root_set(chain_net, Query({"x": "1"}), Threshold(4.0))
-    stub = rs.submodel.frontier["t1"]
+    stub = rs.frontier["t1"]
     assert stub.states == ("0", "1")
     assert stub.pl == 3.0
     assert not hasattr(stub, "cpt")
@@ -126,7 +126,7 @@ def test_frontier_stubs_carry_states_and_pl_but_no_cpd(chain_net):
 
 def test_submodel_document_lists_frontier(chain_net):
     rs = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold(3.0))
-    doc = rs.submodel.to_document()
+    doc = rs.to_document()
     assert doc["frontier"] == ["t2"]
     assert doc["open_past"] is True
     stubs = [n for n in doc["nodes"] if n["cpt"] is None]
@@ -141,9 +141,9 @@ def test_root_set_is_deterministic(chain_net):
 def test_root_set_on_lazy_matches_hand_fragment():
     lazy = hmm_model(HmmParams())
     rs = root_set(lazy, hmm_query(HmmParams()), Threshold(-3.0))
-    assert rs.frontier == {"x_t-2"}
-    assert rs.interior == {"x_t+1", "x_t", "x_t-1", "y_t", "y_t-1"}
-    assert rs.evidence_plus == {"y_t", "y_t-1"}
+    assert rs.frontier.keys() == {"x_t-2"}
+    assert rs.interior.keys() == {"x_t+1", "x_t", "x_t-1", "y_t", "y_t-1"}
+    assert rs.evidence_plus.keys() == {"y_t", "y_t-1"}
     assert rs.evidence_minus == frozenset(f"y_t-{j}" for j in range(2, 10))
 
 
@@ -165,18 +165,18 @@ def test_retrieval_invariants_on_random_networks(seed):
         # frontier strictly below the threshold
         assert all(net.spec(r).pl < v for r in rs.frontier)
         # frontier and interior disjoint, parent closure holds
-        assert not (rs.frontier & rs.interior)
+        assert not (rs.frontier.keys() & rs.interior.keys())
         for n in rs.interior:
-            assert set(net.spec(n).parents) <= (rs.interior | rs.frontier)
+            assert set(net.spec(n).parents) <= (rs.interior.keys() | rs.frontier.keys())
         # evidence partition covers the evidence exactly
         assert (
-            rs.evidence_plus | rs.evidence_in_frontier | rs.evidence_minus
+            rs.evidence_plus.keys() | rs.evidence_in_frontier.keys() | rs.evidence_minus
             == set(query.evidence)
         )
-        assert not (rs.evidence_plus & rs.evidence_in_frontier)
-        assert not (rs.evidence_minus & (rs.evidence_plus | rs.evidence_in_frontier))
+        assert not (rs.evidence_plus.keys() & rs.evidence_in_frontier.keys())
+        assert not (rs.evidence_minus & (rs.evidence_plus.keys() | rs.evidence_in_frontier.keys()))
         # deeper thresholds retrieve supersets
-        nodes = rs.interior | rs.frontier
+        nodes = rs.interior.keys() | rs.frontier.keys()
         if previous_nodes is not None:
             assert previous_nodes <= nodes
         previous_nodes = nodes
@@ -186,5 +186,5 @@ def test_retrieval_invariants_on_random_networks(seed):
                 net,
                 set(query.objective),
                 rs.evidence_minus,
-                rs.frontier | rs.evidence_plus,
+                rs.frontier.keys() | rs.evidence_plus.keys(),
             )
