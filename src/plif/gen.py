@@ -57,9 +57,11 @@ def hmm_node_name(var: str, offset: int) -> str:
 
 def hmm_model(params: HmmParams = HmmParams()) -> LazyNetwork:
     """The lazily expanded chain: hidden nodes x_t+k for every integer k,
-    each with one observation child y_t+k. The past is unbounded."""
-    stay = params.transition_stay
-    emit = params.emission_true
+    each with one observation child y_t+k. The past is unbounded. Every
+    hidden node shares one CPT, and every observation another."""
+    stay, emit = params.transition_stay, params.emission_true
+    x_cpt = ((stay, 1.0 - stay), (1.0 - stay, stay))
+    y_cpt = ((emit, 1.0 - emit), (1.0 - emit, emit))
 
     def resolve(name: str) -> NodeSpec:
         m = _HMM_NAME.match(name)
@@ -69,20 +71,8 @@ def hmm_model(params: HmmParams = HmmParams()) -> LazyNetwork:
         k = int(raw) if raw else 0
         x_pl = k + params.x_pl_shift
         if var == "x":
-            return NodeSpec(
-                name=name,
-                states=("0", "1"),
-                parents=(hmm_node_name("x", k - 1),),
-                cpt=((stay, 1.0 - stay), (1.0 - stay, stay)),
-                pl=x_pl,
-            )
-        return NodeSpec(
-            name=name,
-            states=("0", "1"),
-            parents=(hmm_node_name("x", k),),
-            cpt=((emit, 1.0 - emit), (1.0 - emit, emit)),
-            pl=x_pl + params.y_pl_offset,
-        )
+            return NodeSpec(name, ("0", "1"), (hmm_node_name("x", k - 1),), x_cpt, x_pl)
+        return NodeSpec(name, ("0", "1"), (hmm_node_name("x", k),), y_cpt, x_pl + params.y_pl_offset)
 
     return LazyNetwork(resolver=resolve, t0=float("-inf"), open_past=True)
 

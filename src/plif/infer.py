@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ from .model import (
     NodeSpec,
     Query,
 )
-from .retrieval import NetworkLike, Threshold, Walk, root_set
+from .retrieval import NetworkLike, Threshold, Walk, root_set, walk_for
 
 DEFAULT_MAX_CLAMPS = 2**16
 MAX_JOINT_CELLS = 50_000_000
@@ -225,14 +225,6 @@ def _bucket(
     return (out_axes, out if h is None else out.sum(axis=union.index(h))), logscale
 
 
-def _state_index(walk: Walk, name: str, label: str) -> int:
-    states = walk.states_of(name)
-    try:
-        return states.index(label)
-    except ValueError:
-        raise QueryError(f"node {name!r} has no state {label!r}") from None
-
-
 def _contract(
     walk: Walk,
     specs: Mapping[str, NodeSpec],
@@ -271,7 +263,7 @@ def _contract(
         for a in (*spec.parents, spec.name):
             if a not in sizes:
                 sizes[a] = len(walk.states_of(a))
-    clamps = {n: _state_index(walk, n, evidence[n]) for n in sizes if n in evidence}
+    clamps = {n: walk.states_of(n).index(evidence[n]) for n in sizes if n in evidence}
     order = sorted(specs.values(), key=lambda s: (s.pl, s.name), reverse=True)
     rank = {s.name: i for i, s in enumerate(order) if s.name not in clamps and s.name not in keep}
     buckets: dict[str, list[_Factor]] = {}
@@ -302,7 +294,7 @@ def _contract(
 
     (_, table), logscale = _bucket(rest, keep, None, sizes, scan, logscale)
     if start:
-        target = tuple(_state_index(walk, n, v) for n, v in prior.items())
+        target = tuple(walk.states_of(n).index(v) for n, v in prior.items())
         pair = np.empty((*table.shape[: len(scan)], 2))
         pair[..., 0] = table[(Ellipsis, *target)]
         pair[..., 1] = table.sum(axis=tuple(range(len(scan), len(keep))))
@@ -322,16 +314,12 @@ def _contract(
 # operations
 
 
-def cpl(
-    net: NetworkLike, query: Query, walk: Walk | None = None, max_nodes: int = DEFAULT_EXPANSION_CAP
-) -> tuple[str, float]:
-    """The objective node furthest into the past and its potential level,
-    resolved through ``walk`` when one is given.
+def cpl(walk: Walk) -> tuple[str, float]:
+    """The objective node furthest into the past and its potential level.
 
     Ties break lexicographically on the node name.
     """
-    walk = Walk() if walk is None else walk
-    pl_star, o_star = min((walk.resolve(net, n, max_nodes).pl, n) for n in query.objective)
+    pl_star, o_star = min((walk.specs[n].pl, n) for n in walk.query.objective)
     return o_star, pl_star
 
 
@@ -339,22 +327,21 @@ def cpl(
 class SweepState:
     """What a sweep carries from one threshold to the next: the retrieval
     walk and the clamp table over its unobserved frontier. A state
-    belongs to one sweep: pass it to :func:`bounds_at`
-    calls with strictly decreasing thresholds, shallowest first; a call
-    whose threshold is not below ``threshold``, the latest step's, raises
-    :class:`QueryError` and leaves the state as it was. Once any other
-    error is raised, the walk or table may be half extended, and later
+    belongs to one sweep: the first :func:`bounds_at` call builds its
+    walk, and later calls must pass the same network (the same object),
+    query and ``max_nodes`` with strictly decreasing thresholds,
+    shallowest first; any other call raises :class:`QueryError` and
+    leaves the state as it was. Once any other error is raised after the
+    walk is built, the walk or table may be half extended, and later
     calls with the state raise :class:`QueryError`."""
 
-    walk: Walk = field(default_factory=Walk)
+    walk: Walk | None = None
     threshold: Threshold | None = None
     table: _Table | None = None
     failed: bool = False
 
 
-def frontier_clamp_table(
-    walk: Walk, query: Query, state: SweepState | None = None
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+def frontier_clamp_table(walk: Walk, state: SweepState | None = None) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Conditional numerators/denominators for every clamp of the
     unobserved frontier, in one contraction.
 
@@ -372,16 +359,16 @@ def frontier_clamp_table(
     """
     scan = tuple(sorted(walk.frontier.keys() - walk.evidence_in_frontier))
     if state is None or state.table is None:
-        table = _contract(walk, walk.interior, query.evidence, scan, query.objective)
+        table = _contract(walk, walk.interior, walk.query.evidence, scan, walk.query.objective)
     else:
         band = {n: walk.interior[n] for n in walk.band}
-        table = _contract(walk, band, query.evidence, scan, state.table)
+        table = _contract(walk, band, walk.query.evidence, scan, state.table)
     if state is not None:
         state.table = table
     return scan, table.table[..., 0], table.table[..., 1]
 
 
-def exactness_status(walk: Walk, t0: float, lower: float, upper: float) -> Exactness:
+def exactness_status(walk: Walk, lower: float, upper: float) -> Exactness:
     """Classify a retrieval per the first matching exactness condition.
 
     In order: (1) the frontier lies entirely inside the evidence, so no
@@ -393,15 +380,15 @@ def exactness_status(walk: Walk, t0: float, lower: float, upper: float) -> Exact
     """
     if len(walk.frontier) == len(walk.evidence_in_frontier):
         return Exactness.FRONTIER_SUBSET_OF_EVIDENCE
-    dropped = len(walk.evidence) - len(walk.evidence_plus) - len(walk.evidence_in_frontier)
-    if not dropped and all(f.pl == t0 for f in walk.frontier.values()):
+    dropped = len(walk.query.evidence) - len(walk.evidence_plus) - len(walk.evidence_in_frontier)
+    if not dropped and all(f.pl == walk.net.t0 for f in walk.frontier.values()):
         return Exactness.FULL_PAST
     if abs(upper - lower) < PROB_TOL:
         return Exactness.COINCIDENCE
     return Exactness.NOT_EXACT
 
 
-def _exact_from_retrieval(walk: Walk, query: Query, table: _Table) -> float | None:
+def _exact_from_retrieval(walk: Walk, table: _Table) -> float | None:
     """Exact value when the retrieval closed the past: the clamp table of
     the interior times the frontier roots' own priors (in ``walk.specs``).
     None when a frontier prior is missing (truncated fragment), in which
@@ -412,9 +399,10 @@ def _exact_from_retrieval(walk: Walk, query: Query, table: _Table) -> float | No
         if spec.parents or spec.cpt is None:
             return None
         roots[name] = spec
-    num, den = _contract(walk, roots, query.evidence, (), table).table
+    evidence = walk.query.evidence
+    num, den = _contract(walk, roots, evidence, (), table).table
     if den == 0.0:
-        raise ZeroEvidenceError(f"evidence {dict(query.evidence)!r} has probability zero")
+        raise ZeroEvidenceError(f"evidence {dict(evidence)!r} has probability zero")
     return float(num / den)
 
 
@@ -436,9 +424,11 @@ def bounds_at(
     all of them are, the evidence is unreachable and an error is raised.
 
     A sweep passes one ``state`` to its calls, shallowest threshold
-    first: each call then extends the previous walk and clamp table
-    rather than starting over, and every node it resolves goes through
-    ``state.walk``. Without a state the call starts from an empty one.
+    first: the first call builds ``state.walk`` for ``net``, ``query``
+    and ``max_nodes``, and each later one, which must pass the same three
+    (:class:`SweepState`), extends the previous walk and clamp table
+    rather than starting over. Without a state the call starts from an
+    empty one.
     """
     state = SweepState() if state is None else state
     if state.failed:
@@ -448,9 +438,10 @@ def bounds_at(
             f"a sweep state needs strictly decreasing thresholds; "
             f"got {threshold.v:g} after {state.threshold.v:g}"
         )
+    state.walk = walk_for(net, query, max_nodes, state.walk)
     state.failed = True  # until this step returns
     state.threshold = threshold
-    o_star, pl_star = cpl(net, query, state.walk, max_nodes)
+    o_star, pl_star = cpl(state.walk)
     if threshold.v > pl_star:
         raise ThresholdError(threshold.v, pl_star, o_star)
     if threshold.is_full_past and net.open_past:
@@ -460,7 +451,7 @@ def bounds_at(
     width = math.prod(len(walk.frontier[n].states) for n in walk.frontier.keys() - walk.evidence_in_frontier)
     if width > cap:
         raise FrontierTooWideError(width, cap)
-    scan, num, den = frontier_clamp_table(walk, query, state)
+    scan, num, den = frontier_clamp_table(walk, state)
 
     valid = den > 0.0
     if not valid.any():
@@ -474,9 +465,9 @@ def bounds_at(
     if threshold.is_full_past:
         status = Exactness.FULL_PAST
     else:
-        status = exactness_status(walk, net.t0, lower, upper)
+        status = exactness_status(walk, lower, upper)
         if status is Exactness.FULL_PAST:
-            exact = _exact_from_retrieval(walk, query, state.table)
+            exact = _exact_from_retrieval(walk, state.table)
             if exact is None:
                 status = Exactness.NOT_EXACT
             else:
@@ -492,26 +483,24 @@ def bounds_at(
     )
 
 
-def _levels(
-    net: NetworkLike, query: Query, walk: Walk, max_steps: int | None, max_nodes: int
-) -> Iterator[Threshold]:
+def _levels(walk: Walk, max_steps: int | None) -> Iterator[Threshold]:
     """The default thresholds, each read off ``walk`` (:meth:`Walk.next_level`)
     once the caller has retrieved at the one before: the critical level
     first, none at or below ``t0``, a truncation stub among the query
     nodes or a level holding a stub, then the full-past sentinel for a
     closed past; at most ``max_steps``, which an unbounded model needs."""
+    net = walk.net
     if max_steps is not None and max_steps < 1:
         raise QueryError(f"max_steps must be at least 1, got {max_steps}")
     if max_steps is None and net.open_past and isinstance(net, LazyNetwork):
         raise QueryError("an unbounded model needs max_steps to bound the schedule")
-    specs = [walk.resolve(net, n, max_nodes) for n in query.names]
-    limit = max([net.t0] + [s.pl for s in specs if s.is_stub])
-    v, count = cpl(net, query, walk, max_nodes)[1], 0
+    limit = max([net.t0] + [walk.specs[n].pl for n in walk.query.names if walk.specs[n].is_stub])
+    v, count = cpl(walk)[1], 0
     while v > limit and count != max_steps:
         yield Threshold(v)
         count += 1
         if count != max_steps:
-            v = walk.next_level(net, max_nodes)
+            v = walk.next_level()
     if not net.open_past and count != max_steps:
         yield Threshold.full_past()
     elif not count:
@@ -533,11 +522,11 @@ def default_schedule(
     scheduled at or below ``t0`` or a truncation stub among the query
     nodes and their ancestors (one above the critical level raises the
     first retrieval's :class:`OpenPastError`)."""
-    walk = Walk()
+    walk = Walk(net, query, max_nodes)
     out = []
-    for th in _levels(net, query, walk, max_steps, max_nodes):
+    for th in _levels(walk, max_steps):
         if not th.is_full_past:
-            walk.extend(net, query, th.v, max_nodes)
+            walk.extend(th.v)
         out.append(th)
     return Schedule(tuple(out))
 
@@ -565,8 +554,8 @@ def anytime_sweep(
     if schedule is not None and max_steps is not None:
         raise QueryError("max_steps caps the default thresholds; it cannot cap a schedule")
     out: list[QueryBounds] = []
-    state = SweepState()
-    for th in _levels(net, query, state.walk, max_steps, max_nodes) if schedule is None else schedule:
+    state = SweepState(Walk(net, query, max_nodes))
+    for th in _levels(state.walk, max_steps) if schedule is None else schedule:
         qb = bounds_at(net, query, th, max_clamps=max_clamps, max_nodes=max_nodes, state=state)
         out.append(qb)
         if stop_on_exact and qb.exactness.is_exact:
@@ -590,8 +579,8 @@ def map_decision(
     if len(query.objective) != 1:
         raise QueryError("map_decision needs exactly one objective node")
     ((name, label),) = query.objective.items()
-    state = SweepState()
-    states = state.walk.resolve(net, name, DEFAULT_EXPANSION_CAP).states
+    state = SweepState(Walk(net, query))
+    states = state.walk.specs[name].states
     if len(states) != 2:
         raise QueryError(f"map_decision needs a binary objective; {name!r} has {len(states)} states")
     other = states[0] if states[1] == label else states[1]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import (
     ExpansionCapError,
@@ -78,38 +78,54 @@ class FrontierStub:
 
 @dataclass
 class Walk:
-    """One retrieval walk, extended in place as the threshold deepens; it
-    is the retrieval itself (:func:`root_set` returns it).
+    """One retrieval walk for one network, query and node cap, extended in
+    place as the threshold deepens; it is the retrieval itself
+    (:func:`root_set` returns it).
 
-    ``specs`` holds every node resolved so far (the query's nodes, every
-    node reached, and the parents :meth:`next_level` read), the one memo
-    of a walk's resolutions; each reached node is interior (kept with its
-    spec, in the order reached) or frontier (kept as its stub, so that
-    inference, which reads the two through :meth:`states_of`, never sees
-    a frontier CPD). ``pending`` lists the query nodes the threshold has
-    not yet passed, deepest first. The query's ``evidence`` is
-    partitioned relative to the latest threshold: ``evidence_plus`` sits
-    at or above it, ``evidence_in_frontier`` was reached as a clamp
-    point, and :attr:`evidence_minus` is the rest. ``band`` lists the
-    interior nodes the latest extension added. A walk whose extension
-    raised is left half extended and must not be extended again.
+    Building a walk resolves and checks the query's nodes (every one,
+    whatever its pl) and the states the query names. ``specs`` holds
+    every node resolved so far (the query's nodes, every node reached,
+    and the parents :meth:`next_level` read), the one memo of a walk's
+    resolutions, at most ``max_nodes`` of them; each reached node is
+    interior (kept with its spec, in the order reached) or frontier (kept
+    as its stub, so that inference, which reads the two through
+    :meth:`states_of`, never sees a frontier CPD). ``pending`` lists the
+    query nodes the threshold has not yet passed, deepest first. The
+    query's evidence is partitioned relative to the latest threshold:
+    ``evidence_plus`` sits at or above it, ``evidence_in_frontier`` was
+    reached as a clamp point, and :attr:`evidence_minus` is the rest.
+    ``band`` lists the interior nodes the latest extension added. A walk
+    whose extension raised is left half extended and must not be
+    extended again.
     """
 
-    specs: dict[str, NodeSpec] = field(default_factory=dict)
-    interior: dict[str, NodeSpec] = field(default_factory=dict)
-    frontier: dict[str, FrontierStub] = field(default_factory=dict)
-    pending: list[str] = field(default_factory=list)
-    evidence: Mapping[str, str] | None = None  # None until started
-    evidence_plus: dict[str, str] = field(default_factory=dict)
-    evidence_in_frontier: dict[str, str] = field(default_factory=dict)
-    band: tuple[str, ...] = ()
-    t0: float = -math.inf
+    net: NetworkLike
+    query: Query
+    max_nodes: int = DEFAULT_EXPANSION_CAP
+    specs: dict[str, NodeSpec] = field(default_factory=dict, init=False)
+    interior: dict[str, NodeSpec] = field(default_factory=dict, init=False)
+    frontier: dict[str, FrontierStub] = field(default_factory=dict, init=False)
+    pending: list[str] = field(default_factory=list, init=False)
+    evidence_plus: dict[str, str] = field(default_factory=dict, init=False)
+    evidence_in_frontier: dict[str, str] = field(default_factory=dict, init=False)
+    band: tuple[str, ...] = field(default=(), init=False)
+
+    def __post_init__(self):
+        report = t0_violations(self.net.t0, True)
+        for name, label in (*self.query.objective.items(), *self.query.evidence.items()):
+            spec = self.resolve(name)
+            if label not in spec.states:
+                raise UnknownStateError(f"node {name!r} has no state {label!r}; states are {list(spec.states)}")
+            report += _cut_violations(spec, self.net.t0)
+        if report:
+            raise InvalidNetworkError(report)
+        self.pending = sorted(self.query.names, key=lambda n: (self.specs[n].pl, n))
 
     @property
     def evidence_minus(self) -> frozenset[str]:
         """Evidence below the threshold and never reached, which the
         frontier screens off."""
-        return frozenset(self.evidence.keys() - self.evidence_plus.keys() - self.evidence_in_frontier.keys())
+        return frozenset(self.query.evidence.keys() - self.evidence_plus.keys() - self.evidence_in_frontier.keys())
 
     def states_of(self, name: str) -> tuple[str, ...]:
         node = self.interior.get(name) or self.frontier.get(name)
@@ -121,41 +137,25 @@ class Walk:
         """An open-past network document with the frontier as truncation
         stubs, plus a ``"frontier"`` list of their names."""
         stubs = {n: NodeSpec(n, f.states, (), None, f.pl) for n, f in sorted(self.frontier.items())}
-        net = Network(t0=self.t0, open_past=True, nodes={**self.interior, **stubs})
+        net = Network(t0=self.net.t0, open_past=True, nodes={**self.interior, **stubs})
         return {**network_to_document(net), "frontier": sorted(self.frontier)}
 
-    def resolve(self, net: NetworkLike, name: str, max_nodes: int) -> NodeSpec:
+    def resolve(self, name: str) -> NodeSpec:
         """``net.resolve(name)``, once per walk, up to ``max_nodes`` nodes."""
         spec = self.specs.get(name)
         if spec is None:
-            spec = self.specs[name] = net.resolve(name)
-            if len(self.specs) > max_nodes:
+            spec = self.specs[name] = self.net.resolve(name)
+            if len(self.specs) > self.max_nodes:
                 raise ExpansionCapError(
-                    f"retrieval resolved more than {max_nodes} nodes; raise the threshold or the cap"
+                    f"retrieval resolved more than {self.max_nodes} nodes; raise the threshold or the cap"
                 )
         return spec
 
-    def start(self, net: NetworkLike, query: Query, max_nodes: int) -> None:
-        """Resolve and check the query's nodes (every one, whatever its pl)
-        and the states it names."""
-        report = t0_violations(net.t0, True)
-        for name, label in (*query.objective.items(), *query.evidence.items()):
-            spec = self.resolve(net, name, max_nodes)
-            if label not in spec.states:
-                raise UnknownStateError(f"node {name!r} has no state {label!r}; states are {list(spec.states)}")
-            report += _cut_violations(spec, net.t0)
-        if report:
-            raise InvalidNetworkError(report)
-        self.pending = sorted(query.names, key=lambda n: (self.specs[n].pl, n))
-        self.evidence, self.t0 = query.evidence, net.t0
-
-    def extend(self, net: NetworkLike, query: Query, v: float, max_nodes: int) -> None:
+    def extend(self, v: float) -> None:
         """Extend the walk to the threshold ``v``, as :func:`root_set`
         describes, and record its band."""
-        if self.evidence is None:
-            self.start(net, query, max_nodes)
         specs, interior, frontier, pending = self.specs, self.interior, self.frontier, self.pending
-        evidence, e_plus, e_front = query.evidence, self.evidence_plus, self.evidence_in_frontier
+        evidence, e_plus, e_front = self.query.evidence, self.evidence_plus, self.evidence_in_frontier
 
         seen = {n for n in frontier if specs[n].pl >= v}
         for name in seen:
@@ -175,8 +175,8 @@ class Walk:
         while queue:
             name = queue.popleft()
             spec = specs[name]
-            parents = [self.resolve(net, p, max_nodes) for p in spec.parents] if spec.pl >= v else ()
-            report = edge_violations(spec, parents) if parents else _cut_violations(spec, net.t0)
+            parents = [self.resolve(p) for p in spec.parents] if spec.pl >= v else ()
+            report = edge_violations(spec, parents) if parents else _cut_violations(spec, self.net.t0)
             if report:
                 raise InvalidNetworkError(report)
             if spec.pl < v:
@@ -197,7 +197,7 @@ class Walk:
                     queue.append(p)
         self.band = tuple(band)
 
-    def next_level(self, net: NetworkLike, max_nodes: int) -> float:
+    def next_level(self) -> float:
         """The latest level below the last retrieval: the largest pl among
         the frontier and the parents of the pending query nodes (read
         latest first, down to that level), behind which every other strict
@@ -211,10 +211,21 @@ class Walk:
             if specs[name].pl <= level:
                 break
             for p in specs[name].parents:
-                spec = self.resolve(net, p, max_nodes)
+                spec = self.resolve(p)
                 if spec.pl >= level:
                     level, stub = spec.pl, spec.is_stub or (stub and spec.pl == level)
         return -math.inf if stub else level
+
+
+def walk_for(net: NetworkLike, query: Query, max_nodes: int, walk: Walk | None) -> Walk:
+    """A new walk when ``walk`` is None, else ``walk`` itself once it is
+    checked to be built for ``net`` (the same object), ``query`` and
+    ``max_nodes``; :class:`QueryError` when it is not."""
+    if walk is None:
+        return Walk(net, query, max_nodes)
+    if walk.net is not net or walk.max_nodes != max_nodes or (walk.query is not query and walk.query != query):
+        raise QueryError("this walk was built for another network, query or max_nodes; start a new one")
+    return walk
 
 
 def _cut_violations(spec: NodeSpec, t0: float) -> list:
@@ -313,11 +324,13 @@ def root_set(
     shallower threshold when one is given: only its old frontier nodes
     now at or above the threshold, and query nodes newly above it, are
     expanded, so a step costs its band and frontier, and the retrieval
-    equals a fresh walk's. Without a ``walk`` the call owns a new one.
+    equals a fresh walk's. A ``walk`` built for another network (object),
+    query or ``max_nodes`` raises :class:`QueryError` and is left as it
+    was. Without a ``walk`` the call owns a new one.
 
     A parentless interior node contributes nothing to the frontier: its
     past is already complete.
     """
-    walk = Walk() if walk is None else walk
-    walk.extend(net, query, threshold.v, max_nodes)
+    walk = walk_for(net, query, max_nodes, walk)
+    walk.extend(threshold.v)
     return walk

@@ -160,7 +160,7 @@ def test_criterion_04_submodel_conditionals_match_full_network(corpus):
             return {n: rec.net.spec(n).states.index(s) for n, s in assignment.items()}
 
         for step in rec.steps:
-            scan, num, den = frontier_clamp_table(step.rs, rec.query)
+            scan, num, den = frontier_clamp_table(step.rs)
             observed = {
                 e: rec.query.evidence[e]
                 for e in step.rs.evidence_plus.keys() | step.rs.evidence_in_frontier.keys()

@@ -75,6 +75,14 @@ def test_query_threshold_above_cpl_exits_3_quoting_level(cli, chain_file):
     assert "4" in err
 
 
+def test_query_unknown_state_exits_1_before_the_threshold_is_checked(cli, chain_file):
+    # the query's states are checked when its walk is built, before the
+    # threshold is compared with the critical level
+    code, _, err = cli("query", chain_file, "--target", "x=maybe", "--threshold", "4.5")
+    assert code == 1
+    assert "maybe" in err
+
+
 def test_query_zero_probability_evidence_exits_4(cli, tmp_path):
     doc = {
         "t0": 0.0,

@@ -9,7 +9,8 @@ carried clamp table stays right across wide bands, underflow-scale
 windows, forced rescaling and exactly-zero normalizers. The last part
 checks that a step's retrieval, the sweep's extended walk, equals a
 fresh one, that a state refuses to go on after a step raised, and that
-it refuses a threshold not below its last one.
+it refuses a threshold not below its last one, or another network,
+query or node cap than its first step's.
 """
 
 import dataclasses
@@ -332,7 +333,7 @@ def _assert_same_retrieval(a, b):
     assert a.evidence_plus == b.evidence_plus
     assert a.evidence_in_frontier == b.evidence_in_frontier
     assert a.evidence_minus == b.evidence_minus
-    assert a.t0 == b.t0
+    assert a.net.t0 == b.net.t0
 
 
 def _assert_shared_retrievals_match_fresh(net, q, schedule):
@@ -358,7 +359,7 @@ def test_shared_retrieval_matches_fresh_on_corpus_networks(seed):
 
 def test_retrieval_from_an_extended_walk_reads_as_the_deeper_one():
     lazy, q = hmm_model(HMM), hmm_query(HMM)
-    walk = Walk()
+    walk = Walk(lazy, q)
     shallow = root_set(lazy, q, Threshold(-1.0), walk=walk)
     own = root_set(lazy, q, Threshold(-1.0))
     band = shallow.band
@@ -381,13 +382,13 @@ def _assert_fresh_state_sweeps(net, q, thresholds, **kw):
 def test_state_refuses_a_step_after_the_expansion_cap_raised_mid_walk():
     p = HmmParams(window=6)
     lazy, q = hmm_model(p), hmm_query(p)
+    cap = len(root_set(lazy, q, Threshold(-1.0)).specs) + 2
     state = infer.SweepState()
-    bounds_at(lazy, q, Threshold(-1.0), state=state)
-    cap = len(state.walk.specs) + 2
+    bounds_at(lazy, q, Threshold(-1.0), state=state, max_nodes=cap)
     with pytest.raises(ExpansionCapError):
         bounds_at(lazy, q, Threshold(-4.0), state=state, max_nodes=cap)
     with pytest.raises(QueryError, match="new SweepState"):
-        bounds_at(lazy, q, Threshold(-4.0), state=state)
+        bounds_at(lazy, q, Threshold(-4.0), state=state, max_nodes=cap)
     _assert_fresh_state_sweeps(lazy, q, (Threshold(-1.0), Threshold(-4.0)))
 
 
@@ -413,6 +414,41 @@ def test_state_refuses_a_step_after_the_frontier_cap_raised_past_the_walk():
     with pytest.raises(QueryError, match="new SweepState"):
         bounds_at(lazy, q, Threshold(-3.0), state=state, max_clamps=8)
     _assert_fresh_state_sweeps(lazy, q, (Threshold(-1.0), Threshold(-2.0)), max_clamps=8)
+
+
+def _other_objective(lazy, q, state):
+    bounds_at(lazy, Query({"x_t+1": "0"}, q.evidence), Threshold(-2.0), state=state)
+
+
+def _other_network(lazy, q, state):
+    bounds_at(hmm_model(HmmParams(transition_stay=0.6)), q, Threshold(-2.0), state=state)
+
+
+def _other_max_nodes(lazy, q, state):
+    bounds_at(lazy, q, Threshold(-2.0), state=state, max_nodes=1000)
+
+
+def _root_set_of_another_query(lazy, q, state):
+    root_set(lazy, Query({"x_t+1": "0"}, q.evidence), Threshold(-2.0), walk=state.walk)
+
+
+@pytest.mark.parametrize(
+    "misuse",
+    [_other_objective, _other_network, _other_max_nodes, _root_set_of_another_query],
+    ids=["objective", "network", "max_nodes", "root_set"],
+)
+def test_sweep_state_belongs_to_its_first_step(misuse):
+    # a state's walk was built for the first step's network, query and
+    # cap; a step with another would read that walk's retrieval and clamp
+    # table (P(x_t+1=1), stay 0.9) and return a wrong bracket
+    lazy, q = hmm_model(HMM), hmm_query(HMM)
+    state = infer.SweepState()
+    first = bounds_at(lazy, q, Threshold(-1.0), state=state)
+    with pytest.raises(QueryError, match="another network, query or max_nodes"):
+        misuse(lazy, q, state)
+    thresholds = (Threshold(-1.0), Threshold(-2.0), Threshold(-3.0))
+    rows = [first, *(bounds_at(lazy, q, th, state=state) for th in thresholds[1:])]
+    _assert_same_rows(rows, [bounds_at(lazy, q, th) for th in thresholds])
 
 
 def test_state_refuses_a_threshold_not_below_the_last_and_goes_on_deeper():

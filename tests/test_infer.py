@@ -36,6 +36,7 @@ from plif import (
 )
 from plif.gen import hmm_node_name
 from plif.infer import cpl, exactness_status, map_decision
+from plif.retrieval import Walk
 
 HMM = HmmParams()
 
@@ -75,19 +76,19 @@ def test_schedule_must_strictly_decrease_and_be_nonempty():
 
 
 def test_cpl_chain(chain_net):
-    assert cpl(chain_net, Query({"x": "1"}, {"y": "1"})) == ("x", 4.0)
+    assert cpl(Walk(chain_net, Query({"x": "1"}, {"y": "1"}))) == ("x", 4.0)
 
 
 def test_cpl_single_objective(two_node_net):
-    assert cpl(two_node_net, Query({"e": "0"})) == ("e", 1.0)
+    assert cpl(Walk(two_node_net, Query({"e": "0"}))) == ("e", 1.0)
 
 
 def test_cpl_on_lazy_model():
-    assert cpl(hmm_model(HMM), hmm_query(HMM)) == ("x_t+1", -1.0)
+    assert cpl(Walk(hmm_model(HMM), hmm_query(HMM))) == ("x_t+1", -1.0)
 
 
 def test_cpl_tie_breaks_lexicographically(collider_net):
-    assert cpl(collider_net, Query({"b": "1", "a": "1"})) == ("a", 0.0)
+    assert cpl(Walk(collider_net, Query({"b": "1", "a": "1"}))) == ("a", 0.0)
 
 
 # --- exact values: the full-past bracket, where lower equals upper --------------
@@ -141,16 +142,16 @@ def test_exact_rejects_open_past():
 # --- frontier conditionals: the cells of the clamp table ------------------------
 
 
-def _clamp_values(rs, query):
+def _clamp_values(rs):
     """The clamp table's conditional at every clamp, by scan node."""
-    scan, num, den = infer.frontier_clamp_table(rs, query)
+    scan, num, den = infer.frontier_clamp_table(rs)
     assert (den > 0.0).all()
     return scan, num / den
 
 
 def test_frontier_conditional_chain_is_cpt_row(chain_net):
     q = Query({"x": "1"}, {"y": "1"})
-    scan, values = _clamp_values(root_set(chain_net, q, Threshold(4.0)), q)
+    scan, values = _clamp_values(root_set(chain_net, q, Threshold(4.0)))
     assert scan == ("t1",)
     assert values.tolist() == pytest.approx([0.25, 0.9])
     for s, got in zip(("0", "1"), values):
@@ -159,7 +160,7 @@ def test_frontier_conditional_chain_is_cpt_row(chain_net):
 
 def test_frontier_conditional_single_factor_lookup(two_node_net):
     q = Query({"e": "1"})
-    scan, values = _clamp_values(root_set(two_node_net, q, Threshold(1.0)), q)
+    scan, values = _clamp_values(root_set(two_node_net, q, Threshold(1.0)))
     assert scan == ("c",)
     assert values[0] == pytest.approx(0.1)
     assert values[0] == pytest.approx(oracles.conditional(two_node_net, {"e": "1"}, {"c": "0"}))
@@ -169,7 +170,7 @@ def test_frontier_conditional_normalizes_over_states(chain_net):
     total = 0.0
     for s in ("0", "1"):
         q = Query({"x": s}, {"y": "1"})
-        scan, values = _clamp_values(root_set(chain_net, q, Threshold(3.0)), q)
+        scan, values = _clamp_values(root_set(chain_net, q, Threshold(3.0)))
         assert scan == ("t2",)
         total += values[1]
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -186,7 +187,7 @@ def test_frontier_conditional_matches_full_network(seed):
     )
     for v in levels:
         rs = root_set(net, query, Threshold(v))
-        scan, values = _clamp_values(rs, query)
+        scan, values = _clamp_values(rs)
         assert scan == tuple(sorted(rs.frontier.keys() - set(query.evidence)))
         e_plus = {e: query.evidence[e] for e in rs.evidence_plus}
         observed = {e: query.evidence[e] for e in rs.evidence_in_frontier}
@@ -315,7 +316,7 @@ def test_bounds_exact_zero_normalizer_survives_scaling():
     lazy = LazyNetwork(resolver=resolve, t0=inner.t0, open_past=True)
     q = hmm_query(p)
     th = Threshold(-float(window))
-    _, _, den = infer.frontier_clamp_table(root_set(lazy, q, th), q)
+    _, _, den = infer.frontier_clamp_table(root_set(lazy, q, th))
     assert den[0] == 0.0 and den[1] > 0.0
     qb = bounds_at(lazy, q, th)
     want = oracles.hmm_clamp_filter(0.9, 0.8, 1, window - 1, window)
@@ -371,13 +372,13 @@ def test_widest_bucket_of_coupled_chains_is_pinned(monkeypatch, cap, fits):
 
 def test_status_frontier_subset_of_evidence(chain_net):
     rs = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold(2.0))
-    status = exactness_status(rs, chain_net.t0, 0.3, 0.7)
+    status = exactness_status(rs, 0.3, 0.7)
     assert status is Exactness.FRONTIER_SUBSET_OF_EVIDENCE
 
 
 def test_status_full_past_when_frontier_sits_at_origin(collider_net):
     rs = root_set(collider_net, Query({"c": "1"}), Threshold(1.0))
-    status = exactness_status(rs, collider_net.t0, 0.2, 0.8)
+    status = exactness_status(rs, 0.2, 0.8)
     assert status is Exactness.FULL_PAST
 
 
@@ -387,7 +388,7 @@ def test_status_coincidence_when_bounds_meet():
     o = NodeSpec("o", ("0", "1"), ("m",), ((0.42, 0.58), (0.42, 0.58)), pl=2.0)
     net = make_net(0.0, False, r, m, o)
     rs = root_set(net, Query({"o": "1"}), Threshold(2.0))
-    status = exactness_status(rs, net.t0, 0.42, 0.42)
+    status = exactness_status(rs, 0.42, 0.42)
     assert status is Exactness.COINCIDENCE
     qb = bounds_at(net, Query({"o": "0"}), Threshold(2.0))
     assert qb.exactness is Exactness.COINCIDENCE
@@ -397,7 +398,7 @@ def test_status_coincidence_when_bounds_meet():
 def test_status_not_exact(chain_net):
     rs = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold(4.0))
     assert (
-        exactness_status(rs, chain_net.t0, 0.25, 0.9)
+        exactness_status(rs, 0.25, 0.9)
         is Exactness.NOT_EXACT
     )
 

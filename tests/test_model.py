@@ -175,6 +175,6 @@ def test_materialize_deterministic():
     assert serialize(a) == serialize(b)
 
 
-def test_lazy_resolver_is_cached_and_consistent():
+def test_lazy_resolver_is_deterministic():
     lazy = hmm_model(HmmParams())
     assert lazy.resolve("x_t") == lazy.resolve("x_t") == hmm_model(HmmParams()).resolve("x_t")
