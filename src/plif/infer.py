@@ -6,17 +6,16 @@ bucket elimination that multiplies CPTs into a table of numerators and
 normalizers over the frontier clamps. It eliminates latest first, in
 decreasing potential level, which puts every node's children before
 it, and builds each CPT only when it reaches the node, so only the cut
-is live. Each bucket is one einsum call, checked against underflow by
-its summed message (at most ``|h|`` times its product's peak); a bucket
-that fails, or has more than 31 factors, is redone one factor at a
-time and rescaled per clamp. The scales are kept as logs, so long
-evidence chains cannot underflow. A sweep keeps that table and, at
-each deeper threshold, contracts only the CPTs of the newly retrieved
-nodes into it, and reads each next threshold off its own retrieval
-walk, whose resolved nodes, query nodes included, count against the
-:class:`ExpansionCapError` cap. The exact value of a closed-past query
-is its bracket at the full-past threshold, where the frontier is empty
-and the bounds coincide.
+is live. Each bucket is one einsum call; where one cannot certify a
+cell, the whole contraction is redone in logs (:func:`_bucket`). The
+table keeps one log-scale per clamp, so long evidence chains cannot
+underflow. A sweep keeps that table and, at each deeper threshold,
+contracts only the CPTs of the newly retrieved nodes into it, and reads
+each next threshold off its own retrieval walk, whose resolved nodes,
+query nodes included, count against the :class:`ExpansionCapError`
+cap. The exact value of a closed-past query is its bracket at the
+full-past threshold, where the frontier is empty and the bounds
+coincide.
 
 Bounds come from scanning the unobserved frontier: for every joint clamp
 of those stubs the submodel yields one conditional value, and the true
@@ -111,11 +110,17 @@ _Factor = tuple[_Axes, np.ndarray]
 #: the last axis of every clamp table: 0 is the numerator, 1 the normalizer
 #: (an object, so that no node name can collide with it)
 _NUM_DEN = object()
-#: factors are rescaled once their peak at some clamp falls below this;
-#: they never exceed 1, since every variable summed out brings its own CPT
+#: a linear contraction divides by its peak once the peak falls below this;
+#: no cell exceeds 1, since every variable summed out brings its own CPT
 _TINY = 2.0**-64
+#: a linear cell below this is either an exact zero or redone in logs
+_FLOOR = 2.0**-900
 #: numpy 1.x einsum takes at most 31 operands (numpy 2 takes 63)
 _EINSUM_MAX = 31
+
+
+class _NeedsLog(Exception):
+    """A linear bucket cannot certify one of its cells."""
 
 
 @dataclass(frozen=True)
@@ -157,80 +162,52 @@ def _align(axes: _Axes, table: np.ndarray, out_axes: _Axes) -> np.ndarray:
     return table.reshape(shape)
 
 
-def _peak(axes: _Axes, table: np.ndarray, scan: _Axes) -> np.ndarray:
-    """The maximum of ``table`` over its non-scan axes, per scan cell."""
-    return table.max(axis=tuple(i for i, a in enumerate(axes) if a not in scan), keepdims=True)
-
-
-def _rescale(
-    axes: _Axes, table: np.ndarray, scan: _Axes, logscale: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Once the maximum over the non-scan axes falls below _TINY at some
-    scan cell, divide by it per scan cell and add its log to ``logscale``
-    (aligned to ``scan``). An all-zero cell keeps scale 1, so exact zeros
-    stay exact."""
-    peak = _peak(axes, table, scan)
-    if peak.min() >= _TINY:
-        return table, logscale
-    peak = np.where(peak > 0.0, peak, 1.0)
-    kept = tuple(a for a in axes if a in scan)
-    log = _align(kept, np.log(peak).reshape([table.shape[axes.index(a)] for a in kept]), scan)
-    return table / peak, log if logscale is None else logscale + log
-
-
-def _product(
-    factors: Sequence[_Factor], out_axes: _Axes, scan: _Axes, logscale: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The product of ``factors`` over ``out_axes``, one factor at a time,
-    rescaling (:func:`_rescale`) after each, so that a scan cell is zero
-    only where it is exactly zero; and ``logscale`` plus the logs of the
-    rescaling."""
-    out, logscale = _rescale(out_axes, _align(*factors[0], out_axes), scan, logscale)
-    for axes, table in factors[1:]:
-        out, logscale = _rescale(out_axes, out * _align(axes, table, out_axes), scan, logscale)
-    return out, logscale
-
-
 def _bucket(
-    group: Sequence[_Factor],
-    union: _Axes,
-    h: str | None,
-    sizes: Mapping[str, int],
-    scan: _Axes,
-    logscale: np.ndarray | None,
-) -> tuple[_Factor, np.ndarray | None]:
+    group: Sequence[_Factor], union: _Axes, h: str | None, sizes: Mapping[str, int], log: bool
+) -> tuple[_Factor, float]:
     """The product of ``group`` (factors over ``union``) with ``h`` summed
     out (None sums nothing), which may share memory with a factor and so
-    must not be written to, and ``logscale`` plus the logs of any
-    rescaling.
+    must not be written to, and the log of the scalar it was divided by.
 
-    One :func:`numpy.einsum` call multiplies and sums. No factor exceeds
-    1, so multiplying one in never raises the peak at a scan cell, and
-    summing ``h`` out raises it at most ``|h|``-fold: if the sum's peak is
-    at least ``|h|`` times _TINY at every scan cell, no partial product
-    fell below _TINY. Otherwise, or past numpy 1.x einsum's 31 operands,
-    two or more factors are multiplied by :func:`_product`."""
+    In logs (``log``) the factors are added and ``h`` is summed out by
+    ``np.logaddexp``. Linearly, one :func:`numpy.einsum` call multiplies
+    and sums. A lone factor is only summed, which is accurate; a product
+    is divided by its peak once that is below _TINY. Each input is a CPT
+    entry or a message of this function, so none exceeds 1 and each is
+    accurate or exactly zero. A partial product that underflows stays
+    below 2^-1022, so a cell of at least _FLOOR has lost at most ``|h|``
+    such terms, a relative error of at most ``|h|``·2^-122. A cell below
+    _FLOOR must be an exact zero, as the einsum of the factors' 0/1
+    masks shows; if not, or past numpy 1.x einsum's 31 operands,
+    :class:`_NeedsLog` is raised."""
     cells = math.prod(sizes[a] for a in union)
     if cells > MAX_JOINT_CELLS:
         raise FactorTooLargeError(cells, MAX_JOINT_CELLS)
     out_axes = tuple(a for a in union if a != h)
-    if len(group) <= _EINSUM_MAX:
-        ids = {a: i for i, a in enumerate(union)}
-        operands = itertools.chain.from_iterable((t, [ids[a] for a in axes]) for axes, t in group)
-        out = np.einsum(*operands, [ids[a] for a in out_axes])
-        bound = _TINY if h is None else _TINY * sizes[h]
-        if len(group) == 1 or _peak(out_axes, out, scan).min() >= bound:
-            return (out_axes, out), logscale
-    out, logscale = _product(group, union, scan, logscale)
-    return (out_axes, out if h is None else out.sum(axis=union.index(h))), logscale
+    if log:
+        out = sum(_align(axes, t, union) for axes, t in group)
+        return (out_axes, out if h is None else np.logaddexp.reduce(out, axis=union.index(h))), 0.0
+    if len(group) > _EINSUM_MAX:
+        raise _NeedsLog
+    ids = {a: i for i, a in enumerate(union)}
+    subscripts = [[ids[a] for a in axes] for axes, _ in group]
+    out_ids = [ids[a] for a in out_axes]
+    out = np.einsum(*itertools.chain.from_iterable(zip((t for _, t in group), subscripts)), out_ids)
+    if len(group) == 1:
+        return (out_axes, out), 0.0
+    if out.min() < _FLOOR:
+        masks = ((t > 0.0).astype(float) for _, t in group)
+        support = np.einsum(*itertools.chain.from_iterable(zip(masks, subscripts)), out_ids)
+        if ((out < _FLOOR) & (support > 0.0)).any():
+            raise _NeedsLog
+    peak = out.max()
+    if 0.0 < peak < _TINY:
+        return (out_axes, out / peak), math.log(peak)
+    return (out_axes, out), 0.0
 
 
 def _contract(
-    walk: Walk,
-    specs: Mapping[str, NodeSpec],
-    evidence: Assignment,
-    scan: _Axes,
-    prior: _Table | Assignment,
+    walk: Walk, specs: Mapping[str, NodeSpec], evidence: Assignment, scan: _Axes, prior: _Table | Assignment
 ) -> _Table:
     """Multiply the CPTs in ``specs`` (nodes of ``walk``) into ``prior``,
     with ``evidence`` fixed, and sum out every variable but ``scan``, by
@@ -247,13 +224,26 @@ def _contract(
     Every edge runs from a strictly lower pl to a higher one, so the
     order reaches each node after its children. A CPT is built when the
     order reaches its node and each factor waits in the bucket of its
-    first variable summed out, so only the cut is live. A bucket is one
-    einsum call, or one factor at a time past its _TINY check or 31
-    factors (:func:`_bucket`), so the numerator and normalizer of one
-    clamp share one positive scale. ``prior``'s own log-scales are first
-    brought, per surviving scan cell, to their maximum over the axes
-    summed away.
+    first variable summed out, so only the cut is live. The elimination
+    runs linearly first, with one einsum per bucket and one scalar scale
+    that ``prior``'s per-clamp scales join at their maximum; where a
+    bucket cannot certify a cell (:func:`_bucket`), or ``prior``'s clamps
+    span more than _FLOOR below it, the whole call is redone in logs.
+    The result is normalized per clamp, unless it is linear and no
+    normalizer is below _TINY; from logs, a numerator below 2^-1074 of
+    its normalizer reads zero.
     """
+    try:
+        return _eliminate(walk, specs, evidence, scan, prior, False)
+    except _NeedsLog:
+        with np.errstate(divide="ignore"):
+            return _eliminate(walk, specs, evidence, scan, prior, True)
+
+
+def _eliminate(
+    walk: Walk, specs: Mapping[str, NodeSpec], evidence: Assignment, scan: _Axes, prior: _Table | Assignment, log: bool
+) -> _Table:
+    """:func:`_contract`, in logs (``log``) or linearly."""
     start = not isinstance(prior, _Table)
     keep = (*scan, *prior) if start else (*scan, _NUM_DEN)
     sizes: dict = {_NUM_DEN: 2}
@@ -273,41 +263,46 @@ def _contract(
         h = min((a for a in factor[0] if a in rank), key=rank.__getitem__, default=None)
         (rest if h is None else buckets.setdefault(h, [])).append(factor)
 
-    logscale = None
+    shift = 0.0
     if not start:
         table = prior.table
-        if prior.logscale is not None:
-            gone = tuple(i for i, a in enumerate(prior.axes) if a not in scan)
-            peak = prior.logscale.max(axis=gone, keepdims=True)
-            base = np.where(np.isfinite(peak), peak, 0.0)
-            table = table * np.exp(prior.logscale - base)[..., None]
-            kept = tuple(a for a in prior.axes if a in scan)
-            logscale = _align(kept, peak.reshape([sizes[a] for a in kept]), scan)
+        if log:
+            table = np.log(table) + (0.0 if prior.logscale is None else prior.logscale[..., None])
+        elif prior.logscale is not None:
+            finite = prior.logscale[prior.logscale > -np.inf]  # never empty: some clamp was valid
+            shift = float(finite.max())
+            if finite.min() - shift < math.log(_FLOOR):
+                raise _NeedsLog
+            table = table * np.exp(prior.logscale - shift)[..., None]
         place(((*prior.axes, _NUM_DEN), table))
     for spec in order:
-        place(_reduce(_cpt_factor(spec, sizes), clamps))
+        axes, table = _reduce(_cpt_factor(spec, sizes), clamps)
+        place((axes, np.log(table) if log else table))
         if spec.name in rank:
             group = buckets.pop(spec.name)
             union: _Axes = tuple(dict.fromkeys(a for axes, _ in group for a in axes))
-            message, logscale = _bucket(group, union, spec.name, sizes, scan, logscale)
+            message, scale = _bucket(group, union, spec.name, sizes, log)
+            shift += scale
             place(message)
-
-    (_, table), logscale = _bucket(rest, keep, None, sizes, scan, logscale)
+    (_, table), scale = _bucket(rest, keep, None, sizes, log)
+    shift += scale
     if start:
         target = tuple(walk.states_of(n).index(v) for n, v in prior.items())
         pair = np.empty((*table.shape[: len(scan)], 2))
         pair[..., 0] = table[(Ellipsis, *target)]
-        pair[..., 1] = table.sum(axis=tuple(range(len(scan), len(keep))))
+        objective = tuple(range(len(scan), len(keep)))
+        flat = table.reshape((*pair.shape[:-1], -1))
+        pair[..., 1] = np.logaddexp.reduce(flat, axis=-1) if log else table.sum(axis=objective)
         table = pair
     den = table[..., 1]  # the peak of each clamp, as num <= den
-    if den.min() < _TINY:
-        zero = den == 0.0
-        den = np.where(zero, 1.0, den)
-        table = table / den[..., None]
-        logscale = np.where(zero, -np.inf, np.log(den) + (0.0 if logscale is None else logscale))
-    elif logscale is not None:
-        logscale = np.broadcast_to(logscale, den.shape)
-    return _Table(scan, table, logscale)
+    if log:
+        finite = np.where(den == -np.inf, 0.0, den)
+        return _Table(scan, np.exp(table - finite[..., None]), den)
+    if den.min() >= _TINY:
+        return _Table(scan, table, None if shift == 0.0 else np.full(den.shape, shift))
+    zero = den == 0.0
+    den = np.where(zero, 1.0, den)
+    return _Table(scan, table / den[..., None], np.where(zero, -np.inf, np.log(den) + shift))
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +394,15 @@ def _exact_from_retrieval(walk: Walk, table: _Table) -> float | None:
         if spec.parents or spec.cpt is None:
             return None
         roots[name] = spec
-    evidence = walk.query.evidence
-    num, den = _contract(walk, roots, evidence, (), table).table
+    num, den = _contract(walk, roots, walk.query.evidence, (), table).table
     if den == 0.0:
-        raise ZeroEvidenceError(f"evidence {dict(evidence)!r} has probability zero")
+        raise _zero_evidence(walk.query.evidence)
     return float(num / den)
+
+
+def _zero_evidence(evidence: Assignment) -> ZeroEvidenceError:
+    more = f" and {len(evidence) - 5} more nodes" if len(evidence) > 5 else ""
+    return ZeroEvidenceError(f"evidence {dict(itertools.islice(evidence.items(), 5))!r}{more} has probability zero")
 
 
 def bounds_at(
@@ -455,7 +454,7 @@ def bounds_at(
 
     valid = den > 0.0
     if not valid.any():
-        raise ZeroEvidenceError(f"evidence {dict(query.evidence)!r} has probability zero")
+        raise _zero_evidence(query.evidence)
     # num <= den holds exactly in real arithmetic; the clip only absorbs
     # last-ulp drift from summing the objective axis into den
     ratios = np.clip(num[valid] / den[valid], 0.0, 1.0)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import plif
 from conftest import TWO_NODE_DOC
 from plif import load_network
 
@@ -98,6 +101,24 @@ def test_query_zero_probability_evidence_exits_4(cli, tmp_path):
     code, _, err = cli("query", str(path), "--target", "s=0", "--obs", "k=1", "--exact")
     assert code == 4
     assert "probability zero" in err
+
+
+# the full-past bracket finds every clamp zero; at threshold 1 the root r
+# is the one clamp, r = 1 is possible inside the fragment, and r's own
+# prior then makes the exact value zero over zero
+@pytest.mark.parametrize("mode", [["--exact"], ["--threshold", "1"]], ids=["full_past", "exact_from_retrieval"])
+def test_zero_probability_message_names_a_few_of_many_evidence_nodes(cli, tmp_path, mode):
+    copy = [[1.0, 0.0], [0.0, 1.0]]
+    nodes = [{"name": "r", "states": ["0", "1"], "pl": 0.0, "parents": [], "cpt": [[1.0, 0.0]]}]
+    nodes += [{"name": f"k{i}", "states": ["0", "1"], "pl": 1.0, "parents": ["r"], "cpt": copy} for i in range(2000)]
+    nodes.append({"name": "o", "states": ["0", "1"], "pl": 2.0, "parents": ["r"], "cpt": copy})
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"t0": 0.0, "open_past": False, "nodes": nodes}))
+    obs = [a for i in range(2000) for a in ("--obs", f"k{i}=1")]
+    code, _, err = cli("query", str(path), "--target", "o=1", *obs, *mode)
+    assert code == 4
+    assert "and 1995 more nodes has probability zero" in err
+    assert len(err) < 200
 
 
 def test_query_formats_agree_on_numbers(cli, chain_file):
@@ -351,3 +372,18 @@ def test_module_entry_point_runs_as_subprocess(two_node_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "exact=0.310000000"
+
+
+def test_ci_checks_script_passes(tmp_path):
+    # the workflow's end-to-end checks, with plif resolved to python -m plif
+    shim = tmp_path / "plif"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m plif "$@"\n')
+    shim.chmod(0o755)
+    (tmp_path / "python").symlink_to(sys.executable)
+    script = Path(__file__).with_name("cli_checks.sh")
+    # the plif these tests import, wherever the checks run from
+    path = [str(Path(plif.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PATH": f"{tmp_path}{os.pathsep}{os.environ['PATH']}", "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(["bash", str(script)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.rstrip().endswith("unwritable dump check: exit 2")

@@ -222,6 +222,64 @@ def test_incremental_sweep_keeps_per_clamp_scales_of_a_surviving_frontier_node()
     _assert_same_rows(rows, fresh)
 
 
+def _switch_chain(with_z):
+    """The window-1000 chain whose observations all depend on a switch s
+    (pl -5000), as above. With ``with_z``, s has a parent z (pl -7000,
+    prior (0.5, 0.5)): z = 0 forces s = 1, z = 1 leaves it at (0.5, 0.5),
+    and 1000 observed children w_j of z (pl about -6999) make z = 0 about
+    (0.95 / 0.05)^1000 times likelier. Without it, s has the prior (0, 1).
+    Either way s = 1 is all but certain, every y then shows 1 with
+    probability 0.05 whatever the hidden state, and the answer is 0.5 to
+    within e^-172; but inside one factor the mass of s = 0 beats that of
+    s = 1 by a factor of about 14 per observation, far past the range of
+    a double."""
+    p = HmmParams(window=1000)
+    inner = hmm_model(p)
+    switched = ((0.8, 0.2), (0.95, 0.05), (0.2, 0.8), (0.95, 0.05))
+    ws = {f"w{j}": -6999.0 + j * 1e-4 for j in range(1000)} if with_z else {}
+
+    def resolve(name):
+        if name == "z":
+            return NodeSpec("z", ("0", "1"), (), ((0.5, 0.5),), pl=-7000.0)
+        if name == "s" and with_z:
+            return NodeSpec("s", ("0", "1"), ("z",), ((0.0, 1.0), (0.5, 0.5)), pl=-5000.0)
+        if name == "s":
+            return NodeSpec("s", ("0", "1"), (), ((0.0, 1.0),), pl=-5000.0)
+        if name in ws:
+            return NodeSpec(name, ("0", "1"), ("z",), ((0.05, 0.95), (0.95, 0.05)), pl=ws[name])
+        spec = inner.resolve(name)
+        if name.startswith("y"):
+            return dataclasses.replace(spec, parents=(*spec.parents, "s"), cpt=switched)
+        return spec
+
+    q = hmm_query(p)
+    return LazyNetwork(resolve, float("-inf")), Query(q.objective, {**q.evidence, **dict.fromkeys(ws, "1")})
+
+
+def test_switch_chain_brackets_the_truth_once_the_switch_is_interior():
+    net, q = _switch_chain(with_z=True)
+    # at -4000 the switch is a frontier clamp: s = 0 is the plain chain
+    # and s = 1 leaves the hidden state unobserved
+    qb = bounds_at(net, q, Threshold(-4000.0))
+    ends = [oracles.hmm_clamp_filter(0.9, emit, c, 4000, 1000) for emit in (0.8, 0.5) for c in (0, 1)]
+    assert qb.lower == pytest.approx(min(ends), abs=1e-9)
+    assert qb.upper == pytest.approx(max(ends), abs=1e-9)
+    assert qb.exactness is infer.Exactness.NOT_EXACT
+    # at -6000 z is the clamp and the w_j lie below the threshold: z = 0
+    # gives 0.5, and the bracket must keep it
+    qb = bounds_at(net, q, Threshold(-6000.0))
+    assert qb.lower - 1e-9 <= 0.5 <= qb.upper + 1e-9
+    assert not qb.exactness.is_exact
+
+
+def test_switch_chain_with_a_sure_switch_is_not_zero_evidence():
+    # the evidence has probability about 0.05^1000, about e^-3000
+    net, q = _switch_chain(with_z=False)
+    qb = bounds_at(net, q, Threshold(-6000.0))
+    assert qb.lower == pytest.approx(0.5, abs=1e-9)
+    assert qb.upper == pytest.approx(0.5, abs=1e-9)
+
+
 @RUNS
 def test_bounds_keep_a_clamp_whose_many_small_factors_underflow_together(run):
     # a frontier node f with 200 interior children, each with an observed
@@ -249,7 +307,7 @@ def test_bucket_at_the_einsum_operand_limit(children, monkeypatch):
     # h's bucket holds its own CPT, o's and one factor per observed child:
     # 31, 32 and 33 factors. numpy 1.x einsum refuses 32 operands or more
     # (numpy 2 refuses 64); einsum is held to that limit here, so a bucket
-    # past it must take the stepwise product on any numpy
+    # past it must be redone in logs on any numpy
     einsum = np.einsum
 
     def numpy1_einsum(*operands_and_sublists):
@@ -289,13 +347,18 @@ def _with_zeros(net, rng):
     return Network(net.t0, net.open_past, nodes)
 
 
-@pytest.mark.parametrize("seed", range(100))
-def test_incremental_sweep_with_rescaling_at_every_step(seed, monkeypatch):
+@pytest.mark.parametrize(
+    "seed, log",
+    [pytest.param(seed, log, id=f"log-{seed}" if log else str(seed)) for log in (False, True) for seed in range(100)],
+)
+def test_incremental_sweep_with_rescaling_at_every_step(seed, log, monkeypatch):
     # random networks never get near underflow, so force the rescaling
     # (and with it the carried log-scales) at every elimination: with
-    # _TINY = 1 no bucket of two or more factors passes the fused check
-    # (h's own CPT sums to 1 over h), so each is redone one factor at a
-    # time. Zero CPT entries add exactly-zero normalizers to carry
+    # _TINY = 1 every bucket whose peak is below 1 is divided by it, and
+    # every table is normalized per clamp. With ``log``, _FLOOR = 2 also
+    # sends every contraction that multiplies factors to the log path,
+    # checked against the linear one. Zero CPT entries add exactly-zero
+    # normalizers to carry
     net = random_network(RandomNetSpec(seed=seed, node_count=3 + seed % 10, state_count=2 + seed % 2))
     if seed % 2:
         net = _with_zeros(net, random.Random(seed))
@@ -306,6 +369,8 @@ def test_incremental_sweep_with_rescaling_at_every_step(seed, monkeypatch):
     except infer.ZeroEvidenceError:
         fused = None
     monkeypatch.setattr(infer, "_TINY", 1.0)
+    if log:
+        monkeypatch.setattr(infer, "_FLOOR", 2.0)
     try:
         fresh = [bounds_at(net, q, th) for th in schedule]
     except infer.ZeroEvidenceError:
