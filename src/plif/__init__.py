@@ -24,7 +24,6 @@ from .gen import (
     hmm_model,
     hmm_query,
     hmm_sweep_experiment,
-    random_chain,
     random_network,
     random_query,
     sweep_csv,
@@ -45,7 +44,6 @@ from .model import (
     Query,
     as_lazy,
     load_network,
-    materialize,
     network_to_document,
     serialize,
     validate,
@@ -54,6 +52,7 @@ from .retrieval import (
     Threshold,
     ancestors,
     d_separated,
+    materialize,
     root_set,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "load_network",
     "materialize",
     "network_to_document",
-    "random_chain",
     "random_network",
     "random_query",
     "root_set",

@@ -43,8 +43,8 @@ from .gen import (
     sweep_csv,
 )
 from .infer import QueryBounds, SweepState, anytime_sweep, bounds_at
-from .model import Query, load_network, materialize, serialize
-from .retrieval import Threshold, d_separated
+from .model import Query, load_network, serialize
+from .retrieval import Threshold, d_separated, materialize
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_random)
 
     p = sub.add_parser("gen-hmm", help="emit a materialized fragment of the unbounded chain")
-    p.add_argument("--depth", type=int, default=10, help="materialization floor is -depth")
+    p.add_argument("--depth", type=int, default=10, help="retrieval floor is -depth; at least 1")
     p.add_argument("--window", type=int, default=10)
     p.add_argument("--stay", type=float, default=0.9)
     p.add_argument("--emit", type=float, default=0.8)
@@ -314,9 +314,9 @@ def _cmd_gen_random(args) -> int:
 
 def _cmd_gen_hmm(args) -> int:
     params = HmmParams(transition_stay=args.stay, emission_true=args.emit, window=args.window)
-    lazy = hmm_model(params)
-    fragment = materialize(lazy, sorted(hmm_query(params).names), float(-args.depth))
-    _write_doc(serialize(fragment), args.out)
+    if args.depth < 1:
+        raise QueryError(f"--depth must be at least 1, got {args.depth}")
+    _write_doc(serialize(materialize(hmm_model(params), hmm_query(params), -args.depth)), args.out)
     return EXIT_OK
 
 

@@ -175,26 +175,6 @@ def random_network(spec: RandomNetSpec) -> Network:
     return Network(t0=0.0, open_past=False, nodes=nodes)
 
 
-def random_chain(seed: int, length: int = 4, *, margin: float = 0.05) -> Network:
-    """A binary chain c0 -> c1 -> ... with every CPT entry in
-    [margin, 1 - margin], for strict-tightening checks."""
-    rng = np.random.default_rng(seed)
-    nodes: dict[str, NodeSpec] = {}
-    for i in range(length):
-        name = f"c{i}"
-        rows = 1 if i == 0 else 2
-        ps = rng.uniform(margin, 1.0 - margin, size=rows)
-        cpt = tuple((float(p), float(1.0 - p)) for p in ps)
-        nodes[name] = NodeSpec(
-            name=name,
-            states=("0", "1"),
-            parents=() if i == 0 else (f"c{i - 1}",),
-            cpt=cpt,
-            pl=float(i),
-        )
-    return Network(t0=0.0, open_past=False, nodes=nodes)
-
-
 def random_query(net: Network, seed: int) -> Query:
     """A random query against ``net``: 1-2 objective nodes, 0-3 evidence
     nodes, disjoint, with evidence redrawn until it has positive

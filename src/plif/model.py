@@ -26,8 +26,8 @@ stubs are legal only in open-past networks.
 
 Unbounded models are represented by :class:`LazyNetwork`, a deterministic
 name-to-spec resolver. Both kinds answer ``resolve(name)``, the one
-interface retrieval walks. :func:`materialize` expands the finite
-fragment above a floor as a finite :class:`Network`.
+interface retrieval walks; ``retrieval.materialize`` writes the
+fragment that walk retrieves above a floor as a finite :class:`Network`.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
-    ExpansionCapError,
     InvalidNetworkError,
     NetworkFormatError,
     QueryError,
@@ -409,54 +408,6 @@ def network_to_document(net: Network) -> dict:
 def serialize(net: Network) -> str:
     """Inverse of :func:`load_network`; round-trips every field exactly."""
     return json.dumps(network_to_document(net), allow_nan=False)
-
-
-# ---------------------------------------------------------------------------
-# lazy expansion
-
-
-def materialize(
-    lazy: LazyNetwork,
-    seeds: Iterable[str],
-    floor: float,
-    *,
-    max_nodes: int = DEFAULT_EXPANSION_CAP,
-) -> Network:
-    """Expand the finite fragment of ``lazy`` rooted at ``seeds``.
-
-    Every seed is resolved; parents are then chased transitively, except
-    that a node whose pl lies below ``floor`` is kept as reached but not
-    expanded further. A non-root cut off this way becomes a truncation
-    stub (parents and CPT dropped); a genuine root keeps its prior. The
-    fragment is returned as an open-past network.
-
-    Lowering ``floor`` only ever grows the fragment, and identical inputs
-    produce identical fragments. ``max_nodes`` guards against unbounded
-    expansion (e.g. ``floor=-inf`` on a model with an infinite past).
-    """
-    resolved: dict[str, NodeSpec] = {}
-    queue = deque(sorted(set(seeds)))
-    while queue:
-        name = queue.popleft()
-        if name in resolved:
-            continue
-        spec = lazy.resolve(name)
-        if spec.pl < floor and spec.parents:
-            spec = replace(spec, parents=(), cpt=None)
-        resolved[name] = spec
-        if len(resolved) > max_nodes:
-            raise ExpansionCapError(
-                f"expansion exceeded {max_nodes} nodes above floor {floor:g}; "
-                "raise the floor or the cap"
-            )
-        for p in spec.parents:
-            if p not in resolved:
-                queue.append(p)
-    net = Network(t0=lazy.t0, open_past=True, nodes=resolved)
-    report = validate(net)
-    if report:
-        raise InvalidNetworkError(report)
-    return net
 
 
 def as_lazy(net: Network) -> LazyNetwork:

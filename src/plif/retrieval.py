@@ -10,6 +10,7 @@ stubs make up the retrieved submodel, which is all downstream inference
 is allowed to touch. One :class:`Walk` is that retrieval: it carries it
 to the next, deeper threshold, and gives that threshold
 (:meth:`Walk.next_level`), so a sweep walks every node once.
+:func:`materialize` writes one retrieval as a finite network.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .model import (
     NodeSpec,
     Query,
     edge_violations,
-    materialize,  # noqa: F401  (bench/tracing.py wraps it here)
     network_to_document,
     root_violations,
     t0_violations,
@@ -334,3 +334,21 @@ def root_set(
     walk = walk_for(net, query, max_nodes, walk)
     walk.extend(threshold.v)
     return walk
+
+
+def materialize(
+    net: NetworkLike,
+    query: Query,
+    floor: float,
+    *,
+    max_nodes: int = DEFAULT_EXPANSION_CAP,
+) -> Network:
+    """The fragment :func:`root_set` retrieves at ``Threshold(floor)``, as
+    an open-past network: the interior specs in the order reached, then the
+    frontier and the query nodes still below the floor, sorted by name.
+    Each of those is a truncation stub, except that a genuine root keeps
+    its prior."""
+    walk = root_set(net, query, Threshold(floor), max_nodes=max_nodes)
+    cut = (walk.specs[n] for n in sorted({*walk.frontier, *walk.pending}))
+    stubs = {s.name: NodeSpec(s.name, s.states, (), None if s.parents else s.cpt, s.pl) for s in cut}
+    return Network(t0=net.t0, open_past=True, nodes={**walk.interior, **stubs})

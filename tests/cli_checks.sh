@@ -33,6 +33,7 @@ print(f"deep sweep check: 10000 rows, bracket width {width[0]:.9f} -> {width[1]:
 
 echo "== sweep of a materialized chain fragment matches the lazy chain sweep"
 plif gen-hmm --depth 5 --window 10 --out "$d/fragment.json"
+plif validate "$d/fragment.json"
 obs=()
 for k in "" -1 -2 -3 -4 -5 -6 -7 -8 -9; do obs+=(--obs "y_t$k=1"); done
 plif sweep "$d/fragment.json" --target x_t+1=1 "${obs[@]}" --format csv > "$d/fragment.csv"

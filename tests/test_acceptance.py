@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import CHAIN_DOC
+from conftest import CHAIN_DOC, random_chain
 from plif import (
     HmmParams,
     Query,
@@ -31,7 +31,6 @@ from plif import (
     hmm_sweep_experiment,
     load_network,
     network_to_document,
-    random_chain,
     random_network,
     random_query,
     root_set,

@@ -277,6 +277,16 @@ def test_sweep_depth_below_one_is_a_usage_error(cli, chain_file):
             assert f"--depth must be at least 1, got {depth}" in err
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_gen_hmm_depth_below_one_is_a_usage_error(cli, tmp_path, depth):
+    out = tmp_path / "frag.json"
+    code, stdout, err = cli("gen-hmm", "--depth", depth, "--out", str(out))
+    assert code == 2
+    assert f"--depth must be at least 1, got {depth}" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,14 +1,16 @@
 import pytest
 
 import oracles
+from conftest import random_chain
 from plif import (
     HmmParams,
     RandomNetSpec,
+    anytime_sweep,
     hmm_model,
     hmm_query,
     hmm_sweep_experiment,
+    load_network,
     materialize,
-    random_chain,
     random_network,
     random_query,
     serialize,
@@ -88,11 +90,20 @@ def test_sweep_csv_schema():
 def test_hmm_materialized_depth_counts():
     params = HmmParams(window=4)
     for depth in (3, 5):
-        frag = materialize(hmm_model(params), sorted(hmm_query(params).names), float(-depth))
+        frag = materialize(hmm_model(params), hmm_query(params), float(-depth))
         xs = [n for n in frag.nodes if n.startswith("x")]
         ys = [n for n in frag.nodes if n.startswith("y")]
         assert len(xs) == depth + 1
         assert len(ys) == params.window
+
+
+@pytest.mark.parametrize("window", [10, 120])
+@pytest.mark.parametrize("depth", [3, 5, 8])
+def test_hmm_fragment_sweep_equals_lazy_sweep(depth, window):
+    params = HmmParams(window=window)
+    frag = load_network(serialize(materialize(hmm_model(params), hmm_query(params), float(-depth))))
+    rows = anytime_sweep(frag, hmm_query(params), max_steps=depth, stop_on_exact=False)
+    assert rows == hmm_sweep_experiment(params, depth)
 
 
 def test_hmm_params_validated():

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 import plif.infer as infer
-from conftest import make_net
+from conftest import make_net, random_chain
 from plif import (
     Exactness,
     ExpansionCapError,
@@ -28,7 +28,6 @@ from plif import (
     hmm_model,
     hmm_query,
     materialize,
-    random_chain,
     random_network,
     random_query,
     root_set,
@@ -134,7 +133,7 @@ def test_exact_rejects_zero_probability_evidence():
 
 
 def test_exact_rejects_open_past():
-    frag = materialize(hmm_model(HMM), ["x_t+1"], -2.0)
+    frag = materialize(hmm_model(HMM), Query({"x_t+1": "1"}), -2.0)
     with pytest.raises(OpenPastError):
         bounds_at(frag, Query({"x_t+1": "1"}), Threshold.full_past())
 
@@ -244,7 +243,7 @@ def test_bounds_full_past_sentinel_is_exact(chain_net):
 
 
 def test_bounds_sentinel_refused_on_open_past():
-    frag = materialize(hmm_model(HMM), ["x_t+1"], -2.0)
+    frag = materialize(hmm_model(HMM), Query({"x_t+1": "1"}), -2.0)
     with pytest.raises(OpenPastError):
         bounds_at(frag, Query({"x_t+1": "1"}), Threshold.full_past())
 

@@ -9,6 +9,8 @@ from plif import (
     InvalidNetworkError,
     NetworkFormatError,
     NodeSpec,
+    NoStartNodesError,
+    Query,
     RandomNetSpec,
     as_lazy,
     hmm_model,
@@ -136,7 +138,7 @@ def test_round_trip_random_networks(seed):
 
 
 def test_materialize_hmm_fragment_to_floor():
-    frag = materialize(hmm_model(HmmParams()), ["x_t+1"], -3.0)
+    frag = materialize(hmm_model(HmmParams()), Query({"x_t+1": "1"}), -3.0)
     assert sorted(frag.nodes) == ["x_t", "x_t+1", "x_t-1", "x_t-2"]
     stub = frag.spec("x_t-2")
     assert stub.is_stub and stub.parents == () and stub.pl == -4.0
@@ -144,18 +146,34 @@ def test_materialize_hmm_fragment_to_floor():
     assert frag.open_past
 
 
-def test_materialize_floor_above_seeds_keeps_seeds_only():
-    frag = materialize(hmm_model(HmmParams()), ["x_t", "y_t"], 5.0)
-    assert sorted(frag.nodes) == ["x_t", "y_t"]
-    assert all(frag.spec(n).is_stub for n in frag.nodes)
+def test_materialize_floor_above_query_raises():
+    with pytest.raises(NoStartNodesError):
+        materialize(hmm_model(HmmParams()), Query({"x_t": "1"}, {"y_t": "1"}), 5.0)
 
 
 def test_materialize_wrapped_finite_network_is_identity():
     net = load_network(json.dumps(CHAIN_DOC))
-    frag = materialize(as_lazy(net), ["x"], float("-inf"))
+    frag = materialize(as_lazy(net), Query({"x": "1"}), float("-inf"))
     assert frag.nodes == net.nodes
     assert frag.t0 == net.t0
     assert frag.open_past
+
+
+def test_materialize_cut_root_keeps_its_prior():
+    # a (root) and m (child of root b) both feed c; the floor 1.5 cuts
+    # both, so a keeps its prior, m becomes a stub and b is never reached
+    a = NodeSpec("a", ("0", "1"), (), ((0.3, 0.7),), 0.0)
+    b = NodeSpec("b", ("0", "1"), (), ((0.6, 0.4),), 0.0)
+    m = NodeSpec("m", ("0", "1"), ("b",), ((0.9, 0.1), (0.2, 0.8)), 1.0)
+    c = NodeSpec("c", ("0", "1"), ("a", "m"), ((0.5, 0.5), (0.1, 0.9), (0.8, 0.2), (0.4, 0.6)), 2.0)
+    net = make_net(0.0, False, a, b, m, c)
+    frag = materialize(as_lazy(net), Query({"c": "1"}), 1.5)
+    assert list(frag.nodes) == ["c", "a", "m"]
+    assert frag.spec("c") == c
+    assert frag.spec("a") == a
+    assert frag.spec("m") == NodeSpec("m", ("0", "1"), (), None, 1.0)
+    assert frag.open_past and frag.t0 == 0.0
+    assert validate(frag) == []
 
 
 @pytest.mark.parametrize("floors", [(-1.0, -2.5, -4.0, -6.0)])
@@ -163,15 +181,16 @@ def test_materialize_monotone_in_floor(floors):
     lazy = hmm_model(HmmParams())
     previous: set[str] = set()
     for floor in floors:
-        nodes = set(materialize(lazy, ["x_t+1"], floor).nodes)
+        nodes = set(materialize(lazy, Query({"x_t+1": "1"}), floor).nodes)
         assert previous <= nodes
         previous = nodes
 
 
 def test_materialize_deterministic():
     lazy = hmm_model(HmmParams())
-    a = materialize(lazy, ["x_t+1", "y_t"], -2.0)
-    b = materialize(hmm_model(HmmParams()), ["x_t+1", "y_t"], -2.0)
+    query = Query({"x_t+1": "1"}, {"y_t": "1"})
+    a = materialize(lazy, query, -2.0)
+    b = materialize(hmm_model(HmmParams()), query, -2.0)
     assert serialize(a) == serialize(b)
 
 
