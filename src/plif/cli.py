@@ -210,7 +210,7 @@ def _cmd_query(args) -> int:
     state = SweepState()
     qb = bounds_at(net, query, Threshold(v), max_clamps=_clamp_cap(), state=state)
     if args.dump_submodel:
-        _write_doc(json.dumps(state.walk.to_document()), args.dump_submodel)
+        _write_doc(serialize(state.walk.fragment()), args.dump_submodel)
     if args.exact:
         _emit_exact(qb.lower, args.format)
     else:
@@ -270,11 +270,12 @@ def _cmd_sweep(args) -> int:
             raise QueryError("sweep needs a network path or --hmm")
         if not args.target:
             raise QueryError("sweep needs at least one --target (or --hmm)")
-        net, query, cap = load_network(_read(args.path)), _query_from_args(args), _clamp_cap()
+        net, query = load_network(_read(args.path)), _query_from_args(args)
+    cap = _clamp_cap()
     if args.depth < 1:
         raise QueryError(f"--depth must be at least 1, got {args.depth}")
     if args.hmm:
-        rows = hmm_sweep_experiment(params, args.depth)
+        rows = hmm_sweep_experiment(params, args.depth, max_clamps=cap)
     else:
         rows = anytime_sweep(net, query, max_steps=args.depth, stop_on_exact=not args.full_sweep, max_clamps=cap)
     _emit_sweep(rows, args.format)

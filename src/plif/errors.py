@@ -76,7 +76,8 @@ class FactorTooLargeError(PlifError):
 
 
 class ExpansionCapError(PlifError):
-    """Lazy expansion visited more nodes than the configured cap."""
+    """A retrieval walk, on a finite or a lazy network, resolved more
+    nodes than ``retrieval.MAX_NODES``."""
 
 
 class OpenPastError(PlifError):

@@ -89,13 +89,17 @@ def hmm_query(params: HmmParams = HmmParams()) -> Query:
     return Query(objective={hmm_node_name("x", 1): "1"}, evidence=evidence)
 
 
-def hmm_sweep_experiment(params: HmmParams, depth: int) -> list[QueryBounds]:
-    """Sweep thresholds -1, -2, ..., -depth on the standard chain query.
+def hmm_sweep_experiment(params: HmmParams, depth: int, max_clamps: int | None = None) -> list[QueryBounds]:
+    """Sweep thresholds -1, -2, ..., -depth on the standard chain query,
+    with at most ``max_clamps`` frontier clamps a threshold (the default
+    cap when None).
 
     Returns one row per threshold regardless of exactness so the whole
     shrinking-interval curve is available. ``depth`` must be at least 1.
     """
-    return anytime_sweep(hmm_model(params), hmm_query(params), max_steps=depth, stop_on_exact=False)
+    return anytime_sweep(
+        hmm_model(params), hmm_query(params), max_steps=depth, stop_on_exact=False, max_clamps=max_clamps
+    )
 
 
 def format_threshold(th: Threshold) -> str:

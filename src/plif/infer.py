@@ -42,13 +42,7 @@ from .errors import (
     ZeroEvidenceError,
     FrontierTooWideError,
 )
-from .model import (
-    DEFAULT_EXPANSION_CAP,
-    Assignment,
-    LazyNetwork,
-    NodeSpec,
-    Query,
-)
+from .model import Assignment, LazyNetwork, NodeSpec, Query
 from .retrieval import NetworkLike, Threshold, Walk, root_set, walk_for
 
 DEFAULT_MAX_CLAMPS = 2**16
@@ -206,12 +200,10 @@ def _bucket(
     return (out_axes, out), 0.0
 
 
-def _contract(
-    walk: Walk, specs: Mapping[str, NodeSpec], evidence: Assignment, scan: _Axes, prior: _Table | Assignment
-) -> _Table:
+def _contract(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Table | Assignment) -> _Table:
     """Multiply the CPTs in ``specs`` (nodes of ``walk``) into ``prior``,
-    with ``evidence`` fixed, and sum out every variable but ``scan``, by
-    bucket elimination in decreasing ``(pl, name)``.
+    with the query's evidence fixed, and sum out every variable but
+    ``scan``, by bucket elimination in decreasing ``(pl, name)``.
 
     ``prior`` is either an earlier table, whose axes must be in ``scan``
     or in ``specs``, or the objective assignment to start from; then the
@@ -234,15 +226,13 @@ def _contract(
     its normalizer reads zero.
     """
     try:
-        return _eliminate(walk, specs, evidence, scan, prior, False)
+        return _eliminate(walk, specs, scan, prior, False)
     except _NeedsLog:
         with np.errstate(divide="ignore"):
-            return _eliminate(walk, specs, evidence, scan, prior, True)
+            return _eliminate(walk, specs, scan, prior, True)
 
 
-def _eliminate(
-    walk: Walk, specs: Mapping[str, NodeSpec], evidence: Assignment, scan: _Axes, prior: _Table | Assignment, log: bool
-) -> _Table:
+def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Table | Assignment, log: bool) -> _Table:
     """:func:`_contract`, in logs (``log``) or linearly."""
     start = not isinstance(prior, _Table)
     keep = (*scan, *prior) if start else (*scan, _NUM_DEN)
@@ -253,6 +243,7 @@ def _eliminate(
         for a in (*spec.parents, spec.name):
             if a not in sizes:
                 sizes[a] = len(walk.states_of(a))
+    evidence = walk.query.evidence
     clamps = {n: walk.states_of(n).index(evidence[n]) for n in sizes if n in evidence}
     order = sorted(specs.values(), key=lambda s: (s.pl, s.name), reverse=True)
     rank = {s.name: i for i, s in enumerate(order) if s.name not in clamps and s.name not in keep}
@@ -323,12 +314,12 @@ class SweepState:
     """What a sweep carries from one threshold to the next: the retrieval
     walk and the clamp table over its unobserved frontier. A state
     belongs to one sweep: the first :func:`bounds_at` call builds its
-    walk, and later calls must pass the same network (the same object),
-    query and ``max_nodes`` with strictly decreasing thresholds,
-    shallowest first; any other call raises :class:`QueryError` and
-    leaves the state as it was. Once any other error is raised after the
-    walk is built, the walk or table may be half extended, and later
-    calls with the state raise :class:`QueryError`."""
+    walk, and later calls must pass the same network (the same object)
+    and query with strictly decreasing thresholds, shallowest first; any
+    other call raises :class:`QueryError` and leaves the state as it was.
+    Once any other error is raised after the walk is built, the walk or
+    table may be half extended, and later calls with the state raise
+    :class:`QueryError`."""
 
     walk: Walk | None = None
     threshold: Threshold | None = None
@@ -354,10 +345,10 @@ def frontier_clamp_table(walk: Walk, state: SweepState | None = None) -> tuple[t
     """
     scan = tuple(sorted(walk.frontier.keys() - walk.evidence_in_frontier))
     if state is None or state.table is None:
-        table = _contract(walk, walk.interior, walk.query.evidence, scan, walk.query.objective)
+        table = _contract(walk, walk.interior, scan, walk.query.objective)
     else:
         band = {n: walk.interior[n] for n in walk.band}
-        table = _contract(walk, band, walk.query.evidence, scan, state.table)
+        table = _contract(walk, band, scan, state.table)
     if state is not None:
         state.table = table
     return scan, table.table[..., 0], table.table[..., 1]
@@ -394,7 +385,7 @@ def _exact_from_retrieval(walk: Walk, table: _Table) -> float | None:
         if spec.parents or spec.cpt is None:
             return None
         roots[name] = spec
-    num, den = _contract(walk, roots, walk.query.evidence, (), table).table
+    num, den = _contract(walk, roots, (), table).table
     if den == 0.0:
         raise _zero_evidence(walk.query.evidence)
     return float(num / den)
@@ -411,7 +402,6 @@ def bounds_at(
     threshold: Threshold,
     *,
     max_clamps: int | None = None,
-    max_nodes: int = DEFAULT_EXPANSION_CAP,
     state: SweepState | None = None,
 ) -> QueryBounds:
     """Certified bounds on the query from the submodel retrieved at
@@ -423,8 +413,8 @@ def bounds_at(
     all of them are, the evidence is unreachable and an error is raised.
 
     A sweep passes one ``state`` to its calls, shallowest threshold
-    first: the first call builds ``state.walk`` for ``net``, ``query``
-    and ``max_nodes``, and each later one, which must pass the same three
+    first: the first call builds ``state.walk`` for ``net`` and ``query``,
+    and each later one, which must pass the same two
     (:class:`SweepState`), extends the previous walk and clamp table
     rather than starting over. Without a state the call starts from an
     empty one.
@@ -437,7 +427,7 @@ def bounds_at(
             f"a sweep state needs strictly decreasing thresholds; "
             f"got {threshold.v:g} after {state.threshold.v:g}"
         )
-    state.walk = walk_for(net, query, max_nodes, state.walk)
+    state.walk = walk_for(net, query, state.walk)
     state.failed = True  # until this step returns
     state.threshold = threshold
     o_star, pl_star = cpl(state.walk)
@@ -445,7 +435,7 @@ def bounds_at(
         raise ThresholdError(threshold.v, pl_star, o_star)
     if threshold.is_full_past and net.open_past:
         raise OpenPastError("the full-past threshold needs a closed past (roots with priors)")
-    walk = root_set(net, query, threshold, max_nodes=max_nodes, walk=state.walk)
+    walk = root_set(net, query, threshold, walk=state.walk)
     cap = DEFAULT_MAX_CLAMPS if max_clamps is None else max_clamps
     width = math.prod(len(walk.frontier[n].states) for n in walk.frontier.keys() - walk.evidence_in_frontier)
     if width > cap:
@@ -506,28 +496,37 @@ def _levels(walk: Walk, max_steps: int | None) -> Iterator[Threshold]:
         raise QueryError("no usable thresholds: the objective sits at or below the retrieval limit")
 
 
-def default_schedule(
-    net: NetworkLike,
-    query: Query,
-    *,
-    max_steps: int | None = None,
-    max_nodes: int = DEFAULT_EXPANSION_CAP,
-) -> Schedule:
+def default_schedule(net: NetworkLike, query: Query, *, max_steps: int | None = None) -> Schedule:
     """The thresholds a schedule-less :func:`anytime_sweep` visits: every
     distinct ancestor potential level from the critical one down, then
     the full past for a closed past. A retrieval walk steps through them
     without contracting and, like a sweep's, counts the nodes it
-    resolves, query nodes included, against ``max_nodes``. Nothing is
-    scheduled at or below ``t0`` or a truncation stub among the query
-    nodes and their ancestors (one above the critical level raises the
-    first retrieval's :class:`OpenPastError`)."""
-    walk = Walk(net, query, max_nodes)
+    resolves, query nodes included, against ``retrieval.MAX_NODES``.
+    Nothing is scheduled at or below ``t0`` or a truncation stub among
+    the query nodes and their ancestors (one above the critical level
+    raises the first retrieval's :class:`OpenPastError`)."""
+    walk = Walk(net, query)
     out = []
     for th in _levels(walk, max_steps):
         if not th.is_full_past:
             walk.extend(th.v)
         out.append(th)
     return Schedule(tuple(out))
+
+
+def _sweep(
+    walk: Walk, schedule: Schedule | None, max_steps: int | None, stop_on_exact: bool, max_clamps: int | None
+) -> Iterator[QueryBounds]:
+    """Bounds at each threshold of ``schedule``, or of :func:`_levels`
+    read off ``walk`` without one, each step extending ``walk`` through
+    one :class:`SweepState`; with ``stop_on_exact`` it ends after the
+    first result certified exact."""
+    state = SweepState(walk)
+    for th in _levels(walk, max_steps) if schedule is None else schedule:
+        qb = bounds_at(walk.net, walk.query, th, max_clamps=max_clamps, state=state)
+        yield qb
+        if stop_on_exact and qb.exactness.is_exact:
+            return
 
 
 def anytime_sweep(
@@ -538,7 +537,6 @@ def anytime_sweep(
     max_steps: int | None = None,
     stop_on_exact: bool = True,
     max_clamps: int | None = None,
-    max_nodes: int = DEFAULT_EXPANSION_CAP,
 ) -> list[QueryBounds]:
     """Bounds at each threshold of ``schedule``, shallowest first, or
     without one at :func:`default_schedule`'s (at most ``max_steps``),
@@ -547,19 +545,12 @@ def anytime_sweep(
     frontier the threshold has passed and contracts only the newly
     retrieved CPTs: every node is resolved, checked and contracted once
     per sweep, and the nodes the walk resolves, query nodes included,
-    count against ``max_nodes``. With ``stop_on_exact`` (the default)
-    the sweep ends at the first result certified exact.
+    count against ``retrieval.MAX_NODES``. With ``stop_on_exact`` (the
+    default) the sweep ends at the first result certified exact.
     """
     if schedule is not None and max_steps is not None:
         raise QueryError("max_steps caps the default thresholds; it cannot cap a schedule")
-    out: list[QueryBounds] = []
-    state = SweepState(Walk(net, query, max_nodes))
-    for th in _levels(state.walk, max_steps) if schedule is None else schedule:
-        qb = bounds_at(net, query, th, max_clamps=max_clamps, max_nodes=max_nodes, state=state)
-        out.append(qb)
-        if stop_on_exact and qb.exactness.is_exact:
-            break
-    return out
+    return list(_sweep(Walk(net, query), schedule, max_steps, stop_on_exact, max_clamps))
 
 
 def map_decision(
@@ -578,19 +569,16 @@ def map_decision(
     if len(query.objective) != 1:
         raise QueryError("map_decision needs exactly one objective node")
     ((name, label),) = query.objective.items()
-    state = SweepState(Walk(net, query))
-    states = state.walk.specs[name].states
+    walk = Walk(net, query)
+    states = walk.specs[name].states
     if len(states) != 2:
         raise QueryError(f"map_decision needs a binary objective; {name!r} has {len(states)} states")
     other = states[0] if states[1] == label else states[1]
-    for th in schedule:
-        qb = bounds_at(net, query, th, max_clamps=max_clamps, state=state)
+    for qb in _sweep(walk, schedule, None, True, max_clamps):
         # separation must clear the probability tolerance, so an exact
         # tie at 0.5 never decides on float noise
         if qb.lower > 0.5 + PROB_TOL:
-            return label, th
+            return label, qb.threshold
         if qb.upper < 0.5 - PROB_TOL:
-            return other, th
-        if qb.exactness.is_exact:
-            return None
+            return other, qb.threshold
     return None

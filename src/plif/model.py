@@ -46,7 +46,6 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-9
-DEFAULT_EXPANSION_CAP = 1_000_000
 
 #: An assignment maps node names to state labels.
 Assignment = Mapping[str, str]

@@ -10,7 +10,7 @@ stubs make up the retrieved submodel, which is all downstream inference
 is allowed to touch. One :class:`Walk` is that retrieval: it carries it
 to the next, deeper threshold, and gives that threshold
 (:meth:`Walk.next_level`), so a sweep walks every node once.
-:func:`materialize` writes one retrieval as a finite network.
+:meth:`Walk.fragment` writes one retrieval as a finite network.
 """
 
 from __future__ import annotations
@@ -30,18 +30,19 @@ from .errors import (
     UnknownStateError,
 )
 from .model import (
-    DEFAULT_EXPANSION_CAP,
     LazyNetwork,
     Network,
     NodeSpec,
     Query,
     edge_violations,
-    network_to_document,
     root_violations,
     t0_violations,
 )
 
 NetworkLike = Union[Network, LazyNetwork]
+
+#: the most nodes one walk may resolve, query nodes included
+MAX_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,15 @@ class FrontierStub:
 
 @dataclass
 class Walk:
-    """One retrieval walk for one network, query and node cap, extended in
-    place as the threshold deepens; it is the retrieval itself
+    """One retrieval walk for one network and query, extended in place as
+    the threshold deepens; it is the retrieval itself
     (:func:`root_set` returns it).
 
     Building a walk resolves and checks the query's nodes (every one,
     whatever its pl) and the states the query names. ``specs`` holds
     every node resolved so far (the query's nodes, every node reached,
     and the parents :meth:`next_level` read), the one memo of a walk's
-    resolutions, at most ``max_nodes`` of them; each reached node is
+    resolutions, at most :data:`MAX_NODES` of them; each reached node is
     interior (kept with its spec, in the order reached) or frontier (kept
     as its stub, so that inference, which reads the two through
     :meth:`states_of`, never sees a frontier CPD). ``pending`` lists the
@@ -101,7 +102,6 @@ class Walk:
 
     net: NetworkLike
     query: Query
-    max_nodes: int = DEFAULT_EXPANSION_CAP
     specs: dict[str, NodeSpec] = field(default_factory=dict, init=False)
     interior: dict[str, NodeSpec] = field(default_factory=dict, init=False)
     frontier: dict[str, FrontierStub] = field(default_factory=dict, init=False)
@@ -133,22 +133,22 @@ class Walk:
             raise UnknownNodeError(f"node {name!r} is not in the retrieval")
         return node.states
 
-    def to_document(self) -> dict:
-        """An open-past network document with the frontier as truncation
-        stubs, plus a ``"frontier"`` list of their names."""
-        stubs = {n: NodeSpec(n, f.states, (), None, f.pl) for n, f in sorted(self.frontier.items())}
-        net = Network(t0=self.net.t0, open_past=True, nodes={**self.interior, **stubs})
-        return {**network_to_document(net), "frontier": sorted(self.frontier)}
+    def fragment(self) -> Network:
+        """The retrieval as an open-past network: the interior specs in the
+        order reached, then the frontier and the query nodes still below
+        the threshold, sorted by name. Each of those is a truncation stub,
+        except that a genuine root keeps its prior."""
+        cut = (self.specs[n] for n in sorted({*self.frontier, *self.pending}))
+        stubs = {s.name: NodeSpec(s.name, s.states, (), None if s.parents else s.cpt, s.pl) for s in cut}
+        return Network(t0=self.net.t0, open_past=True, nodes={**self.interior, **stubs})
 
     def resolve(self, name: str) -> NodeSpec:
-        """``net.resolve(name)``, once per walk, up to ``max_nodes`` nodes."""
+        """``net.resolve(name)``, once per walk, up to :data:`MAX_NODES` nodes."""
         spec = self.specs.get(name)
         if spec is None:
             spec = self.specs[name] = self.net.resolve(name)
-            if len(self.specs) > self.max_nodes:
-                raise ExpansionCapError(
-                    f"retrieval resolved more than {self.max_nodes} nodes; raise the threshold or the cap"
-                )
+            if len(self.specs) > MAX_NODES:
+                raise ExpansionCapError(f"retrieval resolved more than {MAX_NODES} nodes; raise the threshold")
         return spec
 
     def extend(self, v: float) -> None:
@@ -217,14 +217,14 @@ class Walk:
         return -math.inf if stub else level
 
 
-def walk_for(net: NetworkLike, query: Query, max_nodes: int, walk: Walk | None) -> Walk:
+def walk_for(net: NetworkLike, query: Query, walk: Walk | None) -> Walk:
     """A new walk when ``walk`` is None, else ``walk`` itself once it is
-    checked to be built for ``net`` (the same object), ``query`` and
-    ``max_nodes``; :class:`QueryError` when it is not."""
+    checked to be built for ``net`` (the same object) and ``query``;
+    :class:`QueryError` when it is not."""
     if walk is None:
-        return Walk(net, query, max_nodes)
-    if walk.net is not net or walk.max_nodes != max_nodes or (walk.query is not query and walk.query != query):
-        raise QueryError("this walk was built for another network, query or max_nodes; start a new one")
+        return Walk(net, query)
+    if walk.net is not net or (walk.query is not query and walk.query != query):
+        raise QueryError("this walk was built for another network or query; start a new one")
     return walk
 
 
@@ -306,7 +306,6 @@ def root_set(
     query: Query,
     threshold: Threshold,
     *,
-    max_nodes: int = DEFAULT_EXPANSION_CAP,
     walk: Walk | None = None,
 ) -> Walk:
     """Backtrack from every query/evidence node at or above the threshold.
@@ -317,38 +316,25 @@ def root_set(
     is materialized. Instead every node the walk expands is checked
     against its resolved parents (strict temporal precedence and CPT
     shape), and no parentless or frontier node may sit before ``t0``.
-    Resolving more than ``max_nodes`` nodes raises
+    Resolving more than :data:`MAX_NODES` nodes raises
     :class:`ExpansionCapError`.
 
     Returns the walk, extended in place from the ``walk`` of a
     shallower threshold when one is given: only its old frontier nodes
     now at or above the threshold, and query nodes newly above it, are
     expanded, so a step costs its band and frontier, and the retrieval
-    equals a fresh walk's. A ``walk`` built for another network (object),
-    query or ``max_nodes`` raises :class:`QueryError` and is left as it
-    was. Without a ``walk`` the call owns a new one.
+    equals a fresh walk's. A ``walk`` built for another network (object)
+    or query raises :class:`QueryError` and is left as it was. Without a ``walk`` the call owns a new one.
 
     A parentless interior node contributes nothing to the frontier: its
     past is already complete.
     """
-    walk = walk_for(net, query, max_nodes, walk)
+    walk = walk_for(net, query, walk)
     walk.extend(threshold.v)
     return walk
 
 
-def materialize(
-    net: NetworkLike,
-    query: Query,
-    floor: float,
-    *,
-    max_nodes: int = DEFAULT_EXPANSION_CAP,
-) -> Network:
+def materialize(net: NetworkLike, query: Query, floor: float) -> Network:
     """The fragment :func:`root_set` retrieves at ``Threshold(floor)``, as
-    an open-past network: the interior specs in the order reached, then the
-    frontier and the query nodes still below the floor, sorted by name.
-    Each of those is a truncation stub, except that a genuine root keeps
-    its prior."""
-    walk = root_set(net, query, Threshold(floor), max_nodes=max_nodes)
-    cut = (walk.specs[n] for n in sorted({*walk.frontier, *walk.pending}))
-    stubs = {s.name: NodeSpec(s.name, s.states, (), None if s.parents else s.cpt, s.pl) for s in cut}
-    return Network(t0=net.t0, open_past=True, nodes={**walk.interior, **stubs})
+    an open-past network (:meth:`Walk.fragment`)."""
+    return root_set(net, query, Threshold(floor)).fragment()

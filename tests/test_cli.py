@@ -8,7 +8,7 @@ import pytest
 
 import plif
 from conftest import TWO_NODE_DOC
-from plif import load_network
+from plif import Query, load_network, materialize, serialize
 
 
 def test_validate_ok(cli, chain_file):
@@ -143,14 +143,16 @@ def test_query_dump_submodel(cli, chain_file, tmp_path):
         "--threshold", "3.0", "--dump-submodel", str(out_path),
     )
     assert code == 0
-    doc = json.loads(out_path.read_text())
-    assert doc["frontier"] == ["t2"]
-    names = {n["name"] for n in doc["nodes"]}
-    assert names == {"x", "t1", "t2"}
-    # the dump is itself a loadable open-past document (extra key ignored)
-    reloaded = load_network(out_path.read_text())
+    text = out_path.read_text()
+    # the frontier t2 is a stub; the evidence y, a genuine root below the
+    # threshold, keeps its prior
+    assert [n["name"] for n in json.loads(text)["nodes"]] == ["x", "t1", "t2", "y"]
+    net = load_network(Path(chain_file).read_text())
+    assert text == serialize(materialize(net, Query({"x": "1"}, {"y": "1"}), 3.0)) + "\n"
+    reloaded = load_network(text)
     assert reloaded.open_past
     assert reloaded.spec("t2").is_stub
+    assert reloaded.spec("y") == net.spec("y")
 
 
 def test_query_exact_dumps_the_full_past_submodel(cli, tmp_path):
@@ -162,7 +164,7 @@ def test_query_exact_dumps_the_full_past_submodel(cli, tmp_path):
     assert code == 0
     assert dumped == plain
     doc = json.loads(out_path.read_text())
-    assert doc["frontier"] == []
+    assert all(n["cpt"] is not None for n in doc["nodes"])
     assert "n09" in {n["name"] for n in doc["nodes"]}
 
 
@@ -259,6 +261,21 @@ def test_sweep_frontier_cap_env_var(cli, chain_file):
     assert "frontier too wide" in err
 
 
+@pytest.mark.parametrize(
+    "raw, code, message",
+    [
+        ("1", 5, "frontier too wide: 2 clamp assignments exceed the cap of 1"),
+        ("abc", 2, "PLIF_MAX_FRONTIER must be an integer, got 'abc'"),
+    ],
+    ids=["cap-1", "not-an-integer"],
+)
+def test_sweep_hmm_reads_the_frontier_cap_env_var(cli, raw, code, message):
+    got, out, err = cli("sweep", "--hmm", "--depth", "3", env={"PLIF_MAX_FRONTIER": raw})
+    assert got == code
+    assert out == ""
+    assert message in err
+
+
 def test_frontier_cap_env_var_below_one_is_a_usage_error(cli, chain_file):
     for raw in ("0", "-3"):
         code, _, err = cli(
@@ -309,6 +326,17 @@ def test_intermediate_factor_cap_exits_5(cli, chain_file, monkeypatch):
     code, _, err = cli("query", chain_file, "--target", "x=1", "--threshold", "2")
     assert code == 5
     assert "intermediate factor too large" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("sweep", "--hmm", "--depth", "10"), ("gen-hmm", "--depth", "10")], ids=["sweep-hmm", "gen-hmm"]
+)
+def test_expansion_cap_exits_5(cli, monkeypatch, argv):
+    monkeypatch.setattr("plif.retrieval.MAX_NODES", 5)
+    code, out, err = cli(*argv)
+    assert code == 5
+    assert out == ""
+    assert "resolved more than 5 nodes" in err
 
 
 def test_dsep_chain_separated(cli, chain_file):

@@ -9,8 +9,8 @@ carried clamp table stays right across wide bands, underflow-scale
 windows, forced rescaling and exactly-zero normalizers. The last part
 checks that a step's retrieval, the sweep's extended walk, equals a
 fresh one, that a state refuses to go on after a step raised, and that
-it refuses a threshold not below its last one, or another network,
-query or node cap than its first step's.
+it refuses a threshold not below its last one, or another network or
+query than its first step's.
 """
 
 import dataclasses
@@ -116,9 +116,10 @@ def test_lazy_open_past_root_before_t0_is_rejected(run, v):
 
 
 @RUNS
-def test_lazy_expansion_cap_is_enforced(run):
+def test_lazy_expansion_cap_is_enforced(run, monkeypatch):
+    monkeypatch.setattr("plif.retrieval.MAX_NODES", 5)
     with pytest.raises(ExpansionCapError):
-        run(hmm_model(HMM), hmm_query(HMM), DEEP, max_nodes=5)
+        run(hmm_model(HMM), hmm_query(HMM), DEEP)
 
 
 @RUNS
@@ -444,16 +445,18 @@ def _assert_fresh_state_sweeps(net, q, thresholds, **kw):
     _assert_same_rows(rows, [bounds_at(net, q, th, **kw) for th in thresholds])
 
 
-def test_state_refuses_a_step_after_the_expansion_cap_raised_mid_walk():
+def test_state_refuses_a_step_after_the_expansion_cap_raised_mid_walk(monkeypatch):
     p = HmmParams(window=6)
     lazy, q = hmm_model(p), hmm_query(p)
     cap = len(root_set(lazy, q, Threshold(-1.0)).specs) + 2
     state = infer.SweepState()
-    bounds_at(lazy, q, Threshold(-1.0), state=state, max_nodes=cap)
-    with pytest.raises(ExpansionCapError):
-        bounds_at(lazy, q, Threshold(-4.0), state=state, max_nodes=cap)
-    with pytest.raises(QueryError, match="new SweepState"):
-        bounds_at(lazy, q, Threshold(-4.0), state=state, max_nodes=cap)
+    with monkeypatch.context() as m:
+        m.setattr("plif.retrieval.MAX_NODES", cap)
+        bounds_at(lazy, q, Threshold(-1.0), state=state)
+        with pytest.raises(ExpansionCapError):
+            bounds_at(lazy, q, Threshold(-4.0), state=state)
+        with pytest.raises(QueryError, match="new SweepState"):
+            bounds_at(lazy, q, Threshold(-4.0), state=state)
     _assert_fresh_state_sweeps(lazy, q, (Threshold(-1.0), Threshold(-4.0)))
 
 
@@ -489,27 +492,23 @@ def _other_network(lazy, q, state):
     bounds_at(hmm_model(HmmParams(transition_stay=0.6)), q, Threshold(-2.0), state=state)
 
 
-def _other_max_nodes(lazy, q, state):
-    bounds_at(lazy, q, Threshold(-2.0), state=state, max_nodes=1000)
-
-
 def _root_set_of_another_query(lazy, q, state):
     root_set(lazy, Query({"x_t+1": "0"}, q.evidence), Threshold(-2.0), walk=state.walk)
 
 
 @pytest.mark.parametrize(
     "misuse",
-    [_other_objective, _other_network, _other_max_nodes, _root_set_of_another_query],
-    ids=["objective", "network", "max_nodes", "root_set"],
+    [_other_objective, _other_network, _root_set_of_another_query],
+    ids=["objective", "network", "root_set"],
 )
 def test_sweep_state_belongs_to_its_first_step(misuse):
-    # a state's walk was built for the first step's network, query and
-    # cap; a step with another would read that walk's retrieval and clamp
+    # a state's walk was built for the first step's network and query;
+    # a step with another would read that walk's retrieval and clamp
     # table (P(x_t+1=1), stay 0.9) and return a wrong bracket
     lazy, q = hmm_model(HMM), hmm_query(HMM)
     state = infer.SweepState()
     first = bounds_at(lazy, q, Threshold(-1.0), state=state)
-    with pytest.raises(QueryError, match="another network, query or max_nodes"):
+    with pytest.raises(QueryError, match="another network or query"):
         misuse(lazy, q, state)
     thresholds = (Threshold(-1.0), Threshold(-2.0), Threshold(-3.0))
     rows = [first, *(bounds_at(lazy, q, th, state=state) for th in thresholds[1:])]

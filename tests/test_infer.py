@@ -431,23 +431,23 @@ def test_schedule_rejects_max_steps_below_one(chain_net, max_steps):
         default_schedule(chain_net, Query({"x": "1"}), max_steps=max_steps)
 
 
-def test_schedule_walk_is_capped():
+def test_schedule_walk_is_capped(monkeypatch):
+    monkeypatch.setattr("plif.retrieval.MAX_NODES", 26)
     with pytest.raises(ExpansionCapError):
-        default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=50, max_nodes=26)
-    assert len(default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=15, max_nodes=26)) == 15
+        default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=50)
+    assert len(default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=15)) == 15
 
 
 @pytest.mark.parametrize("route", ["default_schedule", "anytime_sweep"])
-def test_schedule_and_sweep_count_one_walk_against_the_node_cap(route):
+def test_schedule_and_sweep_count_one_walk_against_the_node_cap(route, monkeypatch):
     # both walk the chain once, to the same depth, and resolve the same
     # nodes: the query's 11 and the 15 hidden nodes behind x_t+1, the
     # deepest of them on the frontier, and nothing more
-    def run(max_nodes):
+    def run(cap):
+        monkeypatch.setattr("plif.retrieval.MAX_NODES", cap)
         if route == "default_schedule":
-            return default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=15, max_nodes=max_nodes)
-        return anytime_sweep(
-            hmm_model(HMM), hmm_query(HMM), max_steps=15, stop_on_exact=False, max_nodes=max_nodes
-        )
+            return default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=15)
+        return anytime_sweep(hmm_model(HMM), hmm_query(HMM), max_steps=15, stop_on_exact=False)
 
     assert len(run(26)) == 15
     with pytest.raises(ExpansionCapError):

@@ -17,6 +17,7 @@ from plif import (
     random_network,
     random_query,
     root_set,
+    validate,
 )
 
 
@@ -124,13 +125,16 @@ def test_frontier_stubs_carry_states_and_pl_but_no_cpd(chain_net):
     assert not hasattr(stub, "cpt")
 
 
-def test_submodel_document_lists_frontier(chain_net):
-    rs = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold(3.0))
-    doc = rs.to_document()
-    assert doc["frontier"] == ["t2"]
-    assert doc["open_past"] is True
-    stubs = [n for n in doc["nodes"] if n["cpt"] is None]
-    assert [s["name"] for s in stubs] == ["t2"]
+def test_fragment_stubs_the_frontier_and_keeps_a_root_prior(chain_net):
+    # t2 (pl 2) is the frontier; the evidence y (pl 1) is a genuine root
+    # the threshold has not reached, so it keeps its prior
+    frag = root_set(chain_net, Query({"x": "1"}, {"y": "1"}), Threshold(3.0)).fragment()
+    assert frag.open_past is True
+    assert list(frag.nodes) == ["x", "t1", "t2", "y"]
+    assert frag.spec("t2").is_stub
+    assert frag.spec("t2").pl == 2.0
+    assert frag.spec("y") == chain_net.spec("y")
+    assert validate(frag) == []
 
 
 def test_root_set_is_deterministic(chain_net):
