@@ -42,9 +42,9 @@ from .gen import (
     random_network,
     sweep_csv,
 )
-from .infer import QueryBounds, SweepState, anytime_sweep, bounds_at
+from .infer import QueryBounds, anytime_sweep, bounds_at
 from .model import Query, load_network, serialize
-from .retrieval import Threshold, d_separated, materialize
+from .retrieval import Threshold, Walk, d_separated, materialize
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -207,10 +207,10 @@ def _cmd_query(args) -> int:
         v = float("-inf")
     else:
         v = net.spec(args.at_pl_of).pl if args.at_pl_of is not None else args.threshold
-    state = SweepState()
-    qb = bounds_at(net, query, Threshold(v), max_clamps=_clamp_cap(), state=state)
+    walk = Walk(net, query)
+    qb = bounds_at(net, query, Threshold(v), max_clamps=_clamp_cap(), walk=walk)
     if args.dump_submodel:
-        _write_doc(serialize(state.walk.fragment()), args.dump_submodel)
+        _write_doc(serialize(walk.fragment()), args.dump_submodel)
     if args.exact:
         _emit_exact(qb.lower, args.format)
     else:

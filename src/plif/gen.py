@@ -28,15 +28,14 @@ class HmmParams:
 
     ``transition_stay`` is the probability the hidden state repeats;
     ``emission_true`` the probability the observation copies it. The
-    hidden node at offset k from the query time carries pl ``k +
-    x_pl_shift``; its observation sits ``y_pl_offset`` later. The window
-    is how many trailing observations the standard query conditions on.
+    hidden node at offset k from the query time carries pl ``k - 2``;
+    its observation sits ``y_pl_offset`` later. The window is how many
+    trailing observations the standard query conditions on.
     """
 
     transition_stay: float = 0.9
     emission_true: float = 0.8
     window: int = 10
-    x_pl_shift: float = -2.0
     y_pl_offset: float = 0.5
 
     def __post_init__(self):
@@ -69,7 +68,7 @@ def hmm_model(params: HmmParams = HmmParams()) -> LazyNetwork:
             raise UnknownNodeError(f"unknown node: {name!r}")
         var, raw = m.groups()
         k = int(raw) if raw else 0
-        x_pl = k + params.x_pl_shift
+        x_pl = k - 2.0
         if var == "x":
             return NodeSpec(name, ("0", "1"), (hmm_node_name("x", k - 1),), x_cpt, x_pl)
         return NodeSpec(name, ("0", "1"), (hmm_node_name("x", k),), y_cpt, x_pl + params.y_pl_offset)

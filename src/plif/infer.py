@@ -309,25 +309,7 @@ def cpl(walk: Walk) -> tuple[str, float]:
     return o_star, pl_star
 
 
-@dataclass
-class SweepState:
-    """What a sweep carries from one threshold to the next: the retrieval
-    walk and the clamp table over its unobserved frontier. A state
-    belongs to one sweep: the first :func:`bounds_at` call builds its
-    walk, and later calls must pass the same network (the same object)
-    and query with strictly decreasing thresholds, shallowest first; any
-    other call raises :class:`QueryError` and leaves the state as it was.
-    Once any other error is raised after the walk is built, the walk or
-    table may be half extended, and later calls with the state raise
-    :class:`QueryError`."""
-
-    walk: Walk | None = None
-    threshold: Threshold | None = None
-    table: _Table | None = None
-    failed: bool = False
-
-
-def frontier_clamp_table(walk: Walk, state: SweepState | None = None) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+def frontier_clamp_table(walk: Walk) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Conditional numerators/denominators for every clamp of the
     unobserved frontier, in one contraction.
 
@@ -339,18 +321,15 @@ def frontier_clamp_table(walk: Walk, state: SweepState | None = None) -> tuple[t
     clamp, chosen per clamp so that neither underflows; only their ratio
     and whether ``den`` is exactly zero carry meaning.
 
-    Given the ``state`` that carries ``walk``, only the CPTs of
-    ``walk.band`` are contracted, into the state's previous table, and the
-    new table replaces it.
+    Only the CPTs of ``walk.band`` are contracted, into ``walk.table``
+    (from the objective assignment when there is none yet); the new
+    table replaces it and the band is cleared. If the contraction
+    raises, the walk is left as it was.
     """
     scan = tuple(sorted(walk.frontier.keys() - walk.evidence_in_frontier))
-    if state is None or state.table is None:
-        table = _contract(walk, walk.interior, scan, walk.query.objective)
-    else:
-        band = {n: walk.interior[n] for n in walk.band}
-        table = _contract(walk, band, scan, state.table)
-    if state is not None:
-        state.table = table
+    band = {n: walk.interior[n] for n in walk.band}
+    walk.table = table = _contract(walk, band, scan, walk.query.objective if walk.table is None else walk.table)
+    walk.band.clear()
     return scan, table.table[..., 0], table.table[..., 1]
 
 
@@ -374,18 +353,18 @@ def exactness_status(walk: Walk, lower: float, upper: float) -> Exactness:
     return Exactness.NOT_EXACT
 
 
-def _exact_from_retrieval(walk: Walk, table: _Table) -> float | None:
-    """Exact value when the retrieval closed the past: the clamp table of
-    the interior times the frontier roots' own priors (in ``walk.specs``).
-    None when a frontier prior is missing (truncated fragment), in which
-    case exactness cannot be certified."""
+def _exact_from_retrieval(walk: Walk) -> float | None:
+    """Exact value when the retrieval closed the past: the walk's clamp
+    table times the frontier roots' own priors (in ``walk.specs``). None
+    when a frontier prior is missing (truncated fragment), in which case
+    exactness cannot be certified."""
     roots = {}
     for name in sorted(walk.frontier):
         spec = walk.specs[name]
         if spec.parents or spec.cpt is None:
             return None
         roots[name] = spec
-    num, den = _contract(walk, roots, (), table).table
+    num, den = _contract(walk, roots, (), walk.table).table
     if den == 0.0:
         raise _zero_evidence(walk.query.evidence)
     return float(num / den)
@@ -402,7 +381,7 @@ def bounds_at(
     threshold: Threshold,
     *,
     max_clamps: int | None = None,
-    state: SweepState | None = None,
+    walk: Walk | None = None,
 ) -> QueryBounds:
     """Certified bounds on the query from the submodel retrieved at
     ``threshold``.
@@ -412,35 +391,26 @@ def bounds_at(
     closed past. Frontier clamps with a zero normalizer are skipped; if
     all of them are, the evidence is unreachable and an error is raised.
 
-    A sweep passes one ``state`` to its calls, shallowest threshold
-    first: the first call builds ``state.walk`` for ``net`` and ``query``,
-    and each later one, which must pass the same two
-    (:class:`SweepState`), extends the previous walk and clamp table
-    rather than starting over. Without a state the call starts from an
-    empty one.
+    A sweep passes one ``walk``, built for ``net`` and ``query``, to its
+    calls, shallowest threshold first; each extends the walk and its
+    clamp table rather than starting over, as :func:`root_set` extends
+    a walk, and refuses it the same way. A call that raises before or
+    after the extension leaves the walk usable for a deeper threshold;
+    only one whose extension raised leaves it refused. Without a walk the
+    call starts a new one.
     """
-    state = SweepState() if state is None else state
-    if state.failed:
-        raise QueryError("an earlier step of this sweep state raised; start a new SweepState")
-    if state.threshold is not None and threshold.v >= state.threshold.v:
-        raise QueryError(
-            f"a sweep state needs strictly decreasing thresholds; "
-            f"got {threshold.v:g} after {state.threshold.v:g}"
-        )
-    state.walk = walk_for(net, query, state.walk)
-    state.failed = True  # until this step returns
-    state.threshold = threshold
-    o_star, pl_star = cpl(state.walk)
+    walk = walk_for(net, query, walk)
+    o_star, pl_star = cpl(walk)
     if threshold.v > pl_star:
         raise ThresholdError(threshold.v, pl_star, o_star)
     if threshold.is_full_past and net.open_past:
         raise OpenPastError("the full-past threshold needs a closed past (roots with priors)")
-    walk = root_set(net, query, threshold, walk=state.walk)
+    root_set(net, query, threshold, walk=walk)
     cap = DEFAULT_MAX_CLAMPS if max_clamps is None else max_clamps
     width = math.prod(len(walk.frontier[n].states) for n in walk.frontier.keys() - walk.evidence_in_frontier)
     if width > cap:
         raise FrontierTooWideError(width, cap)
-    scan, num, den = frontier_clamp_table(walk, state)
+    scan, num, den = frontier_clamp_table(walk)
 
     valid = den > 0.0
     if not valid.any():
@@ -456,12 +426,11 @@ def bounds_at(
     else:
         status = exactness_status(walk, lower, upper)
         if status is Exactness.FULL_PAST:
-            exact = _exact_from_retrieval(walk, state.table)
+            exact = _exact_from_retrieval(walk)
             if exact is None:
                 status = Exactness.NOT_EXACT
             else:
                 lower = upper = exact
-    state.failed = False
     return QueryBounds(
         threshold=threshold,
         lower=lower,
@@ -518,12 +487,11 @@ def _sweep(
     walk: Walk, schedule: Schedule | None, max_steps: int | None, stop_on_exact: bool, max_clamps: int | None
 ) -> Iterator[QueryBounds]:
     """Bounds at each threshold of ``schedule``, or of :func:`_levels`
-    read off ``walk`` without one, each step extending ``walk`` through
-    one :class:`SweepState`; with ``stop_on_exact`` it ends after the
-    first result certified exact."""
-    state = SweepState(walk)
+    read off ``walk`` without one, each step extending ``walk`` and its
+    clamp table (:func:`bounds_at`); with ``stop_on_exact`` it ends after
+    the first result certified exact."""
     for th in _levels(walk, max_steps) if schedule is None else schedule:
-        qb = bounds_at(walk.net, walk.query, th, max_clamps=max_clamps, state=state)
+        qb = bounds_at(walk.net, walk.query, th, max_clamps=max_clamps, walk=walk)
         yield qb
         if stop_on_exact and qb.exactness.is_exact:
             return
@@ -540,13 +508,13 @@ def anytime_sweep(
 ) -> list[QueryBounds]:
     """Bounds at each threshold of ``schedule``, shallowest first, or
     without one at :func:`default_schedule`'s (at most ``max_steps``),
-    each read off the sweep's own walk. One :class:`SweepState` carries
-    the walk and the clamp table, so each step walks only from the
-    frontier the threshold has passed and contracts only the newly
-    retrieved CPTs: every node is resolved, checked and contracted once
-    per sweep, and the nodes the walk resolves, query nodes included,
-    count against ``retrieval.MAX_NODES``. With ``stop_on_exact`` (the
-    default) the sweep ends at the first result certified exact.
+    each read off the sweep's own walk. The walk carries the retrieval
+    and the clamp table, so each step walks only from the frontier the
+    threshold has passed and contracts only the newly retrieved CPTs:
+    every node is resolved, checked and contracted once per sweep, and
+    the nodes the walk resolves, query nodes included, count against
+    ``retrieval.MAX_NODES``. With ``stop_on_exact`` (the default) the
+    sweep ends at the first result certified exact.
     """
     if schedule is not None and max_steps is not None:
         raise QueryError("max_steps caps the default thresholds; it cannot cap a schedule")

@@ -81,7 +81,7 @@ class FrontierStub:
 class Walk:
     """One retrieval walk for one network and query, extended in place as
     the threshold deepens; it is the retrieval itself
-    (:func:`root_set` returns it).
+    (:func:`root_set` returns it) and all a sweep carries.
 
     Building a walk resolves and checks the query's nodes (every one,
     whatever its pl) and the states the query names. ``specs`` holds
@@ -95,9 +95,15 @@ class Walk:
     query's evidence is partitioned relative to the latest threshold:
     ``evidence_plus`` sits at or above it, ``evidence_in_frontier`` was
     reached as a clamp point, and :attr:`evidence_minus` is the rest.
-    ``band`` lists the interior nodes the latest extension added. A walk
-    whose extension raised is left half extended and must not be
-    extended again.
+
+    ``level`` is the latest threshold: inf once built, NaN while an
+    extension runs. ``table`` is inference's clamp table (None until the
+    first contraction), and ``band`` lists the interior nodes whose CPTs
+    it does not yet hold: each extension appends to it, and
+    ``infer.frontier_clamp_table`` contracts and clears it. Since
+    ``table`` holds every other interior CPT, a walk stays consistent
+    whatever raises after an extension. :meth:`extend` refuses a
+    threshold not below ``level``, and any extension once one raised.
     """
 
     net: NetworkLike
@@ -108,7 +114,9 @@ class Walk:
     pending: list[str] = field(default_factory=list, init=False)
     evidence_plus: dict[str, str] = field(default_factory=dict, init=False)
     evidence_in_frontier: dict[str, str] = field(default_factory=dict, init=False)
-    band: tuple[str, ...] = field(default=(), init=False)
+    band: list[str] = field(default_factory=list, init=False)
+    level: float = field(default=math.inf, init=False)
+    table: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         report = t0_violations(self.net.t0, True)
@@ -153,9 +161,18 @@ class Walk:
 
     def extend(self, v: float) -> None:
         """Extend the walk to the threshold ``v``, as :func:`root_set`
-        describes, and record its band."""
+        describes, appending to its band. :class:`QueryError` unless ``v``
+        is below ``level``; a :class:`NoStartNodesError` changes nothing."""
+        if not v < self.level:
+            if math.isnan(self.level):
+                raise QueryError("an extension of this walk raised; start a new one")
+            raise QueryError(f"a walk needs strictly decreasing thresholds; got {v:g} after {self.level:g}")
         specs, interior, frontier, pending = self.specs, self.interior, self.frontier, self.pending
-        evidence, e_plus, e_front = self.query.evidence, self.evidence_plus, self.evidence_in_frontier
+        evidence, e_plus, e_front, band = self.query.evidence, self.evidence_plus, self.evidence_in_frontier, self.band
+        # a walk with no interior has no frontier: only a query node can start it
+        if not interior and not (pending and specs[pending[-1]].pl >= v):
+            raise NoStartNodesError(f"no query or evidence node has pl >= {v:g}; nothing to retrieve")
+        self.level = math.nan  # until this extension returns
 
         seen = {n for n in frontier if specs[n].pl >= v}
         for name in seen:
@@ -167,10 +184,7 @@ class Walk:
                 e_plus[name] = evidence[name]
             if name not in interior:
                 seen.add(name)
-        if not seen and not interior:
-            raise NoStartNodesError(f"no query or evidence node has pl >= {v:g}; nothing to retrieve")
 
-        band: list[str] = []
         queue = deque(sorted(seen))
         while queue:
             name = queue.popleft()
@@ -195,7 +209,7 @@ class Walk:
                 if p not in seen and p not in interior and p not in frontier:
                     seen.add(p)
                     queue.append(p)
-        self.band = tuple(band)
+        self.level = v
 
     def next_level(self) -> float:
         """The latest level below the last retrieval: the largest pl among
@@ -319,12 +333,14 @@ def root_set(
     Resolving more than :data:`MAX_NODES` nodes raises
     :class:`ExpansionCapError`.
 
-    Returns the walk, extended in place from the ``walk`` of a
-    shallower threshold when one is given: only its old frontier nodes
-    now at or above the threshold, and query nodes newly above it, are
-    expanded, so a step costs its band and frontier, and the retrieval
-    equals a fresh walk's. A ``walk`` built for another network (object)
-    or query raises :class:`QueryError` and is left as it was. Without a ``walk`` the call owns a new one.
+    Returns the walk, extended in place (:meth:`Walk.extend`) from the
+    ``walk`` of a shallower threshold when one is given: only its old
+    frontier nodes now at or above the threshold, and query nodes newly
+    above it, are expanded, so a step costs its band and frontier, and
+    the retrieval equals a fresh walk's. A ``walk`` built for another
+    network (object) or query, whose last threshold is not above this
+    one, or whose extension raised, raises :class:`QueryError` and is
+    left as it was. Without a ``walk`` the call owns a new one.
 
     A parentless interior node contributes nothing to the frontier: its
     past is already complete.

@@ -8,9 +8,10 @@ fresh one-shot ``bounds_at`` at the same threshold, and that the
 carried clamp table stays right across wide bands, underflow-scale
 windows, forced rescaling and exactly-zero normalizers. The last part
 checks that a step's retrieval, the sweep's extended walk, equals a
-fresh one, that a state refuses to go on after a step raised, and that
-it refuses a threshold not below its last one, or another network or
-query than its first step's.
+fresh one; that a walk refuses a threshold not below its last one,
+another network or query than its own, and any step once an extension
+raised; and that a step which raised before or after its extension
+leaves the walk to go on deeper as a fresh one would.
 """
 
 import dataclasses
@@ -24,11 +25,13 @@ import plif.infer as infer
 from conftest import make_net
 from plif import (
     ExpansionCapError,
+    FactorTooLargeError,
     FrontierTooWideError,
     HmmParams,
     InvalidNetworkError,
     LazyNetwork,
     Network,
+    NoStartNodesError,
     NodeSpec,
     OpenPastError,
     Query,
@@ -36,6 +39,7 @@ from plif import (
     RandomNetSpec,
     Schedule,
     Threshold,
+    ThresholdError,
     anytime_sweep,
     bounds_at,
     default_schedule,
@@ -389,7 +393,7 @@ def test_incremental_sweep_with_rescaling_at_every_step(seed, log, monkeypatch):
         assert qb.lower - 1e-12 <= want <= qb.upper + 1e-12
 
 
-# --- a step's retrieval shares the walk; a failed step ends the state --------------
+# --- a step's retrieval is the sweep's walk; a stale or broken walk is refused -----
 
 
 def _assert_same_retrieval(a, b):
@@ -403,10 +407,10 @@ def _assert_same_retrieval(a, b):
 
 
 def _assert_shared_retrievals_match_fresh(net, q, schedule):
-    state = infer.SweepState()
+    walk = Walk(net, q)
     for th in schedule:
-        bounds_at(net, q, th, state=state)
-        _assert_same_retrieval(state.walk, root_set(net, q, th))
+        bounds_at(net, q, th, walk=walk)
+        _assert_same_retrieval(walk, root_set(net, q, th))
 
 
 def test_shared_retrieval_matches_fresh_on_long_chain():
@@ -428,20 +432,64 @@ def test_retrieval_from_an_extended_walk_reads_as_the_deeper_one():
     walk = Walk(lazy, q)
     shallow = root_set(lazy, q, Threshold(-1.0), walk=walk)
     own = root_set(lazy, q, Threshold(-1.0))
-    band = shallow.band
     _assert_same_retrieval(shallow, own)
+    # the band lists the interior CPTs the walk's clamp table lacks
+    assert shallow.band == list(own.interior)
+    infer.frontier_clamp_table(walk)
+    assert walk.band == []
     deep = root_set(lazy, q, Threshold(-3.0), walk=walk)
     assert shallow is deep is walk
     _assert_same_retrieval(shallow, root_set(lazy, q, Threshold(-3.0)))
-    assert shallow.interior.keys() != own.interior.keys() and band != deep.band
+    assert shallow.interior.keys() != own.interior.keys()
     assert set(deep.band) == deep.interior.keys() - own.interior.keys()
     # a retrieval without a walk owns its walk and never changes
     _assert_same_retrieval(own, root_set(lazy, q, Threshold(-1.0)))
 
 
-def _assert_fresh_state_sweeps(net, q, thresholds, **kw):
-    state = infer.SweepState()
-    rows = [bounds_at(net, q, th, state=state, **kw) for th in thresholds]
+def test_root_set_refuses_a_threshold_not_below_the_walks_last():
+    # a shallower retrieval from a deeper walk would read as the deeper one
+    lazy, q = hmm_model(HMM), hmm_query(HMM)
+    walk = root_set(lazy, q, DEEP)
+    for shallower in (Threshold(-1.0), DEEP):
+        with pytest.raises(QueryError, match="strictly decreasing"):
+            root_set(lazy, q, shallower, walk=walk)
+    _assert_same_retrieval(walk, root_set(lazy, q, DEEP))
+
+
+def test_root_set_refuses_a_walk_whose_extension_raised():
+    # a half-extended walk would read as a retrieval missing most of its interior
+    lazy, q = hmm_model(HMM), hmm_query(HMM)
+    walk = Walk(lazy, q)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("plif.retrieval.MAX_NODES", len(walk.specs) + 3)
+        with pytest.raises(ExpansionCapError):
+            root_set(lazy, q, Threshold(-8.0), walk=walk)
+    with pytest.raises(QueryError, match="start a new one"):
+        root_set(lazy, q, Threshold(-9.0), walk=walk)
+
+
+def test_no_start_nodes_leaves_the_walk_usable():
+    lazy, q = hmm_model(HMM), hmm_query(HMM)
+    walk = Walk(lazy, q)
+    with pytest.raises(NoStartNodesError):
+        root_set(lazy, q, Threshold(0.0), walk=walk)
+    _assert_same_retrieval(root_set(lazy, q, Threshold(-1.0), walk=walk), root_set(lazy, q, Threshold(-1.0)))
+
+
+def test_frontier_clamp_table_twice_reads_the_same_table():
+    # the second call has an empty band, so it contracts nothing into the table
+    lazy, q = hmm_model(HMM), hmm_query(HMM)
+    walk = root_set(lazy, q, DEEP)
+    scan, num, den = infer.frontier_clamp_table(walk)
+    again = infer.frontier_clamp_table(walk)
+    assert again[0] == scan
+    np.testing.assert_array_equal(again[1], num)
+    np.testing.assert_array_equal(again[2], den)
+
+
+def _assert_fresh_state_sweeps(walk, thresholds, **kw):
+    net, q = walk.net, walk.query
+    rows = [bounds_at(net, q, th, walk=walk, **kw) for th in thresholds]
     _assert_same_rows(rows, [bounds_at(net, q, th, **kw) for th in thresholds])
 
 
@@ -449,18 +497,18 @@ def test_state_refuses_a_step_after_the_expansion_cap_raised_mid_walk(monkeypatc
     p = HmmParams(window=6)
     lazy, q = hmm_model(p), hmm_query(p)
     cap = len(root_set(lazy, q, Threshold(-1.0)).specs) + 2
-    state = infer.SweepState()
+    walk = Walk(lazy, q)
     with monkeypatch.context() as m:
         m.setattr("plif.retrieval.MAX_NODES", cap)
-        bounds_at(lazy, q, Threshold(-1.0), state=state)
+        bounds_at(lazy, q, Threshold(-1.0), walk=walk)
         with pytest.raises(ExpansionCapError):
-            bounds_at(lazy, q, Threshold(-4.0), state=state)
-        with pytest.raises(QueryError, match="new SweepState"):
-            bounds_at(lazy, q, Threshold(-4.0), state=state)
-    _assert_fresh_state_sweeps(lazy, q, (Threshold(-1.0), Threshold(-4.0)))
+            bounds_at(lazy, q, Threshold(-4.0), walk=walk)
+        with pytest.raises(QueryError, match="start a new one"):
+            bounds_at(lazy, q, Threshold(-4.0), walk=walk)
+    _assert_fresh_state_sweeps(Walk(lazy, q), (Threshold(-1.0), Threshold(-4.0)))
 
 
-def test_state_refuses_a_step_after_the_frontier_cap_raised_past_the_walk():
+def test_walk_goes_on_deeper_after_the_frontier_cap_raised_past_the_walk():
     # two root switches on x_t put three binary nodes on the frontier at -2
     switches = {n: NodeSpec(n, ("0", "1"), (), ((0.5, 0.5),), pl=-100.0) for n in ("s1", "s2")}
     inner = hmm_model(HMM)
@@ -475,25 +523,44 @@ def test_state_refuses_a_step_after_the_frontier_cap_raised_past_the_walk():
         return spec
 
     lazy, q = LazyNetwork(resolve, float("-inf")), hmm_query(HMM)
-    state = infer.SweepState()
-    bounds_at(lazy, q, Threshold(-1.0), state=state, max_clamps=4)
+    walk = Walk(lazy, q)
+    bounds_at(lazy, q, Threshold(-1.0), walk=walk, max_clamps=4)
     with pytest.raises(FrontierTooWideError):
-        bounds_at(lazy, q, Threshold(-2.0), state=state, max_clamps=4)
-    with pytest.raises(QueryError, match="new SweepState"):
-        bounds_at(lazy, q, Threshold(-3.0), state=state, max_clamps=8)
-    _assert_fresh_state_sweeps(lazy, q, (Threshold(-1.0), Threshold(-2.0)), max_clamps=8)
+        bounds_at(lazy, q, Threshold(-2.0), walk=walk, max_clamps=4)
+    # the walk reached -2 and its band keeps the CPTs its table lacks
+    _assert_fresh_state_sweeps(walk, (DEEP,), max_clamps=8)
+    _assert_fresh_state_sweeps(Walk(lazy, q), (Threshold(-1.0), Threshold(-2.0)), max_clamps=8)
 
 
-def _other_objective(lazy, q, state):
-    bounds_at(lazy, Query({"x_t+1": "0"}, q.evidence), Threshold(-2.0), state=state)
+def test_walk_goes_on_after_a_first_step_above_the_critical_level():
+    lazy, q = hmm_model(HMM), hmm_query(HMM)
+    walk = Walk(lazy, q)
+    with pytest.raises(ThresholdError):
+        bounds_at(lazy, q, Threshold(0.0), walk=walk)
+    _assert_fresh_state_sweeps(walk, (Threshold(-1.0), Threshold(-2.0)))
 
 
-def _other_network(lazy, q, state):
-    bounds_at(hmm_model(HmmParams(transition_stay=0.6)), q, Threshold(-2.0), state=state)
+def test_walk_goes_on_deeper_after_the_cell_cap_raised(monkeypatch):
+    lazy, q = hmm_model(HMM), hmm_query(HMM)
+    walk = Walk(lazy, q)
+    bounds_at(lazy, q, Threshold(-1.0), walk=walk)
+    with monkeypatch.context() as m:
+        m.setattr(infer, "MAX_JOINT_CELLS", 1)
+        with pytest.raises(FactorTooLargeError):
+            bounds_at(lazy, q, Threshold(-2.0), walk=walk)
+    _assert_fresh_state_sweeps(walk, (DEEP, Threshold(-4.0)))
 
 
-def _root_set_of_another_query(lazy, q, state):
-    root_set(lazy, Query({"x_t+1": "0"}, q.evidence), Threshold(-2.0), walk=state.walk)
+def _other_objective(lazy, q, walk):
+    bounds_at(lazy, Query({"x_t+1": "0"}, q.evidence), Threshold(-2.0), walk=walk)
+
+
+def _other_network(lazy, q, walk):
+    bounds_at(hmm_model(HmmParams(transition_stay=0.6)), q, Threshold(-2.0), walk=walk)
+
+
+def _root_set_of_another_query(lazy, q, walk):
+    root_set(lazy, Query({"x_t+1": "0"}, q.evidence), Threshold(-2.0), walk=walk)
 
 
 @pytest.mark.parametrize(
@@ -502,27 +569,27 @@ def _root_set_of_another_query(lazy, q, state):
     ids=["objective", "network", "root_set"],
 )
 def test_sweep_state_belongs_to_its_first_step(misuse):
-    # a state's walk was built for the first step's network and query;
-    # a step with another would read that walk's retrieval and clamp
-    # table (P(x_t+1=1), stay 0.9) and return a wrong bracket
+    # a walk is built for one network and query; a step with another
+    # would read that walk's retrieval and clamp table (P(x_t+1=1),
+    # stay 0.9) and return a wrong bracket
     lazy, q = hmm_model(HMM), hmm_query(HMM)
-    state = infer.SweepState()
-    first = bounds_at(lazy, q, Threshold(-1.0), state=state)
+    walk = Walk(lazy, q)
+    first = bounds_at(lazy, q, Threshold(-1.0), walk=walk)
     with pytest.raises(QueryError, match="another network or query"):
-        misuse(lazy, q, state)
+        misuse(lazy, q, walk)
     thresholds = (Threshold(-1.0), Threshold(-2.0), Threshold(-3.0))
-    rows = [first, *(bounds_at(lazy, q, th, state=state) for th in thresholds[1:])]
+    rows = [first, *(bounds_at(lazy, q, th, walk=walk) for th in thresholds[1:])]
     _assert_same_rows(rows, [bounds_at(lazy, q, th) for th in thresholds])
 
 
 def test_state_refuses_a_threshold_not_below_the_last_and_goes_on_deeper():
     lazy, q = hmm_model(HMM), hmm_query(HMM)
-    state = infer.SweepState()
-    bounds_at(lazy, q, Threshold(-3.0), state=state)
+    walk = Walk(lazy, q)
+    bounds_at(lazy, q, Threshold(-3.0), walk=walk)
     for shallower in (Threshold(-1.0), Threshold(-3.0)):
         with pytest.raises(QueryError, match="strictly decreasing"):
-            bounds_at(lazy, q, shallower, state=state)
-    deeper = bounds_at(lazy, q, Threshold(-4.0), state=state)
+            bounds_at(lazy, q, shallower, walk=walk)
+    deeper = bounds_at(lazy, q, Threshold(-4.0), walk=walk)
     _assert_same_rows([deeper], [bounds_at(lazy, q, Threshold(-4.0))])
 
 

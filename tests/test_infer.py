@@ -624,9 +624,9 @@ def test_sweep_reuses_lazy_resolutions_incrementally():
     q = hmm_query(HMM)
     # the walk is the only memo: every node a bounds_at call resolves
     # (the critical level and the query's states included) goes through it
-    state = infer.SweepState()
-    bounds_at(lazy, q, Threshold(-3.0), state=state)
-    assert len(calls) == len(state.walk.specs)
+    walk = Walk(lazy, q)
+    bounds_at(lazy, q, Threshold(-3.0), walk=walk)
+    assert len(calls) == len(walk.specs)
     # so a sweep or a schedule, one walk each, hits the raw resolver once
     # per distinct node, not once per threshold
     for run in (anytime_sweep, default_schedule):
