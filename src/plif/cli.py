@@ -189,7 +189,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise NetworkFormatError(f"cannot read {path!r}: {exc}") from None
 
 

@@ -22,7 +22,9 @@ declared parent list in odometer order with the *last* parent varying
 fastest; columns follow the declared state order. ``"t0": "-inf"``
 encodes an unbounded past. A ``null`` CPT marks a truncation stub: a
 parentless placeholder whose prior was cut away during materialization;
-stubs are legal only in open-past networks.
+stubs are legal only in open-past networks. Every number reads as a
+float: :func:`load_network` checks a document's shape, :func:`validate`
+its values.
 
 Unbounded models are represented by :class:`LazyNetwork`, a deterministic
 name-to-spec resolver. Both kinds answer ``resolve(name)``, the one
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -243,7 +244,8 @@ def validate(net: Network) -> list[Violation]:
     """Return every violated invariant; an empty list means the network is valid.
 
     Violations are data, not exceptions: a network that fails several
-    rules reports all of them, each naming the offending nodes.
+    rules reports all of them, each naming the offending nodes; a cycle
+    breaks strict ``temporal-precedence`` on at least one of its edges.
     """
     out = t0_violations(net.t0, net.open_past)
     for key, spec in net.nodes.items():
@@ -260,31 +262,7 @@ def validate(net: Network) -> list[Violation]:
         out.extend(edge_violations(spec, [net.nodes[p] for p in spec.parents if p in net.nodes]))
         if not spec.parents:
             out.extend(root_violations(spec, net.t0, net.open_past))
-
-    cycle = _cycle_nodes(net)
-    if cycle:
-        out.append(Violation("cycle", f"parent relation is cyclic through {sorted(cycle)}"))
     return out
-
-
-def _cycle_nodes(net: Network) -> set[str]:
-    indeg = {n: 0 for n in net.nodes}
-    children: dict[str, list[str]] = {n: [] for n in net.nodes}
-    for name, spec in net.nodes.items():
-        for p in set(spec.parents):
-            if p in net.nodes:
-                indeg[name] += 1
-                children[p].append(name)
-    ready = deque(n for n, d in indeg.items() if d == 0)
-    seen = 0
-    while ready:
-        n = ready.popleft()
-        seen += 1
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    return set() if seen == len(net.nodes) else {n for n, d in indeg.items() if d > 0}
 
 
 # ---------------------------------------------------------------------------
@@ -295,40 +273,31 @@ def _reject_constant(token: str):
     raise NetworkFormatError(f"non-finite literal {token!r} is not allowed in network documents")
 
 
+def _parse_int(token: str) -> float:
+    return float(token) + 0.0  # the literal -0 reads as 0.0, not -0.0
+
+
 def load_network(text: str) -> Network:
     """Parse and validate a network document.
 
-    Raises :class:`NetworkFormatError` on malformed syntax and
+    The parser checks only shape: every JSON number reads as a float (one
+    too large reads as ``inf``), and :func:`validate` alone judges values.
+    Raises :class:`NetworkFormatError` on malformed syntax or shape and
     :class:`InvalidNetworkError` (carrying the full report) when the
     parsed network breaks an invariant.
     """
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_int=_parse_int, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise NetworkFormatError(f"not valid JSON: {exc}") from None
-    net = network_from_document(doc)
-    report = validate(net)
-    if report:
-        raise InvalidNetworkError(report)
-    return net
-
-
-def network_from_document(doc) -> Network:
-    """Build a :class:`Network` from a decoded document without validating it."""
     if not isinstance(doc, dict):
         raise NetworkFormatError("top level must be a JSON object")
     for key in ("t0", "open_past", "nodes"):
         if key not in doc:
             raise NetworkFormatError(f"missing top-level key {key!r}")
-    raw_t0 = doc["t0"]
-    if raw_t0 == "-inf":
-        t0 = float("-inf")
-    elif isinstance(raw_t0, (int, float)) and not isinstance(raw_t0, bool):
-        t0 = float(raw_t0)
-        if math.isnan(t0):
-            raise NetworkFormatError("t0 may not be NaN")
-    else:
-        raise NetworkFormatError(f"t0 must be a number or \"-inf\", got {raw_t0!r}")
+    t0 = float("-inf") if doc["t0"] == "-inf" else doc["t0"]
+    if type(t0) is not float:
+        raise NetworkFormatError(f"t0 must be a number or \"-inf\", got {t0!r}")
     open_past = doc["open_past"]
     if not isinstance(open_past, bool):
         raise NetworkFormatError("open_past must be true or false")
@@ -341,7 +310,11 @@ def network_from_document(doc) -> Network:
         if spec.name in nodes:
             raise NetworkFormatError(f"duplicate node name {spec.name!r}")
         nodes[spec.name] = spec
-    return Network(t0=t0, open_past=open_past, nodes=nodes)
+    net = Network(t0=t0, open_past=open_past, nodes=nodes)
+    report = validate(net)
+    if report:
+        raise InvalidNetworkError(report)
+    return net
 
 
 def _node_from_document(raw, index: int) -> NodeSpec:
@@ -361,29 +334,21 @@ def _node_from_document(raw, index: int) -> NodeSpec:
         raise NetworkFormatError(f"node {name!r}: states must be a list of strings")
     if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
         raise NetworkFormatError(f"node {name!r}: parents must be a list of strings")
-    if not isinstance(pl, (int, float)) or isinstance(pl, bool) or not math.isfinite(float(pl)):
-        raise NetworkFormatError(f"node {name!r}: pl must be a finite number, got {pl!r}")
-    parsed_cpt: tuple[tuple[float, ...], ...] | None
-    if cpt is None:
-        parsed_cpt = None
-    else:
+    if type(pl) is not float:
+        raise NetworkFormatError(f"node {name!r}: pl must be a number, got {pl!r}")
+    if cpt is not None:
         if not isinstance(cpt, list):
             raise NetworkFormatError(f"node {name!r}: cpt must be a list of rows or null")
-        rows = []
         for r, row in enumerate(cpt):
-            if not isinstance(row, list):
-                raise NetworkFormatError(f"node {name!r}: cpt row {r} must be a list")
-            for p in row:
-                if not isinstance(p, (int, float)) or isinstance(p, bool) or math.isnan(p):
-                    raise NetworkFormatError(f"node {name!r}: cpt row {r} holds a non-number")
-            rows.append(tuple(float(p) for p in row))
-        parsed_cpt = tuple(rows)
+            if not (isinstance(row, list) and all(type(p) is float for p in row)):
+                raise NetworkFormatError(f"node {name!r}: cpt row {r} must be a list of numbers")
+        cpt = tuple(map(tuple, cpt))
     return NodeSpec(
         name=name,
         states=tuple(states),
         parents=tuple(parents),
-        cpt=parsed_cpt,
-        pl=float(pl),
+        cpt=cpt,
+        pl=pl,
     )
 
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end checks of the plif command: the README reproduction, a
-# 10,000-step chain sweep, and four byte-for-byte or structural checks
-# on generated networks. It runs whichever `plif` and `python` come
-# first on PATH, so it checks an installed console script as well as a
-# `python -m plif` shim; `python` must import the same plif.
+# 10,000-step chain sweep, four byte-for-byte or structural checks on
+# generated networks, and the exit codes of malformed documents. It runs
+# whichever `plif` and `python` come first on PATH, so it checks an
+# installed console script as well as a `python -m plif` shim; `python`
+# must import the same plif.
 #
 #   bash tests/cli_checks.sh    # exits non-zero at the first failed check
 set -euo pipefail
@@ -63,6 +64,19 @@ sys.stdout.write(sweep_csv(rows))
 ' "$d/random.json" > "$d/schedule.csv"
 cmp "$d/walk.csv" "$d/schedule.csv"
 echo "level check: $(($(wc -l < "$d/walk.csv") - 1)) rows, byte-identical to the sweep over default_schedule"
+
+echo "== malformed documents exit with their documented code and no traceback"
+printf '\xff\xfe{}' > "$d/not-utf8.json"
+python -c 'print("[" * 100000 + "]" * 100000)' > "$d/deep.json"
+printf '{"t0": 0.0, "open_past": true, "nodes": [{"name": "a", "states": ["0", "1"], "pl": %s, "parents": [], "cpt": [[0.5, 0.5]]}]}' \
+    "$(printf '1%.0s' {1..400})" > "$d/huge-pl.json"
+for check in not-utf8:1 deep:1 huge-pl:2; do
+    code=0
+    plif validate "$d/${check%:*}.json" 2> "$d/stderr" || code=$?
+    test "$code" -eq "${check#*:}"
+    if grep -q Traceback "$d/stderr"; then cat "$d/stderr" >&2; exit 1; fi
+done
+echo "malformed document check: not UTF-8 exit 1, deep nesting exit 1, 400-digit pl exit 2, no traceback"
 
 echo "== a dumped submodel validates and is the materialized fragment; an unwritable dump exits 2"
 plif query "$d/random.json" "${flags[@]}" --threshold 5 --dump-submodel "$d/d.json"

@@ -36,6 +36,38 @@ def test_validate_truncated_json_exits_1(cli, tmp_path):
     assert "error" in err
 
 
+_DOC = json.dumps(TWO_NODE_DOC).encode()
+_BIG = b"1" * 400
+
+MALFORMED_DOCUMENTS = {
+    "not_json": (_DOC[:40], 1, "not valid JSON"),
+    "nan_literal": (_DOC.replace(b'"t0": 0.0', b'"t0": NaN'), 1, "non-finite literal 'NaN'"),
+    "pl_string": (_DOC.replace(b'"pl": 1.0', b'"pl": "1.0"'), 1, "pl must be a number"),
+    "not_utf8": (b"\xff\xfe" + _DOC, 1, "utf-8"),
+    "deep_nesting": (b"[" * 100000 + b"]" * 100000, 1, "not valid JSON"),
+    "huge_int_pl": (_DOC.replace(b'"pl": 1.0', b'"pl": ' + _BIG), 2, "pl-not-finite"),
+    "huge_int_cpt": (_DOC.replace(b"0.9", _BIG), 2, "cpt-entry-range"),
+    "huge_int_t0": (_DOC.replace(b'"t0": 0.0', b'"t0": ' + _BIG), 2, "t0-invalid"),
+    "cpt_1e999": (_DOC.replace(b"0.9", b"1e999"), 2, "cpt-entry-range"),
+    "two_node_cycle": (
+        _DOC.replace(b'"parents": [], "cpt": [[0.7, 0.3]]', b'"parents": ["e"], "cpt": [[0.7, 0.3], [0.7, 0.3]]'),
+        2,
+        "temporal-precedence: edge 'e'->'c'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_DOCUMENTS)
+def test_validate_malformed_document_exits_with_its_code(cli, tmp_path, name):
+    data, expected_code, expected_text = MALFORMED_DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    code, out, err = cli("validate", str(path))
+    assert (code, out) == (expected_code, "")
+    assert expected_text in err
+    assert "Traceback" not in err
+
+
 def test_query_chain_exact_via_frontier_evidence(cli, chain_file):
     code, out, _ = cli(
         "query", chain_file, "--target", "x=1", "--obs", "y=1", "--threshold", "2.0"

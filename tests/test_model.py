@@ -82,16 +82,18 @@ def test_validate_root_pl_must_equal_t0_unless_open_past():
 
 
 def test_validate_detects_cycle_independently_of_pls():
+    # strict precedence flags an edge of every cycle; here both edges tie
     a = NodeSpec("a", ("0", "1"), ("b",), ((0.5, 0.5), (0.5, 0.5)), pl=0.0)
     b = NodeSpec("b", ("0", "1"), ("a",), ((0.5, 0.5), (0.5, 0.5)), pl=0.0)
-    rules = {v.rule for v in validate(make_net(0.0, True, a, b))}
-    assert "cycle" in rules
+    report = validate(make_net(0.0, True, a, b))
+    assert {v.rule for v in report} == {"temporal-precedence"}
+    assert sorted(v.message.split(" has ")[0] for v in report) == ["edge 'a'->'b'", "edge 'b'->'a'"]
 
 
 def test_validate_rejects_self_loop():
     a = NodeSpec("a", ("0", "1"), ("a",), ((0.5, 0.5), (0.5, 0.5)), pl=0.0)
-    rules = {v.rule for v in validate(make_net(0.0, True, a))}
-    assert {"cycle", "temporal-precedence"} <= rules
+    report = validate(make_net(0.0, True, a))
+    assert [(v.rule, v.message.split(" has ")[0]) for v in report] == [("temporal-precedence", "edge 'a'->'a'")]
 
 
 def test_closed_past_needs_finite_t0():
@@ -107,6 +109,25 @@ def test_parse_rejects_nan_and_non_finite_literals():
     doc["nodes"][0]["pl"] = "oops"
     with pytest.raises(NetworkFormatError):
         load_network(json.dumps(doc))
+
+
+def test_integer_literals_round_trip_as_floats_with_zero_unsigned():
+    text = (
+        '{"t0": -0, "open_past": false, "nodes": ['
+        '{"name": "c", "states": ["0", "1"], "pl": -0, "parents": [], "cpt": [[0, 1]]}, '
+        '{"name": "e", "states": ["0", "1"], "pl": 1, "parents": ["c"], "cpt": [[1, -0], [0.5, 0.5]]}]}'
+    )
+    out = serialize(load_network(text))
+    assert out == json.dumps(
+        {
+            "t0": 0.0,
+            "open_past": False,
+            "nodes": [
+                {"name": "c", "states": ["0", "1"], "pl": 0.0, "parents": [], "cpt": [[0.0, 1.0]]},
+                {"name": "e", "states": ["0", "1"], "pl": 1.0, "parents": ["c"], "cpt": [[1.0, 0.0], [0.5, 0.5]]},
+            ],
+        }
+    )
 
 
 def test_parse_rejects_duplicate_node_names():
