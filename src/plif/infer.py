@@ -6,16 +6,17 @@ bucket elimination that multiplies CPTs into a table of numerators and
 normalizers over the frontier clamps. It eliminates latest first, in
 decreasing potential level, which puts every node's children before
 it, and builds each CPT only when it reaches the node, so only the cut
-is live. Each bucket is one einsum call; where one cannot certify a
-cell, the whole contraction is redone in logs (:func:`_bucket`). The
-table keeps one log-scale per clamp, so long evidence chains cannot
-underflow. A sweep keeps that table and, at each deeper threshold,
-contracts only the CPTs of the newly retrieved nodes into it, and reads
-each next threshold off its own retrieval walk, whose resolved nodes,
-query nodes included, count against the :class:`ExpansionCapError`
-cap. The exact value of a closed-past query is its bracket at the
-full-past threshold, where the frontier is empty and the bounds
-coincide.
+is live. Nodes that share a CPT share its array within one call, and a
+summed-out node's own CPT goes straight into its own bucket. Each
+bucket is one einsum call; where one cannot certify a cell, the whole
+contraction is redone in logs (:func:`_bucket`). The table keeps one
+log-scale per clamp, so long evidence chains cannot underflow. A sweep
+keeps that table and, at each deeper threshold, contracts only the CPTs
+of the newly retrieved nodes into it, and reads each next threshold off
+its own retrieval walk, whose resolved nodes, query nodes included,
+count against the :class:`ExpansionCapError` cap. The exact value of a
+closed-past query is its bracket at the full-past threshold, where the
+frontier is empty and the bounds coincide.
 
 Bounds come from scanning the unobserved frontier: for every joint clamp
 of those stubs the submodel yields one conditional value, and the true
@@ -30,6 +31,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -130,18 +132,24 @@ class _Table:
     logscale: np.ndarray | None
 
 
-def _cpt_factor(spec: NodeSpec, sizes: Mapping[str, int]) -> _Factor:
+def _factor(spec: NodeSpec, sizes: Mapping[str, int], clamps: Mapping[str, int], log: bool, memo: dict) -> _Factor:
+    """``spec``'s CPT as a factor over its parents and itself, with the axes
+    in ``clamps`` fixed and dropped, in logs with ``log``. ``memo`` keeps
+    one call's tables by CPT, axis sizes and evidence cut. A CPT goes in by
+    its id, which is safe only while the caller's ``specs`` holds every CPT
+    alive; no table is written to, so one can serve many nodes."""
     axes = (*spec.parents, spec.name)
-    shape = tuple(sizes[a] for a in axes)
-    return axes, np.asarray(spec.cpt, dtype=float).reshape(shape)
-
-
-def _reduce(factor: _Factor, clamps: Mapping[str, int]) -> _Factor:
-    axes, table = factor
-    if not any(a in clamps for a in axes):
-        return factor
-    idx = tuple(clamps[a] if a in clamps else slice(None) for a in axes)
-    return tuple(a for a in axes if a not in clamps), table[idx]
+    shape, cut = tuple(map(sizes.__getitem__, axes)), tuple(map(clamps.get, axes))
+    key = (id(spec.cpt), shape, cut)
+    table = memo.get(key)
+    if table is None:
+        table = np.asarray(spec.cpt, dtype=float).reshape(shape)
+        if cut.count(None) < len(cut):
+            table = table[tuple(slice(None) if c is None else c for c in cut)]
+        memo[key] = table = np.log(table) if log else table
+    if cut.count(None) == len(cut):
+        return axes, table
+    return tuple(a for a, c in zip(axes, cut) if c is None), table
 
 
 def _align(axes: _Axes, table: np.ndarray, out_axes: _Axes) -> np.ndarray:
@@ -174,7 +182,7 @@ def _bucket(
     _FLOOR must be an exact zero, as the einsum of the factors' 0/1
     masks shows; if not, or past numpy 1.x einsum's 31 operands,
     :class:`_NeedsLog` is raised."""
-    cells = math.prod(sizes[a] for a in union)
+    cells = math.prod(map(sizes.__getitem__, union))
     if cells > MAX_JOINT_CELLS:
         raise FactorTooLargeError(cells, MAX_JOINT_CELLS)
     out_axes = tuple(a for a in union if a != h)
@@ -183,18 +191,18 @@ def _bucket(
         return (out_axes, out if h is None else np.logaddexp.reduce(out, axis=union.index(h))), 0.0
     if len(group) > _EINSUM_MAX:
         raise _NeedsLog
-    ids = {a: i for i, a in enumerate(union)}
-    subscripts = [[ids[a] for a in axes] for axes, _ in group]
-    out_ids = [ids[a] for a in out_axes]
-    out = np.einsum(*itertools.chain.from_iterable(zip((t for _, t in group), subscripts)), out_ids)
+    ids = dict(zip(union, range(len(union))))
+    operands = [x for axes, t in group for x in (t, list(map(ids.__getitem__, axes)))]
+    out_ids = list(map(ids.__getitem__, out_axes))
+    out = np.einsum(*operands, out_ids)
     if len(group) == 1:
         return (out_axes, out), 0.0
-    if out.min() < _FLOOR:
-        masks = ((t > 0.0).astype(float) for _, t in group)
-        support = np.einsum(*itertools.chain.from_iterable(zip(masks, subscripts)), out_ids)
+    if np.minimum.reduce(out, axis=None) < _FLOOR:
+        operands[::2] = ((t > 0.0).astype(float) for t in operands[::2])
+        support = np.einsum(*operands, out_ids)
         if ((out < _FLOOR) & (support > 0.0)).any():
             raise _NeedsLog
-    peak = out.max()
+    peak = np.maximum.reduce(out, axis=None)
     if 0.0 < peak < _TINY:
         return (out_axes, out / peak), math.log(peak)
     return (out_axes, out), 0.0
@@ -214,13 +222,17 @@ def _contract(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Ta
     from the start.
 
     Every edge runs from a strictly lower pl to a higher one, so the
-    order reaches each node after its children. A CPT is built when the
-    order reaches its node and each factor waits in the bucket of its
-    first variable summed out, so only the cut is live. The elimination
-    runs linearly first, with one einsum per bucket and one scalar scale
-    that ``prior``'s per-clamp scales join at their maximum; where a
-    bucket cannot certify a cell (:func:`_bucket`), or ``prior``'s clamps
-    span more than _FLOOR below it, the whole call is redone in logs.
+    order reaches each node after its children and before its parents. A
+    CPT is built when the order reaches its node, at most once per call
+    for each CPT object, axis sizes and evidence cut (:func:`_factor`), so
+    a lazy chain's thousands of nodes use two arrays. A summed-out node's
+    own CPT joins its bucket last, and every other factor waits in the
+    bucket of its first variable summed out, so only the cut is live.
+    The elimination runs linearly first, with one einsum per bucket and
+    one scalar scale that ``prior``'s per-clamp scales join at their
+    maximum; where a bucket cannot certify a cell (:func:`_bucket`), or
+    ``prior``'s clamps span more than _FLOOR below it, the whole call is
+    redone in logs.
     The result is normalized per clamp, unless it is linear and no
     normalizer is below _TINY; from logs, a numerator below 2^-1074 of
     its normalizer reads zero.
@@ -233,25 +245,27 @@ def _contract(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Ta
 
 
 def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Table | Assignment, log: bool) -> _Table:
-    """:func:`_contract`, in logs (``log``) or linearly."""
+    """:func:`_contract`, in logs (``log``) or linearly, with a factor memo
+    that lives for this call only."""
     start = not isinstance(prior, _Table)
     keep = (*scan, *prior) if start else (*scan, _NUM_DEN)
     sizes: dict = {_NUM_DEN: 2}
     for n in (*scan, *(prior if start else prior.axes)):
         sizes[n] = len(walk.states_of(n))
+    sizes.update((s.name, len(s.states)) for s in specs.values())
     for spec in specs.values():
-        for a in (*spec.parents, spec.name):
+        for a in spec.parents:
             if a not in sizes:
                 sizes[a] = len(walk.states_of(a))
     evidence = walk.query.evidence
     clamps = {n: walk.states_of(n).index(evidence[n]) for n in sizes if n in evidence}
-    order = sorted(specs.values(), key=lambda s: (s.pl, s.name), reverse=True)
+    order = sorted(specs.values(), key=attrgetter("pl", "name"), reverse=True)
     rank = {s.name: i for i, s in enumerate(order) if s.name not in clamps and s.name not in keep}
     buckets: dict[str, list[_Factor]] = {}
     rest: list[_Factor] = []
 
     def place(factor: _Factor) -> None:
-        h = min((a for a in factor[0] if a in rank), key=rank.__getitem__, default=None)
+        h = min(filter(rank.__contains__, factor[0]), key=rank.__getitem__, default=None)
         (rest if h is None else buckets.setdefault(h, [])).append(factor)
 
     shift = 0.0
@@ -266,15 +280,19 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
                 raise _NeedsLog
             table = table * np.exp(prior.logscale - shift)[..., None]
         place(((*prior.axes, _NUM_DEN), table))
+    memo: dict = {}
     for spec in order:
-        axes, table = _reduce(_cpt_factor(spec, sizes), clamps)
-        place((axes, np.log(table) if log else table))
-        if spec.name in rank:
-            group = buckets.pop(spec.name)
-            union: _Axes = tuple(dict.fromkeys(a for axes, _ in group for a in axes))
-            message, scale = _bucket(group, union, spec.name, sizes, log)
-            shift += scale
-            place(message)
+        factor = _factor(spec, sizes, clamps, log, memo)
+        if spec.name not in rank:
+            place(factor)
+            continue
+        # every parent comes later in the order, so a CPT joins its own bucket, last
+        group = buckets.pop(spec.name, [])
+        group.append(factor)
+        union: _Axes = tuple(dict.fromkeys(itertools.chain.from_iterable(axes for axes, _ in group)))
+        message, scale = _bucket(group, union, spec.name, sizes, log)
+        shift += scale
+        place(message)
     (_, table), scale = _bucket(rest, keep, None, sizes, log)
     shift += scale
     if start:

@@ -156,9 +156,10 @@ class Violation:
 def _local_spec_violations(spec: NodeSpec) -> list[Violation]:
     """Checks that need no other node: states, parent list, CPT shape, PL."""
     out: list[Violation] = []
-    if len(spec.states) < 2:
+    width = len(spec.states)
+    if width < 2:
         out.append(Violation("state-count", f"node {spec.name!r} needs at least 2 states"))
-    if len(set(spec.states)) != len(spec.states):
+    if len(set(spec.states)) != width:
         out.append(Violation("duplicate-state", f"node {spec.name!r} repeats a state label"))
     if len(set(spec.parents)) != len(spec.parents):
         out.append(Violation("duplicate-parent", f"node {spec.name!r} repeats a parent name"))
@@ -171,23 +172,16 @@ def _local_spec_violations(spec: NodeSpec) -> list[Violation]:
             )
         return out
     for i, row in enumerate(spec.cpt):
-        if len(row) != len(spec.states):
-            out.append(
-                Violation(
-                    "cpt-row-length",
-                    f"node {spec.name!r} row {i} has {len(row)} entries, expected {len(spec.states)}",
-                )
-            )
+        if len(row) != width:
+            message = f"node {spec.name!r} row {i} has {len(row)} entries, expected {width}"
+            out.append(Violation("cpt-row-length", message))
             continue
-        if any(not (0.0 <= p <= 1.0) for p in row):
+        total = sum(row)
+        # a NaN entry makes the sum NaN, wherever it sits; min and max alone miss some
+        if row and (total != total or min(row) < 0.0 or max(row) > 1.0):
             out.append(Violation("cpt-entry-range", f"node {spec.name!r} row {i} leaves [0, 1]"))
-        if abs(sum(row) - 1.0) > ROW_SUM_TOL:
-            out.append(
-                Violation(
-                    "cpt-row-sum",
-                    f"node {spec.name!r} row {i} sums to {sum(row)!r}, expected 1",
-                )
-            )
+        if abs(total - 1.0) > ROW_SUM_TOL:
+            out.append(Violation("cpt-row-sum", f"node {spec.name!r} row {i} sums to {total!r}, expected 1"))
     return out
 
 
@@ -206,14 +200,9 @@ def edge_violations(spec: NodeSpec, parents: Sequence[NodeSpec]) -> list[Violati
     CPT row count. Strict precedence also rules out cycles."""
     out: list[Violation] = []
     if spec.cpt is not None and len(parents) == len(spec.parents):
-        expected = math.prod(len(p.states) for p in parents)
+        expected = math.prod([len(p.states) for p in parents])
         if len(spec.cpt) != expected:
-            out.append(
-                Violation(
-                    "cpt-shape",
-                    f"node {spec.name!r} has {len(spec.cpt)} CPT rows, expected {expected}",
-                )
-            )
+            out.append(Violation("cpt-shape", f"node {spec.name!r} has {len(spec.cpt)} CPT rows, expected {expected}"))
     for parent in parents:
         if not (parent.pl < spec.pl):
             out.append(
@@ -354,7 +343,7 @@ def _node_from_document(raw, index: int) -> NodeSpec:
 
 def network_to_document(net: Network) -> dict:
     return {
-        "t0": "-inf" if math.isinf(net.t0) else net.t0,
+        "t0": "-inf" if net.t0 == -math.inf else net.t0,
         "open_past": net.open_past,
         "nodes": [
             {

@@ -189,7 +189,7 @@ class Walk:
         while queue:
             name = queue.popleft()
             spec = specs[name]
-            parents = [self.resolve(p) for p in spec.parents] if spec.pl >= v else ()
+            parents = list(map(self.resolve, spec.parents)) if spec.pl >= v else ()
             report = edge_violations(spec, parents) if parents else _cut_violations(spec, self.net.t0)
             if report:
                 raise InvalidNetworkError(report)

@@ -33,12 +33,12 @@ print(f"deep sweep check: 10000 rows, bracket width {width[0]:.9f} -> {width[1]:
 '
 
 echo "== sweep of a materialized chain fragment matches the lazy chain sweep"
-plif gen-hmm --depth 5 --window 10 --out "$d/fragment.json"
+plif gen-hmm --depth 40 --window 40 --out "$d/fragment.json"
 plif validate "$d/fragment.json"
-obs=()
-for k in "" -1 -2 -3 -4 -5 -6 -7 -8 -9; do obs+=(--obs "y_t$k=1"); done
-plif sweep "$d/fragment.json" --target x_t+1=1 "${obs[@]}" --format csv > "$d/fragment.csv"
-plif sweep --hmm --depth 5 --window 10 --format csv > "$d/lazy.csv"
+obs=(--obs "y_t=1")
+for k in $(seq 1 39); do obs+=(--obs "y_t-$k=1"); done
+plif sweep "$d/fragment.json" --target x_t+1=1 "${obs[@]}" --depth 40 --full-sweep --format csv > "$d/fragment.csv"
+plif sweep --hmm --depth 40 --window 40 --format csv > "$d/lazy.csv"
 cmp "$d/fragment.csv" "$d/lazy.csv"
 echo "fragment sweep check: $(($(wc -l < "$d/lazy.csv") - 1)) rows, byte-identical to the lazy chain sweep"
 

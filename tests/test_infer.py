@@ -23,6 +23,7 @@ from plif import (
     ThresholdError,
     ZeroEvidenceError,
     anytime_sweep,
+    as_lazy,
     bounds_at,
     default_schedule,
     hmm_model,
@@ -122,6 +123,51 @@ def test_exact_matches_pure_python_enumeration(seed):
     )
     qb = bounds_at(net, query, Threshold.full_past())
     assert qb.lower == qb.upper == pytest.approx(expected, abs=1e-12)
+
+
+def _shared_cpt_net(*specs):
+    # hand-built, so that nodes can share one CPT tuple object, as a lazy model's do
+    net = make_net(0.0, False, *specs)
+    assert not validate(net)
+    return net
+
+
+def test_one_cpt_object_shared_by_evidence_leaves_in_different_states():
+    leaf = ((0.9, 0.1), (0.2, 0.8))
+    net = _shared_cpt_net(
+        NodeSpec("r", ("0", "1"), (), ((0.3, 0.7),), 0.0),
+        NodeSpec("e1", ("0", "1"), ("r",), leaf, 1.0),
+        NodeSpec("e2", ("0", "1"), ("r",), leaf, 1.0),
+    )
+    q = Query({"r": "1"}, {"e1": "0", "e2": "1"})
+    expected = oracles.conditional(net, q.objective, q.evidence)
+    for model in (net, as_lazy(net)):
+        qb = bounds_at(model, q, Threshold.full_past())
+        assert qb.lower == qb.upper == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [((4,), (2, 2)), ((2, 4), (4, 2))],
+    ids=["4-rows-one-4-state-parent-and-two-binary", "8-rows-parents-2x4-and-4x2"],
+)
+def test_one_cpt_object_shared_by_nodes_with_differently_sized_parents(left, right):
+    def roots(prefix, sizes):
+        prior = {2: (0.3, 0.7), 4: (0.1, 0.2, 0.3, 0.4)}
+        return [NodeSpec(f"{prefix}{i}", tuple(map(str, range(n))), (), (prior[n],), 0.0) for i, n in enumerate(sizes)]
+
+    rows = tuple((p, 1.0 - p) for p in (0.9, 0.6, 0.3, 0.2, 0.75, 0.4, 0.15, 0.5)[: math.prod(left)])
+    parents = roots("a", left) + roots("b", right)
+    net = _shared_cpt_net(
+        *parents,
+        NodeSpec("u", ("0", "1"), tuple(p.name for p in parents[: len(left)]), rows, 1.0),
+        NodeSpec("v", ("0", "1"), tuple(p.name for p in parents[len(left) :]), rows, 1.0),
+    )
+    q = Query({"u": "1", "v": "0"})
+    expected = oracles.probability(net, q.objective)
+    for model in (net, as_lazy(net)):
+        qb = bounds_at(model, q, Threshold.full_past())
+        assert qb.lower == qb.upper == pytest.approx(expected, abs=1e-12)
 
 
 def test_exact_rejects_zero_probability_evidence():

@@ -7,6 +7,7 @@ from conftest import CHAIN_DOC, TWO_NODE_DOC, make_net
 from plif import (
     HmmParams,
     InvalidNetworkError,
+    LazyNetwork,
     NetworkFormatError,
     NodeSpec,
     NoStartNodesError,
@@ -146,6 +147,15 @@ def test_parse_t0_minus_inf_sentinel():
     assert serialize(net).count('"-inf"') == 1
 
 
+@pytest.mark.parametrize("t0", [math.inf, math.nan], ids=["plus-inf", "nan"])
+def test_serialize_refuses_a_t0_that_is_no_time_origin(t0):
+    # only -inf has a sentinel; writing "-inf" for +inf would give a document that loads
+    net = make_net(t0, True, NodeSpec("a", ("0", "1"), (), ((0.5, 0.5),), 0.0))
+    assert [v.rule for v in validate(net)][0] == "t0-invalid"
+    with pytest.raises(ValueError):
+        serialize(net)
+
+
 def test_round_trip_is_lossless():
     for doc in (CHAIN_DOC, TWO_NODE_DOC):
         net = load_network(json.dumps(doc))
@@ -218,3 +228,40 @@ def test_materialize_deterministic():
 def test_lazy_resolver_is_deterministic():
     lazy = hmm_model(HmmParams())
     assert lazy.resolve("x_t") == lazy.resolve("x_t") == hmm_model(HmmParams()).resolve("x_t")
+
+
+_NAN, _INF = math.nan, math.inf
+_RANGE = ("cpt-entry-range", "node 'a' row 0 leaves [0, 1]")
+
+
+@pytest.mark.parametrize(
+    "states, row, report",
+    [
+        (("0", "1"), (_NAN, 0.5), [_RANGE]),
+        (("0", "1"), (0.5, _NAN), [_RANGE]),
+        (("0", "1"), (_INF, 0.0), [_RANGE, ("cpt-row-sum", "node 'a' row 0 sums to inf, expected 1")]),
+        (("0", "1"), (_INF, -_INF), [_RANGE]),
+        (("0", "1"), (-0.0, 1.0), []),
+        (("0", "1"), (1.0, 0.0), []),
+        (
+            (),
+            (),
+            [
+                ("state-count", "node 'a' needs at least 2 states"),
+                ("cpt-row-sum", "node 'a' row 0 sums to 0, expected 1"),
+            ],
+        ),
+    ],
+    ids=["nan-first", "nan-last", "inf", "inf-minus-inf", "minus-zero", "exact-one", "empty"],
+)
+def test_cpt_row_checks_report_each_rule_once_in_order(states, row, report):
+    # a NaN is out of range wherever it sits; its row sum is NaN, which no tolerance rejects
+    spec = NodeSpec("a", states, (), (row,), 0.0)
+    assert [(v.rule, v.message) for v in validate(make_net(0.0, False, spec))] == report
+    lazy = LazyNetwork({"a": spec}.__getitem__, 0.0)
+    if not report:
+        assert lazy.resolve("a") is spec
+        return
+    with pytest.raises(InvalidNetworkError) as exc:
+        lazy.resolve("a")
+    assert [(v.rule, v.message) for v in exc.value.violations] == report
