@@ -25,7 +25,6 @@ from .gen import (
     hmm_query,
     hmm_sweep_experiment,
     random_network,
-    random_query,
     sweep_csv,
 )
 from .infer import (
@@ -44,7 +43,6 @@ from .model import (
     Query,
     as_lazy,
     load_network,
-    network_to_document,
     serialize,
     validate,
 )
@@ -94,9 +92,7 @@ __all__ = [
     "hmm_sweep_experiment",
     "load_network",
     "materialize",
-    "network_to_document",
     "random_network",
-    "random_query",
     "root_set",
     "serialize",
     "sweep_csv",

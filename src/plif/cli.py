@@ -11,15 +11,14 @@ Exit codes:
      truncated past, expansion cap)
   6  not separated (dsep)
 
-The PLIF_MAX_FRONTIER environment variable overrides the default cap of
-65536 joint frontier clamps per threshold.
+The PLIF_MAX_FRONTIER environment variable overrides the cap of 65536
+joint frontier clamps per threshold (infer.MAX_CLAMPS) in every bounds_at.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import (
@@ -172,19 +171,6 @@ def _query_from_args(args) -> Query:
     )
 
 
-def _clamp_cap() -> int | None:
-    raw = os.environ.get("PLIF_MAX_FRONTIER")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise QueryError(f"PLIF_MAX_FRONTIER must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise QueryError(f"PLIF_MAX_FRONTIER must be at least 1, got {cap}")
-    return cap
-
-
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -208,7 +194,7 @@ def _cmd_query(args) -> int:
     else:
         v = net.spec(args.at_pl_of).pl if args.at_pl_of is not None else args.threshold
     walk = Walk(net, query)
-    qb = bounds_at(net, query, Threshold(v), max_clamps=_clamp_cap(), walk=walk)
+    qb = bounds_at(net, query, Threshold(v), walk=walk)
     if args.dump_submodel:
         _write_doc(serialize(walk.fragment()), args.dump_submodel)
     if args.exact:
@@ -271,13 +257,12 @@ def _cmd_sweep(args) -> int:
         if not args.target:
             raise QueryError("sweep needs at least one --target (or --hmm)")
         net, query = load_network(_read(args.path)), _query_from_args(args)
-    cap = _clamp_cap()
     if args.depth < 1:
         raise QueryError(f"--depth must be at least 1, got {args.depth}")
     if args.hmm:
-        rows = hmm_sweep_experiment(params, args.depth, max_clamps=cap)
+        rows = hmm_sweep_experiment(params, args.depth)
     else:
-        rows = anytime_sweep(net, query, max_steps=args.depth, stop_on_exact=not args.full_sweep, max_clamps=cap)
+        rows = anytime_sweep(net, query, max_steps=args.depth, stop_on_exact=not args.full_sweep)
     _emit_sweep(rows, args.format)
     return EXIT_OK
 

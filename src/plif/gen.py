@@ -19,7 +19,8 @@ from .infer import default_schedule  # noqa: F401  (bench/tracing.py wraps it he
 from .model import LazyNetwork, Network, NodeSpec, Query
 from .retrieval import Threshold
 
-_HMM_NAME = re.compile(r"^([xy])_t(?:([+-]\d+))?$")
+# only the canonical names of hmm_node_name: x_t+0 or y_t-007 would alias a chain node
+_HMM_NAME = re.compile(r"([xy])_t(?:([+-][1-9][0-9]*))?")
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def hmm_model(params: HmmParams = HmmParams()) -> LazyNetwork:
     y_cpt = ((emit, 1.0 - emit), (1.0 - emit, emit))
 
     def resolve(name: str) -> NodeSpec:
-        m = _HMM_NAME.match(name)
+        m = _HMM_NAME.fullmatch(name)
         if not m:
             raise UnknownNodeError(f"unknown node: {name!r}")
         var, raw = m.groups()
@@ -88,17 +89,13 @@ def hmm_query(params: HmmParams = HmmParams()) -> Query:
     return Query(objective={hmm_node_name("x", 1): "1"}, evidence=evidence)
 
 
-def hmm_sweep_experiment(params: HmmParams, depth: int, max_clamps: int | None = None) -> list[QueryBounds]:
-    """Sweep thresholds -1, -2, ..., -depth on the standard chain query,
-    with at most ``max_clamps`` frontier clamps a threshold (the default
-    cap when None).
+def hmm_sweep_experiment(params: HmmParams, depth: int) -> list[QueryBounds]:
+    """Sweep thresholds -1, -2, ..., -depth on the standard chain query.
 
     Returns one row per threshold regardless of exactness so the whole
     shrinking-interval curve is available. ``depth`` must be at least 1.
     """
-    return anytime_sweep(
-        hmm_model(params), hmm_query(params), max_steps=depth, stop_on_exact=False, max_clamps=max_clamps
-    )
+    return anytime_sweep(hmm_model(params), hmm_query(params), max_steps=depth, stop_on_exact=False)
 
 
 def format_threshold(th: Threshold) -> str:

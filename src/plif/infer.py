@@ -16,7 +16,10 @@ of the newly retrieved nodes into it, and reads each next threshold off
 its own retrieval walk, whose resolved nodes, query nodes included,
 count against the :class:`ExpansionCapError` cap. The exact value of a
 closed-past query is its bracket at the full-past threshold, where the
-frontier is empty and the bounds coincide.
+frontier is empty and the bounds coincide. Each cap is a module
+constant read at call time: :data:`MAX_CLAMPS` joint frontier clamps a
+threshold (``PLIF_MAX_FRONTIER`` overrides it), :data:`MAX_JOINT_CELLS`
+cells a factor.
 
 Bounds come from scanning the unobserved frontier: for every joint clamp
 of those stubs the submodel yields one conditional value, and the true
@@ -30,6 +33,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
@@ -47,7 +51,7 @@ from .errors import (
 from .model import Assignment, LazyNetwork, NodeSpec, Query
 from .retrieval import NetworkLike, Threshold, Walk, root_set, walk_for
 
-DEFAULT_MAX_CLAMPS = 2**16
+MAX_CLAMPS = 2**16
 MAX_JOINT_CELLS = 50_000_000
 PROB_TOL = 1e-9
 
@@ -393,14 +397,20 @@ def _zero_evidence(evidence: Assignment) -> ZeroEvidenceError:
     return ZeroEvidenceError(f"evidence {dict(itertools.islice(evidence.items(), 5))!r}{more} has probability zero")
 
 
-def bounds_at(
-    net: NetworkLike,
-    query: Query,
-    threshold: Threshold,
-    *,
-    max_clamps: int | None = None,
-    walk: Walk | None = None,
-) -> QueryBounds:
+def _clamp_cap() -> int:
+    raw = os.environ.get("PLIF_MAX_FRONTIER")
+    if raw is None:
+        return MAX_CLAMPS
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise QueryError(f"PLIF_MAX_FRONTIER must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise QueryError(f"PLIF_MAX_FRONTIER must be at least 1, got {cap}")
+    return cap
+
+
+def bounds_at(net: NetworkLike, query: Query, threshold: Threshold, *, walk: Walk | None = None) -> QueryBounds:
     """Certified bounds on the query from the submodel retrieved at
     ``threshold``.
 
@@ -408,6 +418,8 @@ def bounds_at(
     earliest objective node); the full-past sentinel additionally needs a
     closed past. Frontier clamps with a zero normalizer are skipped; if
     all of them are, the evidence is unreachable and an error is raised.
+    More joint clamps of the unobserved frontier than :data:`MAX_CLAMPS`
+    (or ``PLIF_MAX_FRONTIER``, read first) raise :class:`FrontierTooWideError`.
 
     A sweep passes one ``walk``, built for ``net`` and ``query``, to its
     calls, shallowest threshold first; each extends the walk and its
@@ -417,6 +429,7 @@ def bounds_at(
     only one whose extension raised leaves it refused. Without a walk the
     call starts a new one.
     """
+    cap = _clamp_cap()
     walk = walk_for(net, query, walk)
     o_star, pl_star = cpl(walk)
     if threshold.v > pl_star:
@@ -424,7 +437,6 @@ def bounds_at(
     if threshold.is_full_past and net.open_past:
         raise OpenPastError("the full-past threshold needs a closed past (roots with priors)")
     root_set(net, query, threshold, walk=walk)
-    cap = DEFAULT_MAX_CLAMPS if max_clamps is None else max_clamps
     width = math.prod(len(walk.frontier[n].states) for n in walk.frontier.keys() - walk.evidence_in_frontier)
     if width > cap:
         raise FrontierTooWideError(width, cap)
@@ -501,15 +513,13 @@ def default_schedule(net: NetworkLike, query: Query, *, max_steps: int | None = 
     return Schedule(tuple(out))
 
 
-def _sweep(
-    walk: Walk, schedule: Schedule | None, max_steps: int | None, stop_on_exact: bool, max_clamps: int | None
-) -> Iterator[QueryBounds]:
+def _sweep(walk: Walk, schedule: Schedule | None, max_steps: int | None, stop_on_exact: bool) -> Iterator[QueryBounds]:
     """Bounds at each threshold of ``schedule``, or of :func:`_levels`
     read off ``walk`` without one, each step extending ``walk`` and its
     clamp table (:func:`bounds_at`); with ``stop_on_exact`` it ends after
     the first result certified exact."""
     for th in _levels(walk, max_steps) if schedule is None else schedule:
-        qb = bounds_at(walk.net, walk.query, th, max_clamps=max_clamps, walk=walk)
+        qb = bounds_at(walk.net, walk.query, th, walk=walk)
         yield qb
         if stop_on_exact and qb.exactness.is_exact:
             return
@@ -522,7 +532,6 @@ def anytime_sweep(
     *,
     max_steps: int | None = None,
     stop_on_exact: bool = True,
-    max_clamps: int | None = None,
 ) -> list[QueryBounds]:
     """Bounds at each threshold of ``schedule``, shallowest first, or
     without one at :func:`default_schedule`'s (at most ``max_steps``),
@@ -536,16 +545,10 @@ def anytime_sweep(
     """
     if schedule is not None and max_steps is not None:
         raise QueryError("max_steps caps the default thresholds; it cannot cap a schedule")
-    return list(_sweep(Walk(net, query), schedule, max_steps, stop_on_exact, max_clamps))
+    return list(_sweep(Walk(net, query), schedule, max_steps, stop_on_exact))
 
 
-def map_decision(
-    net: NetworkLike,
-    query: Query,
-    schedule: Schedule,
-    *,
-    max_clamps: int | None = None,
-) -> tuple[str, Threshold] | None:
+def map_decision(net: NetworkLike, query: Query, schedule: Schedule) -> tuple[str, Threshold] | None:
     """Sweep until the most likely state of a binary objective is settled.
 
     Returns the winning state label and the first threshold that decided
@@ -560,7 +563,7 @@ def map_decision(
     if len(states) != 2:
         raise QueryError(f"map_decision needs a binary objective; {name!r} has {len(states)} states")
     other = states[0] if states[1] == label else states[1]
-    for qb in _sweep(walk, schedule, None, True, max_clamps):
+    for qb in _sweep(walk, schedule, None, True):
         # separation must clear the probability tolerance, so an exact
         # tie at 0.5 never decides on float noise
         if qb.lower > 0.5 + PROB_TOL:

@@ -341,8 +341,10 @@ def _node_from_document(raw, index: int) -> NodeSpec:
     )
 
 
-def network_to_document(net: Network) -> dict:
-    return {
+def serialize(net: Network) -> str:
+    """Inverse of :func:`load_network`; round-trips every field exactly.
+    A ``t0`` of +inf or NaN, which has no sentinel, raises ValueError."""
+    doc = {
         "t0": "-inf" if net.t0 == -math.inf else net.t0,
         "open_past": net.open_past,
         "nodes": [
@@ -356,11 +358,7 @@ def network_to_document(net: Network) -> dict:
             for s in net.nodes.values()
         ],
     }
-
-
-def serialize(net: Network) -> str:
-    """Inverse of :func:`load_network`; round-trips every field exactly."""
-    return json.dumps(network_to_document(net), allow_nan=False)
+    return json.dumps(doc, allow_nan=False)
 
 
 def as_lazy(net: Network) -> LazyNetwork:

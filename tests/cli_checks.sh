@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end checks of the plif command: the README reproduction, a
 # 10,000-step chain sweep, four byte-for-byte or structural checks on
-# generated networks, and the exit codes of malformed documents. It runs
-# whichever `plif` and `python` come first on PATH, so it checks an
-# installed console script as well as a `python -m plif` shim; `python`
-# must import the same plif.
+# generated networks, and the exit codes of malformed documents and of
+# the PLIF_MAX_FRONTIER cap. It runs whichever `plif` and `python` come
+# first on PATH, so it checks an installed console script as well as a
+# `python -m plif` shim; `python` must import the same plif.
 #
 #   bash tests/cli_checks.sh    # exits non-zero at the first failed check
 set -euo pipefail
@@ -77,6 +77,18 @@ for check in not-utf8:1 deep:1 huge-pl:2; do
     if grep -q Traceback "$d/stderr"; then cat "$d/stderr" >&2; exit 1; fi
 done
 echo "malformed document check: not UTF-8 exit 1, deep nesting exit 1, 400-digit pl exit 2, no traceback"
+
+echo "== PLIF_MAX_FRONTIER caps the console script's bounds and a bad value is a usage error"
+code=0
+PLIF_MAX_FRONTIER=1 plif sweep --hmm --depth 3 > "$d/stdout" 2> "$d/stderr" || code=$?
+test "$code" -eq 5
+test ! -s "$d/stdout"
+grep -q "frontier too wide" "$d/stderr"
+if grep -q Traceback "$d/stderr"; then cat "$d/stderr" >&2; exit 1; fi
+code=0
+PLIF_MAX_FRONTIER=abc plif query "$d/random.json" "${flags[@]}" --threshold 5 2> /dev/null || code=$?
+test "$code" -eq 2
+echo "frontier cap check: PLIF_MAX_FRONTIER=1 exit 5, PLIF_MAX_FRONTIER=abc exit 2"
 
 echo "== a dumped submodel validates and is the materialized fragment; an unwritable dump exits 2"
 plif query "$d/random.json" "${flags[@]}" --threshold 5 --dump-submodel "$d/d.json"

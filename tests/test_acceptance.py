@@ -30,12 +30,12 @@ from plif import (
     default_schedule,
     hmm_sweep_experiment,
     load_network,
-    network_to_document,
     random_network,
-    random_query,
     root_set,
+    serialize,
 )
 from plif.cli import main as cli_main
+from plif.gen import random_query
 from plif.infer import Exactness, frontier_clamp_table
 from plif.retrieval import Walk
 
@@ -261,7 +261,7 @@ def test_criterion_08_weak_tightening_reported_not_asserted(corpus):
                         "deep_threshold": deep.threshold.v,
                         "shallow_interval": [shallow.bounds.lower, shallow.bounds.upper],
                         "deep_interval": [deep.bounds.lower, deep.bounds.upper],
-                        "network": network_to_document(rec.net),
+                        "network": json.loads(serialize(rec.net)),
                     }
                 )
     if violations:

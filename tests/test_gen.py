@@ -4,19 +4,23 @@ import oracles
 from conftest import random_chain
 from plif import (
     HmmParams,
+    Query,
     RandomNetSpec,
+    Threshold,
+    UnknownNodeError,
     anytime_sweep,
+    bounds_at,
     hmm_model,
     hmm_query,
     hmm_sweep_experiment,
     load_network,
     materialize,
     random_network,
-    random_query,
     serialize,
     sweep_csv,
     validate,
 )
+from plif.gen import random_query
 
 
 def test_hmm_resolver_transition_node():
@@ -39,6 +43,16 @@ def test_hmm_pl_rules():
     assert lazy.resolve("x_t-1").pl == -3.0
     assert lazy.resolve("y_t-1").pl == -2.5
     assert lazy.resolve("x_t+1").pl == -1.0
+
+
+@pytest.mark.parametrize("name", ["x_t+0", "x_t-0", "x_t+01", "y_t-007", "y_t+0", "x_t+\u0661", "y_t\n"])
+def test_hmm_resolver_refuses_a_second_name_for_a_chain_node(name):
+    with pytest.raises(UnknownNodeError, match="unknown node"):
+        hmm_model(HmmParams()).resolve(name)
+    # as evidence it would be a second, contradictory observation of one node
+    query = Query({"x_t+1": "1"}, {"y_t": "1", name: "0"})
+    with pytest.raises(UnknownNodeError):
+        bounds_at(hmm_model(HmmParams()), query, Threshold(-3.0))
 
 
 def test_hmm_query_window_names():

@@ -47,10 +47,9 @@ from plif import (
     hmm_query,
     hmm_sweep_experiment,
     random_network,
-    random_query,
     root_set,
 )
-from plif.gen import hmm_node_name
+from plif.gen import hmm_node_name, random_query
 from plif.retrieval import Walk
 
 HMM = HmmParams()
@@ -508,7 +507,7 @@ def test_state_refuses_a_step_after_the_expansion_cap_raised_mid_walk(monkeypatc
     _assert_fresh_state_sweeps(Walk(lazy, q), (Threshold(-1.0), Threshold(-4.0)))
 
 
-def test_walk_goes_on_deeper_after_the_frontier_cap_raised_past_the_walk():
+def test_walk_goes_on_deeper_after_the_frontier_cap_raised_past_the_walk(monkeypatch):
     # two root switches on x_t put three binary nodes on the frontier at -2
     switches = {n: NodeSpec(n, ("0", "1"), (), ((0.5, 0.5),), pl=-100.0) for n in ("s1", "s2")}
     inner = hmm_model(HMM)
@@ -524,12 +523,14 @@ def test_walk_goes_on_deeper_after_the_frontier_cap_raised_past_the_walk():
 
     lazy, q = LazyNetwork(resolve, float("-inf")), hmm_query(HMM)
     walk = Walk(lazy, q)
-    bounds_at(lazy, q, Threshold(-1.0), walk=walk, max_clamps=4)
+    monkeypatch.setattr(infer, "MAX_CLAMPS", 4)
+    bounds_at(lazy, q, Threshold(-1.0), walk=walk)
     with pytest.raises(FrontierTooWideError):
-        bounds_at(lazy, q, Threshold(-2.0), walk=walk, max_clamps=4)
+        bounds_at(lazy, q, Threshold(-2.0), walk=walk)
     # the walk reached -2 and its band keeps the CPTs its table lacks
-    _assert_fresh_state_sweeps(walk, (DEEP,), max_clamps=8)
-    _assert_fresh_state_sweeps(Walk(lazy, q), (Threshold(-1.0), Threshold(-2.0)), max_clamps=8)
+    monkeypatch.setattr(infer, "MAX_CLAMPS", 8)
+    _assert_fresh_state_sweeps(walk, (DEEP,))
+    _assert_fresh_state_sweeps(Walk(lazy, q), (Threshold(-1.0), Threshold(-2.0)))
 
 
 def test_walk_goes_on_after_a_first_step_above_the_critical_level():

@@ -30,11 +30,10 @@ from plif import (
     hmm_query,
     materialize,
     random_network,
-    random_query,
     root_set,
     validate,
 )
-from plif.gen import hmm_node_name
+from plif.gen import hmm_node_name, random_query
 from plif.infer import cpl, exactness_status, map_decision
 from plif.retrieval import Walk
 
@@ -294,9 +293,20 @@ def test_bounds_sentinel_refused_on_open_past():
         bounds_at(frag, Query({"x_t+1": "1"}), Threshold.full_past())
 
 
-def test_bounds_clamp_cap_enforced(chain_net):
+def test_bounds_clamp_cap_enforced(chain_net, monkeypatch):
+    monkeypatch.setattr(infer, "MAX_CLAMPS", 1)
     with pytest.raises(FrontierTooWideError):
-        bounds_at(chain_net, Query({"x": "1"}), Threshold(4.0), max_clamps=1)
+        bounds_at(chain_net, Query({"x": "1"}), Threshold(4.0))
+
+
+def test_frontier_cap_env_var_caps_a_library_sweep(monkeypatch):
+    lazy, q = hmm_model(HMM), hmm_query(HMM)
+    monkeypatch.setenv("PLIF_MAX_FRONTIER", "1")
+    with pytest.raises(FrontierTooWideError, match="exceed the cap of 1"):
+        anytime_sweep(lazy, q, max_steps=3)
+    monkeypatch.setenv("PLIF_MAX_FRONTIER", "abc")
+    with pytest.raises(QueryError, match="PLIF_MAX_FRONTIER must be an integer, got 'abc'"):
+        anytime_sweep(lazy, q, max_steps=3)
 
 
 def test_bounds_zero_normalizer_clamps_are_excluded():

@@ -156,6 +156,20 @@ def test_serialize_refuses_a_t0_that_is_no_time_origin(t0):
         serialize(net)
 
 
+def test_serialize_writes_the_documented_bytes():
+    # key order, separators and the -inf sentinel are the format, not just what loads back
+    assert serialize(load_network(json.dumps(TWO_NODE_DOC))) == (
+        '{"t0": 0.0, "open_past": false, "nodes": ['
+        '{"name": "c", "states": ["0", "1"], "pl": 0.0, "parents": [], "cpt": [[0.7, 0.3]]}, '
+        '{"name": "e", "states": ["0", "1"], "pl": 1.0, "parents": ["c"], "cpt": [[0.9, 0.1], [0.2, 0.8]]}]}'
+    )
+    stub = make_net(-math.inf, True, NodeSpec("a", ("0", "1"), (), None, -3.5))
+    assert serialize(stub) == (
+        '{"t0": "-inf", "open_past": true, "nodes": ['
+        '{"name": "a", "states": ["0", "1"], "pl": -3.5, "parents": [], "cpt": null}]}'
+    )
+
+
 def test_round_trip_is_lossless():
     for doc in (CHAIN_DOC, TWO_NODE_DOC):
         net = load_network(json.dumps(doc))

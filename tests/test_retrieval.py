@@ -15,10 +15,10 @@ from plif import (
     hmm_model,
     hmm_query,
     random_network,
-    random_query,
     root_set,
     validate,
 )
+from plif.gen import random_query
 
 
 def test_ancestors_of_chain_target(chain_net):

@@ -11,7 +11,8 @@ chain's nodes share two.
 import pytest
 
 import plif.infer as infer
-from plif import HmmParams, RandomNetSpec, anytime_sweep, as_lazy, hmm_model, hmm_query, random_network, random_query
+from plif import HmmParams, RandomNetSpec, anytime_sweep, as_lazy, hmm_model, hmm_query, random_network
+from plif.gen import random_query
 
 
 class _Count:
