@@ -18,6 +18,7 @@ joint frontier clamps per threshold (infer.MAX_CLAMPS) in every bounds_at.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -81,7 +82,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFERENCE
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged, so
+    in-process calls of :func:`main` share it."""
     parser = argparse.ArgumentParser(
         prog="plif",
         description="Anytime bounds on causal Bayesian network queries, guided by potential levels.",

@@ -6,15 +6,16 @@ bucket elimination that multiplies CPTs into a table of numerators and
 normalizers over the frontier clamps. It eliminates latest first, in
 decreasing potential level, which puts every node's children before
 it, and builds each CPT only when it reaches the node, so only the cut
-is live. Nodes that share a CPT share its array within one call, and a
+is live. Nodes that share a CPT share its array within one walk, and a
 summed-out node's own CPT goes straight into its own bucket. Each
 bucket is one einsum call; where one cannot certify a cell, the whole
-contraction is redone in logs (:func:`_bucket`). The table keeps one
-log-scale per clamp, so long evidence chains cannot underflow. A sweep
-keeps that table and, at each deeper threshold, contracts only the CPTs
-of the newly retrieved nodes into it, and reads each next threshold off
-its own retrieval walk, whose resolved nodes, query nodes included,
-count against the :class:`ExpansionCapError` cap. The exact value of a
+contraction is redone in logs (:func:`_bucket`). The table keeps a
+log-scale per clamp (one for all while they agree), so long evidence
+chains cannot underflow. A sweep keeps that table and, at each deeper
+threshold, contracts only the CPTs of the newly retrieved nodes into
+it, and reads each next threshold off its own retrieval walk, whose
+resolved nodes, query nodes included, count against the
+:class:`ExpansionCapError` cap. The exact value of a
 closed-past query is its bracket at the full-past threshold, where the
 frontier is empty and the bounds coincide. Each cap is a module
 constant read at call time: :data:`MAX_CLAMPS` joint frontier clamps a
@@ -127,30 +128,33 @@ class _NeedsLog(Exception):
 class _Table:
     """Numerators and normalizers indexed by the states of ``axes`` (the
     unobserved frontier), then by :data:`_NUM_DEN`. The true value at a
-    cell is ``table`` there times ``exp(logscale)`` at its ``axes`` cell;
-    ``logscale`` None means 0, and it is -inf where the normalizer is
-    exactly zero."""
+    cell is ``table`` there times ``exp(logscale)`` at its ``axes`` cell.
+    ``logscale`` is one float when every clamp shares it (a linear
+    contraction that left every normalizer at least _TINY), else an
+    array over ``axes``, -inf where the normalizer is exactly zero."""
 
     axes: _Axes
     table: np.ndarray
-    logscale: np.ndarray | None
+    logscale: np.ndarray | float
 
 
 def _factor(spec: NodeSpec, sizes: Mapping[str, int], clamps: Mapping[str, int], log: bool, memo: dict) -> _Factor:
     """``spec``'s CPT as a factor over its parents and itself, with the axes
-    in ``clamps`` fixed and dropped, in logs with ``log``. ``memo`` keeps
-    one call's tables by CPT, axis sizes and evidence cut. A CPT goes in by
-    its id, which is safe only while the caller's ``specs`` holds every CPT
-    alive; no table is written to, so one can serve many nodes."""
+    in ``clamps`` fixed and dropped, in logs with ``log``. ``memo`` (a
+    walk's :attr:`~plif.retrieval.Walk.factors`) keeps the tables by CPT,
+    axis sizes, evidence cut and ``log``, each beside the CPT object it
+    was built from, so that the CPT's id in the key stays valid. No table
+    is written to, so one can serve many nodes and every step of a sweep."""
     axes = (*spec.parents, spec.name)
     shape, cut = tuple(map(sizes.__getitem__, axes)), tuple(map(clamps.get, axes))
-    key = (id(spec.cpt), shape, cut)
-    table = memo.get(key)
-    if table is None:
+    key = (id(spec.cpt), shape, cut, log)
+    hit = memo.get(key)
+    if hit is None:
         table = np.asarray(spec.cpt, dtype=float).reshape(shape)
         if cut.count(None) < len(cut):
             table = table[tuple(slice(None) if c is None else c for c in cut)]
-        memo[key] = table = np.log(table) if log else table
+        hit = memo[key] = spec.cpt, np.log(table) if log else table
+    table = hit[1]
     if cut.count(None) == len(cut):
         return axes, table
     return tuple(a for a, c in zip(axes, cut) if c is None), table
@@ -177,8 +181,9 @@ def _bucket(
 
     In logs (``log``) the factors are added and ``h`` is summed out by
     ``np.logaddexp``. Linearly, one :func:`numpy.einsum` call multiplies
-    and sums. A lone factor is only summed, which is accurate; a product
-    is divided by its peak once that is below _TINY. Each input is a CPT
+    and sums. A lone factor is only summed, which is accurate, and one
+    already over the output axes is returned as it is; a product is
+    divided by its peak once that is below _TINY. Each input is a CPT
     entry or a message of this function, so none exceeds 1 and each is
     accurate or exactly zero. A partial product that underflows stays
     below 2^-1022, so a cell of at least _FLOOR has lost at most ``|h|``
@@ -190,6 +195,8 @@ def _bucket(
     if cells > MAX_JOINT_CELLS:
         raise FactorTooLargeError(cells, MAX_JOINT_CELLS)
     out_axes = tuple(a for a in union if a != h)
+    if len(group) == 1 and group[0][0] == out_axes:
+        return group[0], 0.0
     if log:
         out = sum(_align(axes, t, union) for axes, t in group)
         return (out_axes, out if h is None else np.logaddexp.reduce(out, axis=union.index(h))), 0.0
@@ -227,19 +234,22 @@ def _contract(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Ta
 
     Every edge runs from a strictly lower pl to a higher one, so the
     order reaches each node after its children and before its parents. A
-    CPT is built when the order reaches its node, at most once per call
-    for each CPT object, axis sizes and evidence cut (:func:`_factor`), so
-    a lazy chain's thousands of nodes use two arrays. A summed-out node's
-    own CPT joins its bucket last, and every other factor waits in the
-    bucket of its first variable summed out, so only the cut is live.
+    CPT is built when the order reaches its node, at most once per walk
+    for each CPT object, axis sizes, evidence cut and domain
+    (:func:`_factor`, memoized in ``walk.factors``), so a lazy chain's
+    thousands of nodes use two arrays, however many steps its sweep
+    takes. A summed-out node's own CPT joins its bucket last, and every
+    other factor waits in the bucket of its first variable summed out,
+    so only the cut is live.
     The elimination runs linearly first, with one einsum per bucket and
-    one scalar scale that ``prior``'s per-clamp scales join at their
-    maximum; where a bucket cannot certify a cell (:func:`_bucket`), or
-    ``prior``'s clamps span more than _FLOOR below it, the whole call is
-    redone in logs.
+    one scalar scale, which starts at ``prior``'s one scale or at the
+    maximum of its per-clamp scales; where a bucket cannot certify a
+    cell (:func:`_bucket`), or ``prior``'s clamps span more than _FLOOR
+    below it, the whole call is redone in logs. A ``prior`` whose every
+    normalizer is zero stays all zero.
     The result is normalized per clamp, unless it is linear and no
-    normalizer is below _TINY; from logs, a numerator below 2^-1074 of
-    its normalizer reads zero.
+    normalizer is below _TINY, when it keeps the one scale; from logs, a
+    numerator below 2^-1074 of its normalizer reads zero.
     """
     try:
         return _eliminate(walk, specs, scan, prior, False)
@@ -249,8 +259,7 @@ def _contract(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Ta
 
 
 def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Table | Assignment, log: bool) -> _Table:
-    """:func:`_contract`, in logs (``log``) or linearly, with a factor memo
-    that lives for this call only."""
+    """:func:`_contract`, in logs (``log``) or linearly."""
     start = not isinstance(prior, _Table)
     keep = (*scan, *prior) if start else (*scan, _NUM_DEN)
     sizes: dict = {_NUM_DEN: 2}
@@ -276,17 +285,21 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
     if not start:
         table = prior.table
         if log:
-            table = np.log(table) + (0.0 if prior.logscale is None else prior.logscale[..., None])
-        elif prior.logscale is not None:
-            finite = prior.logscale[prior.logscale > -np.inf]  # never empty: some clamp was valid
-            shift = float(finite.max())
-            if finite.min() - shift < math.log(_FLOOR):
-                raise _NeedsLog
-            table = table * np.exp(prior.logscale - shift)[..., None]
+            table = np.log(table) + np.expand_dims(prior.logscale, -1)
+        elif isinstance(prior.logscale, float):
+            shift = prior.logscale
+        else:
+            finite = prior.logscale[prior.logscale > -np.inf]
+            # empty when every clamp had zero evidence: the table is all
+            # zero, and so is every deeper one
+            if finite.size:
+                shift = float(finite.max())
+                if finite.min() - shift < math.log(_FLOOR):
+                    raise _NeedsLog
+                table = table * np.exp(prior.logscale - shift)[..., None]
         place(((*prior.axes, _NUM_DEN), table))
-    memo: dict = {}
     for spec in order:
-        factor = _factor(spec, sizes, clamps, log, memo)
+        factor = _factor(spec, sizes, clamps, log, walk.factors)
         if spec.name not in rank:
             place(factor)
             continue
@@ -312,7 +325,7 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
         finite = np.where(den == -np.inf, 0.0, den)
         return _Table(scan, np.exp(table - finite[..., None]), den)
     if den.min() >= _TINY:
-        return _Table(scan, table, None if shift == 0.0 else np.full(den.shape, shift))
+        return _Table(scan, table, shift)
     zero = den == 0.0
     den = np.where(zero, 1.0, den)
     return _Table(scan, table / den[..., None], np.where(zero, -np.inf, np.log(den) + shift))
@@ -445,11 +458,12 @@ def bounds_at(net: NetworkLike, query: Query, threshold: Threshold, *, walk: Wal
     valid = den > 0.0
     if not valid.any():
         raise _zero_evidence(query.evidence)
-    # num <= den holds exactly in real arithmetic; the clip only absorbs
-    # last-ulp drift from summing the objective axis into den
-    ratios = np.clip(num[valid] / den[valid], 0.0, 1.0)
-    lower = float(ratios.min())
-    upper = float(ratios.max())
+    # num <= den holds exactly in real arithmetic; the clamp to [0, 1]
+    # only absorbs last-ulp drift from summing the objective axis into
+    # den, and it is monotone, so it is applied to the extremes alone
+    ratios = num[valid] / den[valid]
+    lower = min(max(float(ratios.min()), 0.0), 1.0)
+    upper = min(max(float(ratios.max()), 0.0), 1.0)
 
     if threshold.is_full_past:
         status = Exactness.FULL_PAST

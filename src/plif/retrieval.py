@@ -102,8 +102,11 @@ class Walk:
     it does not yet hold: each extension appends to it, and
     ``infer.frontier_clamp_table`` contracts and clears it. Since
     ``table`` holds every other interior CPT, a walk stays consistent
-    whatever raises after an extension. :meth:`extend` refuses a
-    threshold not below ``level``, and any extension once one raised.
+    whatever raises after an extension. ``factors`` is inference's memo
+    of CPT arrays (``infer._factor``), kept for the walk's lifetime, so
+    nodes that share a CPT share one array across every step.
+    :meth:`extend` refuses a threshold not below ``level``, and any
+    extension once one raised.
     """
 
     net: NetworkLike
@@ -117,6 +120,7 @@ class Walk:
     band: list[str] = field(default_factory=list, init=False)
     level: float = field(default=math.inf, init=False)
     table: object = field(default=None, init=False, compare=False, repr=False)
+    factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         report = t0_violations(self.net.t0, True)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import plif
+import plif.cli
 from conftest import TWO_NODE_DOC
 from plif import Query, load_network, materialize, serialize
 
@@ -432,6 +433,17 @@ def test_cli_outputs_are_byte_identical_across_runs(cli, chain_file):
     first = cli("sweep", chain_file, "--target", "x=1", "--obs", "y=1", "--format", "csv")
     second = cli("sweep", chain_file, "--target", "x=1", "--obs", "y=1", "--format", "csv")
     assert first == second
+
+
+def test_in_process_calls_share_one_parser(cli):
+    assert plif.cli._build_parser() is plif.cli._build_parser()
+    argv = ("sweep", "--hmm", "--depth", "3", "--format", "csv")
+    first = cli(*argv)
+    assert first[0] == 0 and len(first[1].splitlines()) == 4
+    # a usage error in between leaves nothing behind in the shared parser
+    code, out, err = cli("sweep", "--hmm", "--depth", "0")
+    assert (code, out) == (2, "") and "--depth must be at least 1" in err
+    assert cli(*argv) == first
 
 
 def test_module_entry_point_runs_as_subprocess(two_node_file):

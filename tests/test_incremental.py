@@ -552,6 +552,29 @@ def test_walk_goes_on_deeper_after_the_cell_cap_raised(monkeypatch):
     _assert_fresh_state_sweeps(walk, (DEEP, Threshold(-4.0)))
 
 
+@pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
+def test_walk_goes_on_deeper_after_zero_evidence_raised(monkeypatch, log):
+    # e = 1 is impossible whatever b is, so every clamp of every threshold
+    # has a zero normalizer; the carried table is all zero and every
+    # log-scale -inf, and each deeper step must say so again
+    binary = ("0", "1")
+    net = make_net(
+        0.0,
+        False,
+        NodeSpec("r", binary, (), ((0.4, 0.6),), 0.0),
+        NodeSpec("a", binary, ("r",), ((0.7, 0.3), (0.2, 0.8)), 1.0),
+        NodeSpec("b", binary, ("a",), ((0.6, 0.4), (0.1, 0.9)), 2.0),
+        NodeSpec("e", binary, ("b",), ((1.0, 0.0), (1.0, 0.0)), 3.0),
+    )
+    q = Query({"b": "1"}, {"e": "1"})
+    if log:
+        monkeypatch.setattr(infer, "_FLOOR", 2.0)  # every product goes to the log path
+    walk = Walk(net, q)
+    for th in (Threshold(2.0), Threshold(1.0), Threshold(0.0), Threshold.full_past()):
+        with pytest.raises(infer.ZeroEvidenceError):
+            bounds_at(net, q, th, walk=walk)
+
+
 def _other_objective(lazy, q, walk):
     bounds_at(lazy, Query({"x_t+1": "0"}, q.evidence), Threshold(-2.0), walk=walk)
 

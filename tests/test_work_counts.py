@@ -2,17 +2,29 @@
 
 A wrapper around ``infer._contract`` records the nodes each contraction
 is given, and one around ``infer._bucket`` the buckets it runs. A sweep
-must contract each interior node exactly once, and a step of a long
-chain sweep must do the same work at any depth. Nodes are counted, not
-arrays built: a contraction builds one array per distinct CPT, so a lazy
-chain's nodes share two.
+must contract each interior node exactly once, a step of a long chain
+sweep must do the same work at any depth, and one threshold on the
+chain must run buckets in a number affine in its window. Nodes are
+counted, not arrays built: a walk builds one array per distinct CPT
+(``Walk.factors``), so a lazy chain's nodes share two at any depth.
 """
 
 import pytest
 
 import plif.infer as infer
-from plif import HmmParams, RandomNetSpec, anytime_sweep, as_lazy, hmm_model, hmm_query, random_network
+from plif import (
+    HmmParams,
+    RandomNetSpec,
+    Threshold,
+    anytime_sweep,
+    as_lazy,
+    bounds_at,
+    hmm_model,
+    hmm_query,
+    random_network,
+)
 from plif.gen import random_query
+from plif.retrieval import Walk
 
 
 class _Count:
@@ -82,3 +94,30 @@ def test_chain_steps_do_the_same_work_at_any_depth(monkeypatch):
     assert len(steps) == 4010 and not count.of("roots")
     assert steps[1000:1010] == steps[4000:4010]
     assert len(count.done) == 4010 + p.window
+
+
+def test_one_threshold_runs_buckets_affine_in_its_window(monkeypatch):
+    count = _Count(monkeypatch)
+    buckets = {}
+    for w in (400, 1200, 2500):
+        p = HmmParams(window=w)
+        count.reset()
+        start = count.buckets
+        bounds_at(hmm_model(p), hmm_query(p), Threshold(-float(w)))
+        buckets[w] = count.buckets - start
+    # three counts on one line: a redo in logs at the widest window, or
+    # work that grows faster than the fragment, would bend it
+    assert (buckets[1200] - buckets[400]) * (2500 - 1200) == (buckets[2500] - buckets[1200]) * (1200 - 400)
+
+
+def test_a_chain_walk_keeps_the_same_arrays_at_any_depth():
+    p = HmmParams(window=10)
+    lazy, q = hmm_model(p), hmm_query(p)
+    walk = Walk(lazy, q)
+    held = {}
+    for d in range(1, 4001):
+        bounds_at(lazy, q, Threshold(-float(d)), walk=walk)
+        if d in (1000, 4000):
+            held[d] = len(walk.factors)
+    # the transition CPT, and the emission CPT cut at its observed state
+    assert held[1000] == held[4000] == 2
