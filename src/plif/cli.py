@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes:
+Exit codes (1-5 are the ``exit_code`` of the error class raised, see
+errors.py):
   0  success (dsep: separated)
   1  parse failure or unknown node/state
   2  validation report (validate) or usage error, including an output file
@@ -22,16 +23,7 @@ import functools
 import json
 import sys
 
-from .errors import (
-    InvalidNetworkError,
-    NetworkFormatError,
-    PlifError,
-    QueryError,
-    ThresholdError,
-    UnknownNodeError,
-    UnknownStateError,
-    ZeroEvidenceError,
-)
+from .errors import InvalidNetworkError, NetworkFormatError, PlifError, QueryError
 from .gen import (
     HmmParams,
     RandomNetSpec,
@@ -46,40 +38,21 @@ from .infer import QueryBounds, anytime_sweep, bounds_at
 from .model import Query, load_network, serialize
 from .retrieval import Threshold, Walk, d_separated, materialize
 
-EXIT_OK = 0
-EXIT_PARSE = 1
-EXIT_INVALID = 2
-EXIT_USAGE = 2
-EXIT_THRESHOLD = 3
-EXIT_ZERO_EVIDENCE = 4
-EXIT_INFERENCE = 5
-EXIT_NOT_SEPARATED = 6
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NetworkFormatError, UnknownNodeError, UnknownStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except InvalidNetworkError as exc:
         for v in exc.violations:
             print(f"{v.rule}: {v.message}", file=sys.stderr)
-        return EXIT_INVALID
-    except (QueryError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ThresholdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_THRESHOLD
-    except ZeroEvidenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ZERO_EVIDENCE
-    except PlifError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFERENCE
+        return exc.exit_code
+    except (PlifError, ValueError) as exc:
+        usage = isinstance(exc, (QueryError, ValueError))
+        print(f"{'usage error' if usage else 'error'}: {exc}", file=sys.stderr)
+        # a ValueError a check missed is a usage error too
+        return getattr(exc, "exit_code", QueryError.exit_code)
 
 
 @functools.cache
@@ -186,7 +159,7 @@ def _read(path: str) -> str:
 def _cmd_validate(args) -> int:
     net = load_network(_read(args.path))
     print(f"OK: {len(net)} nodes")
-    return EXIT_OK
+    return 0
 
 
 def _cmd_query(args) -> int:
@@ -205,7 +178,7 @@ def _cmd_query(args) -> int:
         _emit_exact(qb.lower, args.format)
     else:
         _emit_bounds(qb, args.format)
-    return EXIT_OK
+    return 0
 
 
 def _emit_exact(value: float, fmt: str) -> None:
@@ -268,7 +241,7 @@ def _cmd_sweep(args) -> int:
     else:
         rows = anytime_sweep(net, query, max_steps=args.depth, stop_on_exact=not args.full_sweep)
     _emit_sweep(rows, args.format)
-    return EXIT_OK
+    return 0
 
 
 def _emit_sweep(rows: list[QueryBounds], fmt: str) -> None:
@@ -287,7 +260,7 @@ def _cmd_dsep(args) -> int:
     net = load_network(_read(args.path))
     separated = d_separated(net, args.A, args.B, args.C)
     print("true" if separated else "false")
-    return EXIT_OK if separated else EXIT_NOT_SEPARATED
+    return 0 if separated else 6
 
 
 def _cmd_gen_random(args) -> int:
@@ -299,7 +272,7 @@ def _cmd_gen_random(args) -> int:
         cpt_floor=args.cpt_floor,
     )
     _write_doc(serialize(random_network(spec)), args.out)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_gen_hmm(args) -> int:
@@ -307,7 +280,7 @@ def _cmd_gen_hmm(args) -> int:
     if args.depth < 1:
         raise QueryError(f"--depth must be at least 1, got {args.depth}")
     _write_doc(serialize(materialize(hmm_model(params), hmm_query(params), -args.depth)), args.out)
-    return EXIT_OK
+    return 0
 
 
 def _write_doc(text: str, out: str | None) -> None:

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class carries the ``plif`` exit code of its failure as
+``exit_code``: 1 parse failure or unknown name, 2 validation report or
+usage error, 3 threshold above the critical level, 4 zero-probability
+evidence, 5 any other inference error.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +12,13 @@ from __future__ import annotations
 class PlifError(Exception):
     """Base class for every error this package raises on purpose."""
 
+    exit_code = 5
+
 
 class NetworkFormatError(PlifError):
     """The network document is syntactically malformed."""
+
+    exit_code = 1
 
 
 class InvalidNetworkError(PlifError):
@@ -16,6 +26,8 @@ class InvalidNetworkError(PlifError):
 
     ``violations`` holds the full validation report.
     """
+
+    exit_code = 2
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -26,17 +38,25 @@ class InvalidNetworkError(PlifError):
 class UnknownNodeError(PlifError):
     """A referenced node name does not exist (or cannot be resolved)."""
 
+    exit_code = 1
+
 
 class UnknownStateError(PlifError):
     """A state label is not in the named node's state list."""
+
+    exit_code = 1
 
 
 class QueryError(PlifError):
     """A query, assignment, or argument set is malformed (usage error)."""
 
+    exit_code = 2
+
 
 class ThresholdError(PlifError):
     """The requested threshold sits above the critical potential level."""
+
+    exit_code = 3
 
     def __init__(self, v: float, pl_star: float, o_star: str):
         self.v = v
@@ -55,6 +75,8 @@ class NoStartNodesError(PlifError):
 class ZeroEvidenceError(PlifError):
     """The conditioning event has probability zero (or every frontier
     clamp has a zero normalizer)."""
+
+    exit_code = 4
 
 
 class FrontierTooWideError(PlifError):

@@ -372,33 +372,28 @@ def exactness_status(walk: Walk, lower: float, upper: float) -> Exactness:
     """Classify a retrieval per the first matching exactness condition.
 
     In order: (1) the frontier lies entirely inside the evidence, so no
-    clamp is free; (2) every frontier node sits at the time origin and no
-    evidence was left below the threshold, so the retrieved past is
-    complete; (3) the bounds coincide anyway. Under inclusive thresholds
-    condition (2)'s evidence clause is exactly "evidence_minus is empty",
-    which the sizes of the disjoint parts answer without building it.
+    clamp is free; (2) every frontier node is a root with a prior (not a
+    truncation stub) at the time origin and no evidence was left below
+    the threshold, so the retrieved past is complete; (3) the bounds
+    coincide anyway. Under inclusive thresholds condition (2)'s evidence
+    clause is exactly "evidence_minus is empty", which the sizes of the
+    disjoint parts answer without building it.
     """
     if len(walk.frontier) == len(walk.evidence_in_frontier):
         return Exactness.FRONTIER_SUBSET_OF_EVIDENCE
     dropped = len(walk.query.evidence) - len(walk.evidence_plus) - len(walk.evidence_in_frontier)
-    if not dropped and all(f.pl == walk.net.t0 for f in walk.frontier.values()):
+    frontier = (walk.specs[n] for n in walk.frontier)
+    if not dropped and all(f.pl == walk.net.t0 and not f.parents and not f.is_stub for f in frontier):
         return Exactness.FULL_PAST
     if abs(upper - lower) < PROB_TOL:
         return Exactness.COINCIDENCE
     return Exactness.NOT_EXACT
 
 
-def _exact_from_retrieval(walk: Walk) -> float | None:
+def _exact_from_retrieval(walk: Walk) -> float:
     """Exact value when the retrieval closed the past: the walk's clamp
-    table times the frontier roots' own priors (in ``walk.specs``). None
-    when a frontier prior is missing (truncated fragment), in which case
-    exactness cannot be certified."""
-    roots = {}
-    for name in sorted(walk.frontier):
-        spec = walk.specs[name]
-        if spec.parents or spec.cpt is None:
-            return None
-        roots[name] = spec
+    table times the frontier roots' own priors (in ``walk.specs``)."""
+    roots = {name: walk.specs[name] for name in sorted(walk.frontier)}
     num, den = _contract(walk, roots, (), walk.table).table
     if den == 0.0:
         raise _zero_evidence(walk.query.evidence)
@@ -470,11 +465,7 @@ def bounds_at(net: NetworkLike, query: Query, threshold: Threshold, *, walk: Wal
     else:
         status = exactness_status(walk, lower, upper)
         if status is Exactness.FULL_PAST:
-            exact = _exact_from_retrieval(walk)
-            if exact is None:
-                status = Exactness.NOT_EXACT
-            else:
-                lower = upper = exact
+            lower = upper = _exact_from_retrieval(walk)
     return QueryBounds(
         threshold=threshold,
         lower=lower,

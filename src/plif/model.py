@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     InvalidNetworkError,
@@ -86,14 +86,8 @@ class Network:
     #: the name-to-spec interface shared with :class:`LazyNetwork`
     resolve = spec
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.nodes
-
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.nodes)
 
 
 @dataclass(frozen=True)

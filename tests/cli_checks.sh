@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end checks of the plif command: the README reproduction, a
 # 10,000-step chain sweep, four byte-for-byte or structural checks on
-# generated networks, and the exit codes of malformed documents and of
+# generated networks, and the exit codes of malformed documents, of a
+# threshold above the critical level, of zero-probability evidence and of
 # the PLIF_MAX_FRONTIER cap. It runs whichever `plif` and `python` come
 # first on PATH, so it checks an installed console script as well as a
 # `python -m plif` shim; `python` must import the same plif.
@@ -77,6 +78,28 @@ for check in not-utf8:1 deep:1 huge-pl:2; do
     if grep -q Traceback "$d/stderr"; then cat "$d/stderr" >&2; exit 1; fi
 done
 echo "malformed document check: not UTF-8 exit 1, deep nesting exit 1, 400-digit pl exit 2, no traceback"
+
+echo "== a threshold above the critical potential level exits 3 with no traceback"
+code=0
+plif query "$d/random.json" "${flags[@]}" --threshold 10 > "$d/stdout" 2> "$d/stderr" || code=$?
+test "$code" -eq 3
+test ! -s "$d/stdout"
+grep -q "above the critical potential level 9" "$d/stderr"
+if grep -q Traceback "$d/stderr"; then cat "$d/stderr" >&2; exit 1; fi
+echo "threshold check: --threshold 10 above n09's level 9 exit 3, no traceback"
+
+echo "== evidence of probability zero exits 4 with no traceback"
+printf '{"t0": 0.0, "open_past": false, "nodes": [%s, %s]}' \
+    '{"name": "s", "states": ["0", "1"], "pl": 0.0, "parents": [], "cpt": [[1.0, 0.0]]}' \
+    '{"name": "k", "states": ["0", "1"], "pl": 1.0, "parents": ["s"], "cpt": [[1.0, 0.0], [0.0, 1.0]]}' \
+    > "$d/zero.json"
+code=0
+plif query "$d/zero.json" --target s=0 --obs k=1 --exact > "$d/stdout" 2> "$d/stderr" || code=$?
+test "$code" -eq 4
+test ! -s "$d/stdout"
+grep -q "has probability zero" "$d/stderr"
+if grep -q Traceback "$d/stderr"; then cat "$d/stderr" >&2; exit 1; fi
+echo "zero evidence check: k=1 under P(k=1) = 0 exit 4, no traceback"
 
 echo "== PLIF_MAX_FRONTIER caps the console script's bounds and a bad value is a usage error"
 code=0

@@ -8,8 +8,10 @@ import pytest
 
 import plif
 import plif.cli
+import plif.errors as errors
 from conftest import TWO_NODE_DOC
 from plif import Query, load_network, materialize, serialize
+from plif.model import Violation
 
 
 def test_validate_ok(cli, chain_file):
@@ -370,6 +372,56 @@ def test_expansion_cap_exits_5(cli, monkeypatch, argv):
     assert code == 5
     assert out == ""
     assert "resolved more than 5 nodes" in err
+
+
+_RAISED = [
+    (errors.NetworkFormatError("bad json"), 1, "error: bad json\n"),
+    (errors.UnknownNodeError("unknown node: 'q'"), 1, "error: unknown node: 'q'\n"),
+    (errors.UnknownStateError("no state '7'"), 1, "error: no state '7'\n"),
+    (
+        errors.InvalidNetworkError([Violation("cpt-row-sum", "row 0 of 'a'"), Violation("acyclic", "a -> a")]),
+        2,
+        "cpt-row-sum: row 0 of 'a'\nacyclic: a -> a\n",
+    ),
+    (errors.QueryError("--target names 'a' twice"), 2, "usage error: --target names 'a' twice\n"),
+    (ValueError("a missed check"), 2, "usage error: a missed check\n"),
+    (
+        errors.ThresholdError(3.0, 2.0, "x"),
+        3,
+        "error: threshold 3 is above the critical potential level 2 (objective node 'x'); pick a threshold <= 2\n",
+    ),
+    (errors.ZeroEvidenceError("evidence {} has probability zero"), 4, "error: evidence {} has probability zero\n"),
+    (errors.NoStartNodesError("nothing to start from"), 5, "error: nothing to start from\n"),
+    (
+        errors.FrontierTooWideError(10, 5),
+        5,
+        "error: frontier too wide: 10 clamp assignments exceed the cap of 5\n",
+    ),
+    (
+        errors.FactorTooLargeError(10, 5),
+        5,
+        "error: intermediate factor too large: 10 cells exceed the cap of 5\n",
+    ),
+    (errors.ExpansionCapError("resolved too much"), 5, "error: resolved too much\n"),
+    (errors.OpenPastError("open past"), 5, "error: open past\n"),
+    (errors.PlifError("anything else"), 5, "error: anything else\n"),
+]
+
+
+@pytest.mark.parametrize("exc, code, stderr", _RAISED, ids=[type(e).__name__ for e, _, _ in _RAISED])
+def test_every_error_class_exits_with_its_code_and_one_report(cli, chain_file, monkeypatch, exc, code, stderr):
+    def read(path):
+        raise exc
+
+    monkeypatch.setattr(plif.cli, "_read", read)
+    assert cli("validate", chain_file) == (code, "", stderr)
+    if isinstance(exc, errors.PlifError):
+        assert type(exc).exit_code == code
+
+
+def test_the_exit_code_table_covers_every_error_class():
+    classes = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.PlifError)}
+    assert classes == {type(e) for e, _, _ in _RAISED if isinstance(e, errors.PlifError)}
 
 
 def test_dsep_chain_separated(cli, chain_file):

@@ -437,6 +437,18 @@ def test_status_full_past_when_frontier_sits_at_origin(collider_net):
     assert status is Exactness.FULL_PAST
 
 
+def test_status_coincidence_at_a_truncation_stub_on_the_origin():
+    # a stub on t0 has no prior, so the past stays open; the bracket still
+    # coincides because a ignores s, and the sweep must see that
+    s = NodeSpec("s", ("0", "1"), (), None, pl=0.0)
+    a = NodeSpec("a", ("0", "1"), ("s",), ((0.3, 0.7), (0.3, 0.7)), pl=1.0)
+    net = make_net(0.0, True, s, a)
+    assert exactness_status(root_set(net, Query({"a": "1"}), Threshold(1.0)), 0.5, 0.9) is Exactness.NOT_EXACT
+    (row,) = anytime_sweep(net, Query({"a": "1"}))
+    assert row.exactness is Exactness.COINCIDENCE
+    assert row.lower == pytest.approx(0.7) and row.upper == pytest.approx(0.7)
+
+
 def test_status_coincidence_when_bounds_meet():
     r = NodeSpec("r", ("0", "1"), (), ((0.5, 0.5),), pl=0.0)
     m = NodeSpec("m", ("0", "1"), ("r",), ((0.6, 0.4), (0.4, 0.6)), pl=1.0)
