@@ -142,22 +142,23 @@ def _factor(spec: NodeSpec, sizes: Mapping[str, int], clamps: Mapping[str, int],
     """``spec``'s CPT as a factor over its parents and itself, with the axes
     in ``clamps`` fixed and dropped, in logs with ``log``. ``memo`` (a
     walk's :attr:`~plif.retrieval.Walk.factors`) keeps the tables by CPT,
-    axis sizes, evidence cut and ``log``, each beside the CPT object it
-    was built from, so that the CPT's id in the key stays valid. No table
-    is written to, so one can serve many nodes and every step of a sweep."""
+    axis sizes, evidence cut (None when nothing is clamped) and ``log``,
+    each beside the CPT object it was built from, so that the CPT's id in
+    the key stays valid. No table is written to, so one can serve many
+    nodes and every step of a sweep."""
     axes = (*spec.parents, spec.name)
-    shape, cut = tuple(map(sizes.__getitem__, axes)), tuple(map(clamps.get, axes))
+    shape = tuple([sizes[a] for a in axes])
+    cut = None if clamps.keys().isdisjoint(axes) else tuple([clamps.get(a) for a in axes])
     key = (id(spec.cpt), shape, cut, log)
     hit = memo.get(key)
     if hit is None:
         table = np.asarray(spec.cpt, dtype=float).reshape(shape)
-        if cut.count(None) < len(cut):
-            table = table[tuple(slice(None) if c is None else c for c in cut)]
+        if cut is not None:
+            table = table[tuple([slice(None) if c is None else c for c in cut])]
         hit = memo[key] = spec.cpt, np.log(table) if log else table
-    table = hit[1]
-    if cut.count(None) == len(cut):
-        return axes, table
-    return tuple(a for a, c in zip(axes, cut) if c is None), table
+    if cut is None:
+        return axes, hit[1]
+    return tuple([a for a, c in zip(axes, cut) if c is None]), hit[1]
 
 
 def _align(axes: _Axes, table: np.ndarray, out_axes: _Axes) -> np.ndarray:
@@ -191,10 +192,12 @@ def _bucket(
     _FLOOR must be an exact zero, as the einsum of the factors' 0/1
     masks shows; if not, or past numpy 1.x einsum's 31 operands,
     :class:`_NeedsLog` is raised."""
-    cells = math.prod(map(sizes.__getitem__, union))
+    cells = 1
+    for a in union:
+        cells *= sizes[a]
     if cells > MAX_JOINT_CELLS:
         raise FactorTooLargeError(cells, MAX_JOINT_CELLS)
-    out_axes = tuple(a for a in union if a != h)
+    out_axes = tuple([a for a in union if a != h])
     if len(group) == 1 and group[0][0] == out_axes:
         return group[0], 0.0
     if log:
@@ -202,17 +205,23 @@ def _bucket(
         return (out_axes, out if h is None else np.logaddexp.reduce(out, axis=union.index(h))), 0.0
     if len(group) > _EINSUM_MAX:
         raise _NeedsLog
-    ids = dict(zip(union, range(len(union))))
-    operands = [x for axes, t in group for x in (t, list(map(ids.__getitem__, axes)))]
-    out_ids = list(map(ids.__getitem__, out_axes))
+    ids = {a: i for i, a in enumerate(union)}
+    operands = []
+    for axes, t in group:
+        operands.append(t)
+        operands.append([ids[a] for a in axes])
+    out_ids = [ids[a] for a in out_axes]
     out = np.einsum(*operands, out_ids)
     if len(group) == 1:
         return (out_axes, out), 0.0
-    if np.minimum.reduce(out, axis=None) < _FLOOR:
+    low = np.minimum.reduce(out, axis=None)
+    if low < _FLOOR:
         operands[::2] = ((t > 0.0).astype(float) for t in operands[::2])
         support = np.einsum(*operands, out_ids)
         if ((out < _FLOOR) & (support > 0.0)).any():
             raise _NeedsLog
+    elif low >= _TINY:  # so is the peak
+        return (out_axes, out), 0.0
     peak = np.maximum.reduce(out, axis=None)
     if 0.0 < peak < _TINY:
         return (out_axes, out / peak), math.log(peak)
@@ -278,7 +287,11 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
     rest: list[_Factor] = []
 
     def place(factor: _Factor) -> None:
-        h = min(filter(rank.__contains__, factor[0]), key=rank.__getitem__, default=None)
+        h, first = None, len(order)
+        for a in factor[0]:
+            r = rank.get(a, first)
+            if r < first:
+                h, first = a, r
         (rest if h is None else buckets.setdefault(h, [])).append(factor)
 
     shift = 0.0
@@ -304,9 +317,12 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
             place(factor)
             continue
         # every parent comes later in the order, so a CPT joins its own bucket, last
-        group = buckets.pop(spec.name, [])
-        group.append(factor)
-        union: _Axes = tuple(dict.fromkeys(itertools.chain.from_iterable(axes for axes, _ in group)))
+        group = buckets.pop(spec.name, None)
+        if group is None:
+            group, union = [factor], factor[0]
+        else:
+            group.append(factor)
+            union = tuple(dict.fromkeys(itertools.chain.from_iterable(axes for axes, _ in group)))
         message, scale = _bucket(group, union, spec.name, sizes, log)
         shift += scale
         place(message)
@@ -373,8 +389,8 @@ def exactness_status(walk: Walk, lower: float, upper: float) -> Exactness:
 
     In order: (1) the frontier lies entirely inside the evidence, so no
     clamp is free; (2) every frontier node is a root with a prior (not a
-    truncation stub) at the time origin and no evidence was left below
-    the threshold, so the retrieved past is complete; (3) the bounds
+    truncation stub), at any pl, and no evidence was left below the
+    threshold, so the retrieved past is complete; (3) the bounds
     coincide anyway. Under inclusive thresholds condition (2)'s evidence
     clause is exactly "evidence_minus is empty", which the sizes of the
     disjoint parts answer without building it.
@@ -383,7 +399,7 @@ def exactness_status(walk: Walk, lower: float, upper: float) -> Exactness:
         return Exactness.FRONTIER_SUBSET_OF_EVIDENCE
     dropped = len(walk.query.evidence) - len(walk.evidence_plus) - len(walk.evidence_in_frontier)
     frontier = (walk.specs[n] for n in walk.frontier)
-    if not dropped and all(f.pl == walk.net.t0 and not f.parents and not f.is_stub for f in frontier):
+    if not dropped and all(not f.parents and not f.is_stub for f in frontier):
         return Exactness.FULL_PAST
     if abs(upper - lower) < PROB_TOL:
         return Exactness.COINCIDENCE

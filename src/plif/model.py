@@ -47,6 +47,8 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-9
+#: the most CPT objects one memo of checked rows keeps; a full one is cleared
+MAX_CHECKED_CPTS = 1024
 
 #: An assignment maps node names to state labels.
 Assignment = Mapping[str, str]
@@ -95,20 +97,22 @@ class LazyNetwork:
     """An on-demand network: ``resolver`` maps a node name to its spec.
 
     The resolver must be deterministic: resolving the same name twice
-    yields the same spec. Each call resolves and checks the spec afresh;
-    a retrieval walk resolves each node once.
+    yields the same spec. Each call resolves and checks the spec afresh,
+    save the rows of a CPT that ``checked`` holds as passed
+    (:func:`_local_spec_violations`); a walk resolves each node once.
     """
 
     resolver: Callable[[str], NodeSpec]
     t0: float
     open_past: bool = True
+    checked: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def resolve(self, name: str) -> NodeSpec:
         try:
             spec = self.resolver(name)
         except KeyError:
             raise UnknownNodeError(f"unknown node: {name!r}") from None
-        problems = _local_spec_violations(spec)
+        problems = _local_spec_violations(spec, self.checked)
         if spec.name != name:
             problems.append(Violation("resolver-name", f"asked for {name!r}, got {spec.name!r}"))
         if problems:
@@ -147,8 +151,13 @@ class Violation:
     message: str
 
 
-def _local_spec_violations(spec: NodeSpec) -> list[Violation]:
-    """Checks that need no other node: states, parent list, CPT shape, PL."""
+def _local_spec_violations(spec: NodeSpec, checked: dict) -> list[Violation]:
+    """Checks that need no other node: states, parent list, CPT shape, PL.
+
+    ``checked`` keeps each CPT object whose rows passed, by its id and the
+    state count, at most :data:`MAX_CHECKED_CPTS` of them; it holds the
+    object, so the id cannot be reused. Their rows are not checked again,
+    and a failing CPT is checked and reported at every node that has it."""
     out: list[Violation] = []
     width = len(spec.states)
     if width < 2:
@@ -165,6 +174,21 @@ def _local_spec_violations(spec: NodeSpec) -> list[Violation]:
                 Violation("cpt-missing", f"node {spec.name!r} has parents but no CPT")
             )
         return out
+    key = (id(spec.cpt), width)
+    if key in checked:
+        return out
+    rows = _row_violations(spec)
+    if not rows:
+        if len(checked) >= MAX_CHECKED_CPTS:
+            checked.clear()
+        checked[key] = spec.cpt
+    return out + rows
+
+
+def _row_violations(spec: NodeSpec) -> list[Violation]:
+    """Each CPT row of ``spec`` has one entry per state, in [0, 1], summing to 1."""
+    out: list[Violation] = []
+    width = len(spec.states)
     for i, row in enumerate(spec.cpt):
         if len(row) != width:
             message = f"node {spec.name!r} row {i} has {len(row)} entries, expected {width}"
@@ -230,11 +254,11 @@ def validate(net: Network) -> list[Violation]:
     rules reports all of them, each naming the offending nodes; a cycle
     breaks strict ``temporal-precedence`` on at least one of its edges.
     """
-    out = t0_violations(net.t0, net.open_past)
+    out, checked = t0_violations(net.t0, net.open_past), {}
     for key, spec in net.nodes.items():
         if key != spec.name:
             out.append(Violation("node-key", f"node keyed {key!r} is named {spec.name!r}"))
-        out.extend(_local_spec_violations(spec))
+        out.extend(_local_spec_violations(spec, checked))
         if spec.cpt is None and not spec.parents and not net.open_past:
             out.append(
                 Violation("cpt-missing", f"closed-past node {spec.name!r} has no prior (stub)")

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -7,8 +8,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from plif import Network, NodeSpec, load_network
+from plif import LazyNetwork, Network, NodeSpec, Query, load_network
 from plif.cli import main as cli_main
+from plif.errors import UnknownNodeError
 
 # y -> t2 -> t1 -> x with pl 1 < 2 < 3 < 4
 CHAIN_DOC = {
@@ -152,3 +154,38 @@ def random_chain(seed: int, length: int = 4, *, margin: float = 0.05) -> Network
             pl=float(i),
         )
     return Network(t0=0.0, open_past=False, nodes=nodes)
+
+
+# only canonical names: x01_t, x0_t+0 or y0_t-007 would alias a chain node
+_KCHAIN_NAME = re.compile(r"([xy])(0|[1-9][0-9]*)_t(?:([+-][1-9][0-9]*))?")
+
+
+def kchain_name(var: str, chain: int, step: int) -> str:
+    return f"{var}{chain}_t" + ("" if step == 0 else f"{step:+d}")
+
+
+def kchain(k: int = 3, window: int = 4, seed: int = 0) -> tuple[LazyNetwork, Query]:
+    """A seeded coupled k-chain, after bench/kchain.py's recipe: k binary
+    hidden chains with an unbounded past, where ``x<i>`` at step s has the
+    parents ``x<i>`` and ``x<i+1 mod k>`` at step s-1 and one observation
+    child ``y<i>``, and every hidden node of a step shares one pl. The
+    query asks for x0 at step 1 given the last ``window`` observations."""
+    rng = np.random.default_rng(seed)
+    p_one = np.array([[0.2, 0.45], [0.55, 0.8]]) + rng.uniform(-0.05, 0.05, (k, 2, 2))
+    emit = rng.uniform(0.7, 0.9, k)
+    hidden = [tuple((1.0 - float(p), float(p)) for p in p_one[i].reshape(-1)) for i in range(k)]
+    observe = [((float(e), 1.0 - float(e)), (1.0 - float(e), float(e))) for e in emit]
+
+    def resolve(name: str) -> NodeSpec:
+        m = _KCHAIN_NAME.fullmatch(name)
+        if not m or int(m[2]) >= k:
+            raise UnknownNodeError(f"unknown node: {name!r}")
+        var, i, step = m[1], int(m[2]), int(m[3] or 0)
+        if var == "x":
+            parents = (kchain_name("x", i, step - 1), kchain_name("x", (i + 1) % k, step - 1))
+            return NodeSpec(name, ("0", "1"), parents, hidden[i], step - 2.0)
+        return NodeSpec(name, ("0", "1"), (kchain_name("x", i, step),), observe[i], step - 1.5)
+
+    obs = rng.integers(0, 2, (k, window))
+    evidence = {kchain_name("y", i, -j): str(int(obs[i, j])) for i in range(k) for j in range(window)}
+    return LazyNetwork(resolve, float("-inf")), Query({kchain_name("x", 0, 1): "1"}, evidence)

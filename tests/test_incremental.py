@@ -290,12 +290,13 @@ def test_bounds_keep_a_clamp_whose_many_small_factors_underflow_together(run):
     # child: every child leaves one factor over f alone, about 0.01 at f = 0,
     # and their plain product there (1e-400) is below the range of a double.
     # o depends on the evidence only through f, so the bounds are
-    # P(o | f = 0) and P(o | f = 1)
+    # P(o | f = 0) and P(o | f = 1); f is a truncation stub, whose prior is
+    # unknown, so the bracket cannot close
     kids = []
     for i in range(200):
         kids.append(NodeSpec(f"c{i}", ("0", "1"), ("f",), ((1.0, 0.0), (0.0, 1.0)), pl=-3.0))
         kids.append(NodeSpec(f"e{i}", ("0", "1"), (f"c{i}",), ((0.99, 0.01), (0.1, 0.9)), pl=-2.5))
-    f = NodeSpec("f", ("0", "1"), (), ((0.5, 0.5),), pl=-10.0)
+    f = NodeSpec("f", ("0", "1"), (), None, pl=-10.0)
     o = NodeSpec("o", ("0", "1"), ("f",), ((0.8, 0.2), (0.3, 0.7)), pl=0.0)
     net = make_net(-20.0, True, f, o, *kids)
     q = Query({"o": "1"}, {f"e{i}": "1" for i in range(200)})
@@ -320,7 +321,8 @@ def test_bucket_at_the_einsum_operand_limit(children, monkeypatch):
         return einsum(*operands_and_sublists)
 
     monkeypatch.setattr(np, "einsum", numpy1_einsum)
-    f = NodeSpec("f", ("0", "1"), (), ((0.5, 0.5),), pl=-10.0)
+    # f is a truncation stub, so the bracket runs over its clamps
+    f = NodeSpec("f", ("0", "1"), (), None, pl=-10.0)
     h = NodeSpec("h", ("0", "1"), ("f",), ((0.9, 0.1), (0.2, 0.8)), pl=-3.0)
     o = NodeSpec("o", ("0", "1"), ("h",), ((0.8, 0.2), (0.3, 0.7)), pl=0.0)
     kids = [NodeSpec(f"e{i}", ("0", "1"), ("h",), ((0.3, 0.7), (0.6, 0.4)), pl=-2.0) for i in range(children)]

@@ -449,6 +449,17 @@ def test_status_coincidence_at_a_truncation_stub_on_the_origin():
     assert row.lower == pytest.approx(0.7) and row.upper == pytest.approx(0.7)
 
 
+def test_status_full_past_at_a_root_with_a_prior_above_the_origin():
+    # an open past may hold a genuine root above t0; nothing lies behind
+    # it, so a retrieval whose frontier holds only such roots is complete
+    r = NodeSpec("r", ("0", "1"), (), ((0.4, 0.6),), pl=1.0)
+    a = NodeSpec("a", ("0", "1"), ("r",), ((0.9, 0.1), (0.2, 0.8)), pl=2.0)
+    net = make_net(0.0, True, r, a)
+    (row,) = anytime_sweep(net, Query({"a": "1"}), max_steps=3)
+    assert row.threshold == Threshold(2.0) and row.exactness is Exactness.FULL_PAST
+    assert row.lower == row.upper == pytest.approx(0.4 * 0.1 + 0.6 * 0.8, abs=1e-12)
+
+
 def test_status_coincidence_when_bounds_meet():
     r = NodeSpec("r", ("0", "1"), (), ((0.5, 0.5),), pl=0.0)
     m = NodeSpec("m", ("0", "1"), ("r",), ((0.6, 0.4), (0.4, 0.6)), pl=1.0)

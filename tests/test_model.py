@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import plif.model as model
 from conftest import CHAIN_DOC, TWO_NODE_DOC, make_net
 from plif import (
     HmmParams,
@@ -13,8 +14,11 @@ from plif import (
     NoStartNodesError,
     Query,
     RandomNetSpec,
+    Threshold,
     as_lazy,
+    bounds_at,
     hmm_model,
+    hmm_query,
     load_network,
     materialize,
     random_network,
@@ -279,3 +283,68 @@ def test_cpt_row_checks_report_each_rule_once_in_order(states, row, report):
     with pytest.raises(InvalidNetworkError) as exc:
         lazy.resolve("a")
     assert [(v.rule, v.message) for v in exc.value.violations] == report
+
+
+def _rules(exc_info):
+    return [(v.rule, v.message) for v in exc_info.value.violations]
+
+
+def test_a_failing_shared_cpt_is_reported_at_every_node_that_uses_it():
+    # only a CPT that passed is remembered, so a bad one is checked, and
+    # named, wherever it is served
+    bad = ((0.5, 0.6),)
+    specs = {n: NodeSpec(n, ("0", "1"), (), bad, 0.0) for n in ("a", "b")}
+    lazy = LazyNetwork(specs.__getitem__, 0.0)
+    for name in ("a", "b", "a"):
+        with pytest.raises(InvalidNetworkError) as exc:
+            lazy.resolve(name)
+        assert _rules(exc) == [("cpt-row-sum", f"node {name!r} row 0 sums to 1.1, expected 1")]
+
+
+def test_a_checked_cpt_is_checked_again_at_another_state_count():
+    cpt = ((0.5, 0.5),)
+    specs = {"a": NodeSpec("a", ("0", "1"), (), cpt, 0.0), "b": NodeSpec("b", ("0", "1", "2"), (), cpt, 0.0)}
+    lazy = LazyNetwork(specs.__getitem__, 0.0)
+    assert lazy.resolve("a") is specs["a"]
+    with pytest.raises(InvalidNetworkError) as exc:
+        lazy.resolve("b")
+    assert _rules(exc) == [("cpt-row-length", "node 'b' row 0 has 2 entries, expected 3")]
+    assert lazy.resolve("a") is specs["a"]
+
+
+def test_a_fresh_bad_cpt_deep_in_a_chain_is_caught(monkeypatch):
+    # every call builds its CPT anew, so no memo entry ever fits the next
+    # node; a small memo is cleared as it fills, and stays bounded
+    monkeypatch.setattr(model, "MAX_CHECKED_CPTS", 8)
+
+    def resolve(name):
+        k = int(name[1:])
+        # c600's second row is (0.6, 0.6)
+        cpt = tuple((p, 0.6 if k == 600 and p == 0.6 else 1.0 - p) for p in ((0.3, 0.6) if k else (0.5,)))
+        return NodeSpec(name, ("0", "1"), () if name == "c0" else (f"c{k - 1}",), cpt, float(k))
+
+    lazy = LazyNetwork(resolve, float("-inf"))
+    assert bounds_at(lazy, Query({"c599": "1"}), Threshold(1.0)).interior_size == 599
+    assert len(lazy.checked) <= 8
+    with pytest.raises(InvalidNetworkError) as exc:
+        bounds_at(lazy, Query({"c900": "1"}), Threshold(1.0))
+    assert _rules(exc) == [("cpt-row-sum", "node 'c600' row 1 sums to 1.2, expected 1")]
+
+
+def test_a_chain_checks_its_rows_the_same_number_of_times_at_any_depth(monkeypatch):
+    # work counted, not timed: the chain's nodes share two CPT objects
+    checks = []
+    rows = model._row_violations
+
+    def counting(spec):
+        checks.append(spec.name)
+        return rows(spec)
+
+    monkeypatch.setattr(model, "_row_violations", counting)
+    p = HmmParams(window=10)
+    counts = {}
+    for depth in (1000, 4000):
+        checks.clear()
+        bounds_at(hmm_model(p), hmm_query(p), Threshold(-float(depth)))
+        counts[depth] = len(checks)
+    assert counts == {1000: 2, 4000: 2}

@@ -3,11 +3,14 @@
 A wrapper around ``infer._contract`` records the nodes each contraction
 is given, and one around ``infer._bucket`` the buckets it runs. A sweep
 must contract each interior node exactly once, a step of a long chain
-sweep must do the same work at any depth, and one threshold on the
+sweep must do the same work at any depth, a step of a coupled k-chain
+must cover the same cells bucket by bucket, and one threshold on the
 chain must run buckets in a number affine in its window. Nodes are
 counted, not arrays built: a walk builds one array per distinct CPT
 (``Walk.factors``), so a lazy chain's nodes share two at any depth.
 """
+
+import math
 
 import pytest
 
@@ -23,6 +26,8 @@ from plif import (
     hmm_query,
     random_network,
 )
+from conftest import kchain
+from plif.errors import UnknownNodeError
 from plif.gen import random_query
 from plif.retrieval import Walk
 
@@ -94,6 +99,31 @@ def test_chain_steps_do_the_same_work_at_any_depth(monkeypatch):
     assert len(steps) == 4010 and not count.of("roots")
     assert steps[1000:1010] == steps[4000:4010]
     assert len(count.done) == 4010 + p.window
+
+
+def test_coupled_chain_steps_cover_the_same_cells_at_any_depth(monkeypatch):
+    # k = 3 chains, 4 observed steps: the sweep runs past the window's end
+    lazy, q = kchain(k=3, window=4)
+    for alias in ("x01_t", "x0_t+0", "y0_t-007", "x3_t"):
+        with pytest.raises(UnknownNodeError):
+            lazy.resolve(alias)
+    steps = []
+    contract, bucket = infer._contract, infer._bucket
+
+    def counting_contract(*args):
+        steps.append([])
+        return contract(*args)
+
+    def counting_bucket(group, union, h, sizes, log):
+        steps[-1].append(math.prod(sizes[a] for a in union))
+        return bucket(group, union, h, sizes, log)
+
+    monkeypatch.setattr(infer, "_contract", counting_contract)
+    monkeypatch.setattr(infer, "_bucket", counting_bucket)
+    rows = anytime_sweep(lazy, q, max_steps=12, stop_on_exact=False)
+    assert len(rows) == len(steps) == 12
+    # the cells of each bucket, in order: flat once the frontier holds all k chains
+    assert steps[2] and steps[2:] == [steps[2]] * 10
 
 
 def test_one_threshold_runs_buckets_affine_in_its_window(monkeypatch):
