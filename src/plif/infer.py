@@ -8,8 +8,11 @@ decreasing potential level, which puts every node's children before
 it, and builds each CPT only when it reaches the node, so only the cut
 is live. Nodes that share a CPT share its array within one walk, and a
 summed-out node's own CPT goes straight into its own bucket. Each
-bucket is one einsum call; where one cannot certify a cell, the whole
-contraction is redone in logs (:func:`_bucket`). The table keeps a
+bucket is one einsum call, and a lone factor that only needs its axes
+reordered is transposed; where a bucket cannot certify a cell, the
+whole contraction is redone in logs (:func:`_bucket`). Nothing else is
+rebuilt per call: state counts come from the walk's specs or the
+arrays' shapes, and evidence indices from the walk. The table keeps a
 log-scale per clamp (one for all while they agree), so long evidence
 chains cannot underflow. A sweep keeps that table and, at each deeper
 threshold, contracts only the CPTs of the newly retrieved nodes into
@@ -138,27 +141,30 @@ class _Table:
     logscale: np.ndarray | float
 
 
-def _factor(spec: NodeSpec, sizes: Mapping[str, int], clamps: Mapping[str, int], log: bool, memo: dict) -> _Factor:
+def _factor(spec: NodeSpec, nodes: Mapping[str, NodeSpec], clamps: Mapping[str, int], log: bool, memo: dict) -> _Factor:
     """``spec``'s CPT as a factor over its parents and itself, with the axes
-    in ``clamps`` fixed and dropped, in logs with ``log``. ``memo`` (a
+    in ``clamps`` (node -> observed state index) fixed and dropped, in logs
+    with ``log``; ``nodes`` gives each axis's state count. ``memo`` (a
     walk's :attr:`~plif.retrieval.Walk.factors`) keeps the tables by CPT,
-    axis sizes, evidence cut (None when nothing is clamped) and ``log``,
-    each beside the CPT object it was built from, so that the CPT's id in
-    the key stays valid. No table is written to, so one can serve many
-    nodes and every step of a sweep."""
+    axis sizes, evidence cut and ``log``, each beside the CPT object it was
+    built from, so that the CPT's id in the key stays valid. No table is
+    written to, so one can serve many nodes and every step of a sweep."""
     axes = (*spec.parents, spec.name)
-    shape = tuple([sizes[a] for a in axes])
-    cut = None if clamps.keys().isdisjoint(axes) else tuple([clamps.get(a) for a in axes])
-    key = (id(spec.cpt), shape, cut, log)
+    shape, cut, kept = [], [], []
+    for a in axes:
+        c = clamps.get(a)
+        shape.append(len(nodes[a].states))
+        cut.append(c)
+        if c is None:
+            kept.append(a)
+    key = (id(spec.cpt), *shape, *cut, log)
     hit = memo.get(key)
     if hit is None:
         table = np.asarray(spec.cpt, dtype=float).reshape(shape)
-        if cut is not None:
+        if len(kept) < len(axes):
             table = table[tuple([slice(None) if c is None else c for c in cut])]
         hit = memo[key] = spec.cpt, np.log(table) if log else table
-    if cut is None:
-        return axes, hit[1]
-    return tuple([a for a, c in zip(axes, cut) if c is None]), hit[1]
+    return (axes if len(kept) == len(axes) else tuple(kept)), hit[1]
 
 
 def _align(axes: _Axes, table: np.ndarray, out_axes: _Axes) -> np.ndarray:
@@ -173,44 +179,50 @@ def _align(axes: _Axes, table: np.ndarray, out_axes: _Axes) -> np.ndarray:
     return table.reshape(shape)
 
 
-def _bucket(
-    group: Sequence[_Factor], union: _Axes, h: str | None, sizes: Mapping[str, int], log: bool
-) -> tuple[_Factor, float]:
-    """The product of ``group`` (factors over ``union``) with ``h`` summed
-    out (None sums nothing), which may share memory with a factor and so
-    must not be written to, and the log of the scalar it was divided by.
+def _bucket(group: Sequence[_Factor], h: str | None, keep: _Axes, log: bool) -> tuple[_Factor, float]:
+    """The product of ``group`` with ``h`` summed out, over its other axes
+    in the order first seen, or with nothing summed (``h`` None) over
+    ``keep``, which must list the group's axes; it may share memory with
+    a factor and so must not be written to. Also returns the log of the
+    scalar it was divided by. One pass over the group numbers its axes
+    for einsum and counts the product's cells from the factors' shapes.
 
     In logs (``log``) the factors are added and ``h`` is summed out by
     ``np.logaddexp``. Linearly, one :func:`numpy.einsum` call multiplies
-    and sums. A lone factor is only summed, which is accurate, and one
-    already over the output axes is returned as it is; a product is
-    divided by its peak once that is below _TINY. Each input is a CPT
-    entry or a message of this function, so none exceeds 1 and each is
-    accurate or exactly zero. A partial product that underflows stays
-    below 2^-1022, so a cell of at least _FLOOR has lost at most ``|h|``
-    such terms, a relative error of at most ``|h|``·2^-122. A cell below
-    _FLOOR must be an exact zero, as the einsum of the factors' 0/1
-    masks shows; if not, or past numpy 1.x einsum's 31 operands,
-    :class:`_NeedsLog` is raised."""
+    and sums. A lone factor is only summed, which is accurate, or with
+    nothing to sum only transposed; a product is divided by its peak
+    once that is below _TINY. Each input is a CPT entry or a message of
+    this function, so none exceeds 1 and each is accurate or exactly
+    zero. A partial product that underflows stays below 2^-1022, so a
+    cell of at least _FLOOR has lost at most ``|h|`` such terms, a
+    relative error of at most ``|h|``·2^-122. A cell below _FLOOR must
+    be an exact zero, as the einsum of the factors' 0/1 masks shows; if
+    not, or past numpy 1.x einsum's 31 operands, :class:`_NeedsLog` is
+    raised."""
+    ids: dict = {}
+    operands: list = []
     cells = 1
-    for a in union:
-        cells *= sizes[a]
+    for axes, t in group:
+        sub = []
+        for a, n in zip(axes, t.shape):
+            i = ids.get(a)
+            if i is None:
+                i = ids[a] = len(ids)
+                cells *= n
+            sub.append(i)
+        operands += (t, sub)
     if cells > MAX_JOINT_CELLS:
         raise FactorTooLargeError(cells, MAX_JOINT_CELLS)
-    out_axes = tuple([a for a in union if a != h])
-    if len(group) == 1 and group[0][0] == out_axes:
-        return group[0], 0.0
+    out_axes = keep if h is None else tuple([a for a in ids if a != h])
+    out_ids = [ids[a] for a in out_axes]
+    if h is None and len(group) == 1:
+        return (keep, operands[0].transpose(out_ids)), 0.0
     if log:
+        union = keep if h is None else tuple(ids)
         out = sum(_align(axes, t, union) for axes, t in group)
-        return (out_axes, out if h is None else np.logaddexp.reduce(out, axis=union.index(h))), 0.0
+        return (out_axes, out if h is None else np.logaddexp.reduce(out, axis=ids[h])), 0.0
     if len(group) > _EINSUM_MAX:
         raise _NeedsLog
-    ids = {a: i for i, a in enumerate(union)}
-    operands = []
-    for axes, t in group:
-        operands.append(t)
-        operands.append([ids[a] for a in axes])
-    out_ids = [ids[a] for a in out_axes]
     out = np.einsum(*operands, out_ids)
     if len(group) == 1:
         return (out_axes, out), 0.0
@@ -267,33 +279,30 @@ def _contract(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Ta
             return _eliminate(walk, specs, scan, prior, True)
 
 
+def _first(axes: _Axes, rank: Mapping[str, int]) -> str | None:
+    """The axis of ``axes`` summed out first (least in ``rank``), whose
+    bucket a factor over ``axes`` waits in; None if none is summed out."""
+    h, first = None, math.inf
+    for a in axes:
+        r = rank.get(a, first)
+        if r < first:
+            h, first = a, r
+    return h
+
+
 def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Table | Assignment, log: bool) -> _Table:
-    """:func:`_contract`, in logs (``log``) or linearly."""
+    """:func:`_contract`, in logs (``log``) or linearly. Nothing is
+    rebuilt per call but the order: state counts come from ``walk.specs``
+    (:func:`_factor`) or the factors' shapes (:func:`_bucket`), and
+    evidence indices from ``walk.evidence_index``. Each factor is placed
+    where it is made, by :func:`_first`, in its bucket or in the rest."""
     start = not isinstance(prior, _Table)
     keep = (*scan, *prior) if start else (*scan, _NUM_DEN)
-    sizes: dict = {_NUM_DEN: 2}
-    for n in (*scan, *(prior if start else prior.axes)):
-        sizes[n] = len(walk.states_of(n))
-    sizes.update((s.name, len(s.states)) for s in specs.values())
-    for spec in specs.values():
-        for a in spec.parents:
-            if a not in sizes:
-                sizes[a] = len(walk.states_of(a))
-    evidence = walk.query.evidence
-    clamps = {n: walk.states_of(n).index(evidence[n]) for n in sizes if n in evidence}
+    nodes, clamps = walk.specs, walk.evidence_index
     order = sorted(specs.values(), key=attrgetter("pl", "name"), reverse=True)
     rank = {s.name: i for i, s in enumerate(order) if s.name not in clamps and s.name not in keep}
     buckets: dict[str, list[_Factor]] = {}
     rest: list[_Factor] = []
-
-    def place(factor: _Factor) -> None:
-        h, first = None, len(order)
-        for a in factor[0]:
-            r = rank.get(a, first)
-            if r < first:
-                h, first = a, r
-        (rest if h is None else buckets.setdefault(h, [])).append(factor)
-
     shift = 0.0
     if not start:
         table = prior.table
@@ -310,26 +319,22 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
                 if finite.min() - shift < math.log(_FLOOR):
                     raise _NeedsLog
                 table = table * np.exp(prior.logscale - shift)[..., None]
-        place(((*prior.axes, _NUM_DEN), table))
+        h = _first(prior.axes, rank)
+        (rest if h is None else buckets.setdefault(h, [])).append(((*prior.axes, _NUM_DEN), table))
     for spec in order:
-        factor = _factor(spec, sizes, clamps, log, walk.factors)
-        if spec.name not in rank:
-            place(factor)
-            continue
-        # every parent comes later in the order, so a CPT joins its own bucket, last
-        group = buckets.pop(spec.name, None)
-        if group is None:
-            group, union = [factor], factor[0]
-        else:
+        factor = _factor(spec, nodes, clamps, log, walk.factors)
+        if spec.name in rank:
+            # every parent comes later in the order, so a CPT joins its own bucket, last
+            group = buckets.pop(spec.name, [])
             group.append(factor)
-            union = tuple(dict.fromkeys(itertools.chain.from_iterable(axes for axes, _ in group)))
-        message, scale = _bucket(group, union, spec.name, sizes, log)
-        shift += scale
-        place(message)
-    (_, table), scale = _bucket(rest, keep, None, sizes, log)
+            factor, scale = _bucket(group, spec.name, keep, log)
+            shift += scale
+        h = _first(factor[0], rank)
+        (rest if h is None else buckets.setdefault(h, [])).append(factor)
+    (_, table), scale = _bucket(rest, None, keep, log)
     shift += scale
     if start:
-        target = tuple(walk.states_of(n).index(v) for n, v in prior.items())
+        target = tuple(nodes[n].states.index(v) for n, v in prior.items())
         pair = np.empty((*table.shape[: len(scan)], 2))
         pair[..., 0] = table[(Ellipsis, *target)]
         objective = tuple(range(len(scan), len(keep)))

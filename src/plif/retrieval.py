@@ -26,7 +26,6 @@ from .errors import (
     NoStartNodesError,
     OpenPastError,
     QueryError,
-    UnknownNodeError,
     UnknownStateError,
 )
 from .model import (
@@ -89,12 +88,14 @@ class Walk:
     and the parents :meth:`next_level` read), the one memo of a walk's
     resolutions, at most :data:`MAX_NODES` of them; each reached node is
     interior (kept with its spec, in the order reached) or frontier (kept
-    as its stub, so that inference, which reads the two through
-    :meth:`states_of`, never sees a frontier CPD). ``pending`` lists the
-    query nodes the threshold has not yet passed, deepest first. The
-    query's evidence is partitioned relative to the latest threshold:
-    ``evidence_plus`` sits at or above it, ``evidence_in_frontier`` was
-    reached as a clamp point, and :attr:`evidence_minus` is the rest.
+    as its stub, which holds no CPD). ``pending`` lists the query nodes
+    the threshold has not yet passed, deepest first. The query's evidence
+    is partitioned relative to the latest threshold: ``evidence_plus``
+    sits at or above it, ``evidence_in_frontier`` was reached as a clamp
+    point, and :attr:`evidence_minus` is the rest. ``evidence_index``
+    maps each evidence node to its observed state's index, filled as the
+    query's labels are checked; inference clamps by it, and reads state
+    counts from ``specs``.
 
     ``level`` is the latest threshold: inf once built, NaN while an
     extension runs. ``table`` is inference's clamp table (None until the
@@ -117,6 +118,7 @@ class Walk:
     pending: list[str] = field(default_factory=list, init=False)
     evidence_plus: dict[str, str] = field(default_factory=dict, init=False)
     evidence_in_frontier: dict[str, str] = field(default_factory=dict, init=False)
+    evidence_index: dict[str, int] = field(default_factory=dict, init=False, compare=False, repr=False)
     band: list[str] = field(default_factory=list, init=False)
     level: float = field(default=math.inf, init=False)
     table: object = field(default=None, init=False, compare=False, repr=False)
@@ -129,6 +131,8 @@ class Walk:
             if label not in spec.states:
                 raise UnknownStateError(f"node {name!r} has no state {label!r}; states are {list(spec.states)}")
             report += _cut_violations(spec, self.net.t0)
+            if name in self.query.evidence:
+                self.evidence_index[name] = spec.states.index(label)
         if report:
             raise InvalidNetworkError(report)
         self.pending = sorted(self.query.names, key=lambda n: (self.specs[n].pl, n))
@@ -138,12 +142,6 @@ class Walk:
         """Evidence below the threshold and never reached, which the
         frontier screens off."""
         return frozenset(self.query.evidence.keys() - self.evidence_plus.keys() - self.evidence_in_frontier.keys())
-
-    def states_of(self, name: str) -> tuple[str, ...]:
-        node = self.interior.get(name) or self.frontier.get(name)
-        if node is None:
-            raise UnknownNodeError(f"node {name!r} is not in the retrieval")
-        return node.states
 
     def fragment(self) -> Network:
         """The retrieval as an open-past network: the interior specs in the

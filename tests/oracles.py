@@ -2,13 +2,15 @@
 
 Nothing here imports engine internals beyond the plain data model; the
 probability math is reimplemented from first principles (pure-python
-enumeration for small networks, a direct numpy joint table for the
-corpus, and a conditioned forward filter for the unbounded chain).
+enumeration for small networks, exact rational enumeration, a direct
+numpy joint table for the corpus, and a conditioned forward filter for
+the unbounded chain).
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,6 +53,38 @@ def probability(net, assignment: dict[str, str]) -> float:
 
 def conditional(net, target: dict[str, str], given: dict[str, str]) -> float:
     return probability(net, {**given, **target}) / probability(net, given)
+
+
+def exact_conditional(net, target: dict[str, str], given: dict[str, str]) -> Fraction | None:
+    """P(target | given) in exact rationals, or None when P(given) is zero.
+
+    Each CPT entry is read as the rational its float denotes, and the
+    joint is enumerated over every node of ``net`` with no float
+    operation and no pruning. The entries are held as integer multiples
+    of one power of two (every float is a dyadic rational), so a joint
+    term is an integer product and that power cancels in the ratio.
+    Only for small networks."""
+    names = list(net.nodes)
+    pos = {n: i for i, n in enumerate(names)}
+    specs = [net.nodes[n] for n in names]
+    unit = max(Fraction(x).denominator for s in specs for row in s.cpt for x in row)
+    rows = [[[int(Fraction(x) * unit) for x in row] for row in s.cpt] for s in specs]
+    parents = [[pos[p] for p in s.parents] for s in specs]
+    fixed = {pos[n]: net.nodes[n].states.index(v) for n, v in given.items()}
+    hit = {pos[n]: net.nodes[n].states.index(v) for n, v in target.items()}
+    ranges = [(fixed[i],) if i in fixed else range(len(s.states)) for i, s in enumerate(specs)]
+    num = den = 0
+    for combo in itertools.product(*ranges):
+        term = 1
+        for i, state in enumerate(combo):
+            r = 0
+            for p in parents[i]:
+                r = r * len(specs[p].states) + combo[p]
+            term *= rows[i][r][state]
+        den += term
+        if all(combo[i] == v for i, v in hit.items()):
+            num += term
+    return Fraction(num, den) if den else None
 
 
 def net_joint(net) -> tuple[list[str], np.ndarray]:

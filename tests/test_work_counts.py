@@ -1,17 +1,19 @@
 """Work counted, not timed.
 
 A wrapper around ``infer._contract`` records the nodes each contraction
-is given, and one around ``infer._bucket`` the buckets it runs. A sweep
-must contract each interior node exactly once, a step of a long chain
-sweep must do the same work at any depth, a step of a coupled k-chain
-must cover the same cells bucket by bucket, and one threshold on the
-chain must run buckets in a number affine in its window. Nodes are
+is given, one around ``infer._bucket`` the buckets it runs, and one around
+``np.einsum`` its calls. A sweep must contract each interior node exactly
+once, a step of a long chain sweep must do the same work, with one
+einsum, at any depth, a step of a coupled k-chain must cover the same
+cells bucket by bucket, and one threshold on the chain must run buckets
+in a number affine in its window. Nodes are
 counted, not arrays built: a walk builds one array per distinct CPT
 (``Walk.factors``), so a lazy chain's nodes share two at any depth.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 import plif.infer as infer
@@ -114,9 +116,10 @@ def test_coupled_chain_steps_cover_the_same_cells_at_any_depth(monkeypatch):
         steps.append([])
         return contract(*args)
 
-    def counting_bucket(group, union, h, sizes, log):
-        steps[-1].append(math.prod(sizes[a] for a in union))
-        return bucket(group, union, h, sizes, log)
+    def counting_bucket(group, *args):
+        sizes = {a: n for axes, t in group for a, n in zip(axes, t.shape)}
+        steps[-1].append(math.prod(sizes.values()))
+        return bucket(group, *args)
 
     monkeypatch.setattr(infer, "_contract", counting_contract)
     monkeypatch.setattr(infer, "_bucket", counting_bucket)
@@ -138,6 +141,28 @@ def test_one_threshold_runs_buckets_affine_in_its_window(monkeypatch):
     # three counts on one line: a redo in logs at the widest window, or
     # work that grows faster than the fragment, would bend it
     assert (buckets[1200] - buckets[400]) * (2500 - 1200) == (buckets[2500] - buckets[1200]) * (1200 - 400)
+
+
+def test_a_chain_step_runs_one_einsum_at_any_depth(monkeypatch):
+    # a step's one bucket multiplies the table into the new node's CPT; the
+    # table it leaves only needs its axes reordered, which costs no einsum
+    p = HmmParams(window=10)
+    lazy, q = hmm_model(p), hmm_query(p)
+    walk = Walk(lazy, q)
+    calls, einsum = [0], np.einsum
+
+    def counting_einsum(*args):
+        calls[0] += 1
+        return einsum(*args)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    per_step = {}
+    for d in range(1, 4001):
+        before = calls[0]
+        bounds_at(lazy, q, Threshold(-float(d)), walk=walk)
+        if d in (1000, 4000):
+            per_step[d] = calls[0] - before
+    assert per_step == {1000: 1, 4000: 1}
 
 
 def test_a_chain_walk_keeps_the_same_arrays_at_any_depth():
