@@ -62,6 +62,7 @@ def hmm_model(params: HmmParams = HmmParams()) -> LazyNetwork:
     stay, emit = params.transition_stay, params.emission_true
     x_cpt = ((stay, 1.0 - stay), (1.0 - stay, stay))
     y_cpt = ((emit, 1.0 - emit), (1.0 - emit, emit))
+    states = ("0", "1")
 
     def resolve(name: str) -> NodeSpec:
         m = _HMM_NAME.fullmatch(name)
@@ -71,8 +72,8 @@ def hmm_model(params: HmmParams = HmmParams()) -> LazyNetwork:
         k = int(raw) if raw else 0
         x_pl = k - 2.0
         if var == "x":
-            return NodeSpec(name, ("0", "1"), (hmm_node_name("x", k - 1),), x_cpt, x_pl)
-        return NodeSpec(name, ("0", "1"), (hmm_node_name("x", k),), y_cpt, x_pl + params.y_pl_offset)
+            return NodeSpec(name, states, (f"x_t{k - 1:+d}" if k != 1 else "x_t",), x_cpt, x_pl)
+        return NodeSpec(name, states, ("x" + name[1:],), y_cpt, x_pl + params.y_pl_offset)  # y_t+k's parent is x_t+k
 
     return LazyNetwork(resolver=resolve, t0=float("-inf"), open_past=True)
 

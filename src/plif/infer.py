@@ -9,7 +9,9 @@ it, and builds each CPT only when it reaches the node, so only the cut
 is live. Nodes that share a CPT share its array within one walk, and a
 summed-out node's own CPT goes straight into its own bucket. Each
 bucket is one einsum call, and a lone factor that only needs its axes
-reordered is transposed; where a bucket cannot certify a cell, the
+reordered is transposed into C order in scan order, copied only when
+the transpose is strided, so later ops read a chain step's table
+contiguously. Where a bucket cannot certify a cell, the
 whole contraction is redone in logs (:func:`_bucket`). Nothing else is
 rebuilt per call: state counts come from the walk's specs or the
 arrays' shapes, and evidence indices from the walk. The table keeps a
@@ -134,7 +136,9 @@ class _Table:
     cell is ``table`` there times ``exp(logscale)`` at its ``axes`` cell.
     ``logscale`` is one float when every clamp shares it (a linear
     contraction that left every normalizer at least _TINY), else an
-    array over ``axes``, -inf where the normalizer is exactly zero."""
+    array over ``axes``, -inf where the normalizer is exactly zero. When
+    the last bucket held one factor (a chain step), ``table`` is C-ordered
+    in scan order, copied only when the transpose is strided."""
 
     axes: _Axes
     table: np.ndarray
@@ -190,7 +194,8 @@ def _bucket(group: Sequence[_Factor], h: str | None, keep: _Axes, log: bool) -> 
     In logs (``log``) the factors are added and ``h`` is summed out by
     ``np.logaddexp``. Linearly, one :func:`numpy.einsum` call multiplies
     and sums. A lone factor is only summed, which is accurate, or with
-    nothing to sum only transposed; a product is divided by its peak
+    nothing to sum only transposed, into C order over ``keep`` (copied
+    only when the transpose is strided); a product is divided by its peak
     once that is below _TINY. Each input is a CPT entry or a message of
     this function, so none exceeds 1 and each is accurate or exactly
     zero. A partial product that underflows stays below 2^-1022, so a
@@ -216,7 +221,7 @@ def _bucket(group: Sequence[_Factor], h: str | None, keep: _Axes, log: bool) -> 
     out_axes = keep if h is None else tuple([a for a in ids if a != h])
     out_ids = [ids[a] for a in out_axes]
     if h is None and len(group) == 1:
-        return (keep, operands[0].transpose(out_ids)), 0.0
+        return (keep, np.ascontiguousarray(operands[0].transpose(out_ids))), 0.0
     if log:
         union = keep if h is None else tuple(ids)
         out = sum(_align(axes, t, union) for axes, t in group)
@@ -466,18 +471,20 @@ def bounds_at(net: NetworkLike, query: Query, threshold: Threshold, *, walk: Wal
     if threshold.is_full_past and net.open_past:
         raise OpenPastError("the full-past threshold needs a closed past (roots with priors)")
     root_set(net, query, threshold, walk=walk)
-    width = math.prod(len(walk.frontier[n].states) for n in walk.frontier.keys() - walk.evidence_in_frontier)
+    width = math.prod([len(s.states) for n, s in walk.frontier.items() if n not in walk.evidence_in_frontier])
     if width > cap:
         raise FrontierTooWideError(width, cap)
     scan, num, den = frontier_clamp_table(walk)
 
-    valid = den > 0.0
-    if not valid.any():
-        raise _zero_evidence(query.evidence)
+    if not den.min() > 0.0:  # only then are clamps masked, and copied
+        valid = den > 0.0
+        if not valid.any():
+            raise _zero_evidence(query.evidence)
+        num, den = num[valid], den[valid]
     # num <= den holds exactly in real arithmetic; the clamp to [0, 1]
     # only absorbs last-ulp drift from summing the objective axis into
     # den, and it is monotone, so it is applied to the extremes alone
-    ratios = num[valid] / den[valid]
+    ratios = num / den
     lower = min(max(float(ratios.min()), 0.0), 1.0)
     upper = min(max(float(ratios.max()), 0.0), 1.0)
 

@@ -200,7 +200,7 @@ class Walk:
                 if name in evidence:
                     e_front[name] = evidence[name]
                 continue
-            if spec.is_stub:
+            if spec.cpt is None:
                 raise OpenPastError(
                     f"interior node {name!r} is a truncation stub with no CPD; "
                     "retrieve from a deeper truncation or raise the threshold"

@@ -106,6 +106,24 @@ def test_lazy_cpt_rows_not_matching_parents_are_rejected(run):
 
 
 @RUNS
+@pytest.mark.parametrize(
+    "change, rule",
+    [
+        ({"parents": ("x_t-2", "x_t-2"), "cpt": ((0.9, 0.1), (0.1, 0.9)) * 2}, "duplicate-parent"),
+        ({"states": ("0", "0")}, "duplicate-state"),
+        ({"pl": float("nan")}, "pl-not-finite"),
+    ],
+    ids=["duplicate-parent", "duplicate-state", "pl-not-finite"],
+)
+def test_lazy_node_breaking_a_rule_of_its_own_is_rejected(run, change, rule):
+    # x_t-1 (pl -3) is interior at the deepest threshold; a sweep meets it first on the frontier
+    lazy = _tweaked(**{"x_t-1": change})
+    with pytest.raises(InvalidNetworkError) as exc:
+        run(lazy, hmm_query(HMM), DEEP)
+    assert _rules(exc) == {rule}
+
+
+@RUNS
 @pytest.mark.parametrize("v", [-3.0, -2.5], ids=["interior", "frontier"])
 def test_lazy_open_past_root_before_t0_is_rejected(run, v):
     # x_t-1 (pl -3) becomes a genuine root, but the past only starts at

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 import plif.model as model
 from conftest import CHAIN_DOC, TWO_NODE_DOC, make_net
 from plif import (
+    Exactness,
     HmmParams,
     InvalidNetworkError,
     LazyNetwork,
@@ -13,6 +15,7 @@ from plif import (
     NodeSpec,
     NoStartNodesError,
     Query,
+    QueryBounds,
     RandomNetSpec,
     Threshold,
     as_lazy,
@@ -25,6 +28,7 @@ from plif import (
     serialize,
     validate,
 )
+from plif.retrieval import FrontierStub
 
 
 def test_load_two_node_document():
@@ -348,3 +352,49 @@ def test_a_chain_checks_its_rows_the_same_number_of_times_at_any_depth(monkeypat
         bounds_at(hmm_model(p), hmm_query(p), Threshold(-float(depth)))
         counts[depth] = len(checks)
     assert counts == {1000: 2, 4000: 2}
+
+
+# the frozen records a walk builds by the thousand, with their reprs pinned: a faster
+# hand-written __init__ must keep equality, hashing, replace and repr as they are
+_RECORDS = {
+    "NodeSpec": (
+        NodeSpec,
+        {"name": "x_t-1", "states": ("0", "1"), "parents": ("x_t-2",), "cpt": ((0.9, 0.1), (0.1, 0.9)), "pl": -3.0},
+        "NodeSpec(name='x_t-1', states=('0', '1'), parents=('x_t-2',), cpt=((0.9, 0.1), (0.1, 0.9)), pl=-3.0)",
+    ),
+    "FrontierStub": (
+        FrontierStub,
+        {"name": "x_t-2", "states": ("0", "1"), "pl": -4.0},
+        "FrontierStub(name='x_t-2', states=('0', '1'), pl=-4.0)",
+    ),
+    "QueryBounds": (
+        QueryBounds,
+        {
+            "threshold": Threshold(-3.0),
+            "lower": 0.25,
+            "upper": 0.75,
+            "exactness": Exactness.NOT_EXACT,
+            "frontier_size": 1,
+            "interior_size": 5,
+        },
+        "QueryBounds(threshold=Threshold(v=-3.0), lower=0.25, upper=0.75, "
+        "exactness=<Exactness.NOT_EXACT: 'not_exact'>, frontier_size=1, interior_size=5)",
+    ),
+}
+
+
+@pytest.mark.parametrize("record", list(_RECORDS))
+def test_records_keep_the_frozen_dataclass_contract(record):
+    cls, fields, pinned = _RECORDS[record]
+    a, b = cls(**fields), cls(*fields.values())
+    assert [f.name for f in dataclasses.fields(cls)] == list(fields)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == pinned
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, None)
+    assert repr(a) == pinned
+    last = list(fields)[-1]
+    moved = dataclasses.replace(a, **{last: fields[last] + 1})
+    assert moved != a and moved == cls(**{**fields, last: fields[last] + 1})
+    assert dataclasses.replace(a) == a

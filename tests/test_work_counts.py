@@ -9,6 +9,8 @@ cells bucket by bucket, and one threshold on the chain must run buckets
 in a number affine in its window. Nodes are
 counted, not arrays built: a walk builds one array per distinct CPT
 (``Walk.factors``), so a lazy chain's nodes share two at any depth.
+Layout is checked, not timed: a chain step leaves its clamp table
+C-contiguous over its scan axes, which every later op reads.
 """
 
 import math
@@ -176,3 +178,20 @@ def test_a_chain_walk_keeps_the_same_arrays_at_any_depth():
             held[d] = len(walk.factors)
     # the transition CPT, and the emission CPT cut at its observed state
     assert held[1000] == held[4000] == 2
+
+
+@pytest.mark.parametrize("chain", ["kchain", "hmm"])
+def test_a_chain_step_leaves_its_clamp_table_c_contiguous_in_scan_order(monkeypatch, chain):
+    lazy, q = kchain(k=3, window=4) if chain == "kchain" else (hmm_model(HmmParams()), hmm_query(HmmParams()))
+    layouts, clamp_table = [], infer.frontier_clamp_table
+
+    def recording(walk):
+        scan, num, den = clamp_table(walk)
+        table = walk.table.table
+        sizes = tuple(len(walk.frontier[n].states) for n in scan)
+        layouts.append((walk.table.axes == scan, table.shape == (*sizes, 2), table.flags.c_contiguous))
+        return scan, num, den
+
+    monkeypatch.setattr(infer, "frontier_clamp_table", recording)
+    anytime_sweep(lazy, q, max_steps=12, stop_on_exact=False)
+    assert layouts == [(True, True, True)] * 12
