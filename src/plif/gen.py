@@ -72,8 +72,8 @@ def hmm_model(params: HmmParams = HmmParams()) -> LazyNetwork:
         k = int(raw) if raw else 0
         x_pl = k - 2.0
         if var == "x":
-            return NodeSpec(name, states, (f"x_t{k - 1:+d}" if k != 1 else "x_t",), x_cpt, x_pl)
-        return NodeSpec(name, states, ("x" + name[1:],), y_cpt, x_pl + params.y_pl_offset)  # y_t+k's parent is x_t+k
+            return NodeSpec(name, states, (hmm_node_name("x", k - 1),), x_cpt, x_pl)
+        return NodeSpec(name, states, (hmm_node_name("x", k),), y_cpt, x_pl + params.y_pl_offset)
 
     return LazyNetwork(resolver=resolve, t0=float("-inf"), open_past=True)
 

@@ -164,7 +164,7 @@ def _local_spec_violations(spec: NodeSpec, checked: dict) -> list[Violation]:
         out.append(Violation("state-count", f"node {spec.name!r} needs at least 2 states"))
     if len(set(spec.states)) != width:
         out.append(Violation("duplicate-state", f"node {spec.name!r} repeats a state label"))
-    if len(spec.parents) > 1 and len(set(spec.parents)) != len(spec.parents):
+    if len(set(spec.parents)) != len(spec.parents):
         out.append(Violation("duplicate-parent", f"node {spec.name!r} repeats a parent name"))
     if not math.isfinite(spec.pl):
         out.append(Violation("pl-not-finite", f"node {spec.name!r} has pl={spec.pl!r}"))
@@ -218,7 +218,7 @@ def edge_violations(spec: NodeSpec, parents: Sequence[NodeSpec]) -> list[Violati
     CPT row count. Strict precedence also rules out cycles."""
     out: list[Violation] = []
     if spec.cpt is not None and len(parents) == len(spec.parents):
-        expected = 1
+        expected = 1  # counted in a loop: on Python 3.11 a comprehension is one more call per node
         for p in parents:
             expected *= len(p.states)
         if len(spec.cpt) != expected:

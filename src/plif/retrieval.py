@@ -200,7 +200,7 @@ class Walk:
                 if name in evidence:
                     e_front[name] = evidence[name]
                 continue
-            if spec.cpt is None:
+            if spec.is_stub:
                 raise OpenPastError(
                     f"interior node {name!r} is a truncation stub with no CPD; "
                     "retrieve from a deeper truncation or raise the threshold"
