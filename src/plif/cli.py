@@ -9,7 +9,7 @@ errors.py):
   3  threshold above the critical potential level
   4  zero-probability evidence / all clamps excluded
   5  other inference errors (frontier too wide, intermediate factor too large,
-     truncated past, expansion cap)
+     full past or stub objective on a truncated past, expansion cap)
   6  not separated (dsep)
 
 The PLIF_MAX_FRONTIER environment variable overrides the cap of 65536

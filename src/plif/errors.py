@@ -103,5 +103,6 @@ class ExpansionCapError(PlifError):
 
 
 class OpenPastError(PlifError):
-    """The operation needs priors for the full past, but the network is a
-    truncation (open past) or the retrieval touched a truncation stub."""
+    """The operation needs a prior the network does not have: the
+    full-past threshold on a truncation (open past), or an objective
+    node that is a truncation stub."""

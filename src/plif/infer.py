@@ -28,7 +28,7 @@ threshold (``PLIF_MAX_FRONTIER`` overrides it), :data:`MAX_JOINT_CELLS`
 cells a factor.
 
 Bounds come from scanning the unobserved frontier: for every joint clamp
-of those stubs the submodel yields one conditional value, and the true
+of those nodes the submodel yields one conditional value, and the true
 query is a convex combination of them, so their min and max bracket it.
 Clamps whose normalizer is zero inside the submodel carry no weight in
 that combination and are excluded from the scan.
@@ -399,17 +399,15 @@ def exactness_status(walk: Walk, lower: float, upper: float) -> Exactness:
 
     In order: (1) the frontier lies entirely inside the evidence, so no
     clamp is free; (2) every frontier node is a root with a prior (not a
-    truncation stub), at any pl, and no evidence was left below the
-    threshold, so the retrieved past is complete; (3) the bounds
-    coincide anyway. Under inclusive thresholds condition (2)'s evidence
-    clause is exactly "evidence_minus is empty", which the sizes of the
-    disjoint parts answer without building it.
+    truncation stub), at any pl, and no evidence was left unreached, so
+    the retrieved past is complete; (3) the bounds coincide anyway.
+    Condition (2)'s evidence clause is exactly "evidence_minus is empty",
+    which the sizes of the disjoint parts answer without building it.
     """
     if len(walk.frontier) == len(walk.evidence_in_frontier):
         return Exactness.FRONTIER_SUBSET_OF_EVIDENCE
     dropped = len(walk.query.evidence) - len(walk.evidence_plus) - len(walk.evidence_in_frontier)
-    frontier = (walk.specs[n] for n in walk.frontier)
-    if not dropped and all(not f.parents and not f.is_stub for f in frontier):
+    if not dropped and all(not f.parents and not f.is_stub for f in walk.frontier.values()):
         return Exactness.FULL_PAST
     if abs(upper - lower) < PROB_TOL:
         return Exactness.COINCIDENCE
@@ -418,9 +416,8 @@ def exactness_status(walk: Walk, lower: float, upper: float) -> Exactness:
 
 def _exact_from_retrieval(walk: Walk) -> float:
     """Exact value when the retrieval closed the past: the walk's clamp
-    table times the frontier roots' own priors (in ``walk.specs``)."""
-    roots = {name: walk.specs[name] for name in sorted(walk.frontier)}
-    num, den = _contract(walk, roots, (), walk.table).table
+    table times the frontier roots' own priors."""
+    num, den = _contract(walk, walk.frontier, (), walk.table).table
     if den == 0.0:
         raise _zero_evidence(walk.query.evidence)
     return float(num / den)
@@ -507,17 +504,15 @@ def bounds_at(net: NetworkLike, query: Query, threshold: Threshold, *, walk: Wal
 def _levels(walk: Walk, max_steps: int | None) -> Iterator[Threshold]:
     """The default thresholds, each read off ``walk`` (:meth:`Walk.next_level`)
     once the caller has retrieved at the one before: the critical level
-    first, none at or below ``t0``, a truncation stub among the query
-    nodes or a level holding a stub, then the full-past sentinel for a
+    first, none at or below ``t0``, then the full-past sentinel for a
     closed past; at most ``max_steps``, which an unbounded model needs."""
     net = walk.net
     if max_steps is not None and max_steps < 1:
         raise QueryError(f"max_steps must be at least 1, got {max_steps}")
     if max_steps is None and net.open_past and isinstance(net, LazyNetwork):
         raise QueryError("an unbounded model needs max_steps to bound the schedule")
-    limit = max([net.t0] + [walk.specs[n].pl for n in walk.query.names if walk.specs[n].is_stub])
     v, count = cpl(walk)[1], 0
-    while v > limit and count != max_steps:
+    while v > net.t0 and count != max_steps:
         yield Threshold(v)
         count += 1
         if count != max_steps:
@@ -525,7 +520,7 @@ def _levels(walk: Walk, max_steps: int | None) -> Iterator[Threshold]:
     if not net.open_past and count != max_steps:
         yield Threshold.full_past()
     elif not count:
-        raise QueryError("no usable thresholds: the objective sits at or below the retrieval limit")
+        raise QueryError("no usable thresholds: the objective sits at or below t0")
 
 
 def default_schedule(net: NetworkLike, query: Query, *, max_steps: int | None = None) -> Schedule:
@@ -534,9 +529,8 @@ def default_schedule(net: NetworkLike, query: Query, *, max_steps: int | None = 
     the full past for a closed past. A retrieval walk steps through them
     without contracting and, like a sweep's, counts the nodes it
     resolves, query nodes included, against ``retrieval.MAX_NODES``.
-    Nothing is scheduled at or below ``t0`` or a truncation stub among
-    the query nodes and their ancestors (one above the critical level
-    raises the first retrieval's :class:`OpenPastError`)."""
+    Nothing is scheduled at or below ``t0``, and no truncation stub's
+    level is scheduled: a stub is a clamp at every threshold."""
     walk = Walk(net, query)
     out = []
     for th in _levels(walk, max_steps):

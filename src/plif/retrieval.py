@@ -4,11 +4,12 @@ retrieval.
 Retrieval walks backwards from the query variables. Given a threshold
 ``v``, a node is *interior* when its potential level is at least ``v``;
 backtracking along every ancestral path stops at the first node below
-``v``. Those stopping points form the *frontier*: the clamp points behind
-which the past is never consulted. The interior specs plus the frontier
-stubs make up the retrieved submodel, which is all downstream inference
-is allowed to touch. One :class:`Walk` is that retrieval: it carries it
-to the next, deeper threshold, and gives that threshold
+``v``, or at a truncation stub wherever it sits. Those stopping points
+form the *frontier*: the clamp points behind which the past is never
+consulted. The interior and frontier specs make up the retrieved
+submodel, which is all downstream inference is allowed to touch. One
+:class:`Walk` is that retrieval: it carries it to the next, deeper
+threshold, and gives that threshold
 (:meth:`Walk.next_level`), so a sweep walks every node once.
 :meth:`Walk.fragment` writes one retrieval as a finite network.
 """
@@ -33,6 +34,7 @@ from .model import (
     Network,
     NodeSpec,
     Query,
+    Violation,
     edge_violations,
     root_violations,
     t0_violations,
@@ -67,15 +69,6 @@ class Threshold:
         return math.isinf(self.v)
 
 
-@dataclass(frozen=True)
-class FrontierStub:
-    """A clamp point: states and pl survive, the CPD deliberately does not."""
-
-    name: str
-    states: tuple[str, ...]
-    pl: float
-
-
 @dataclass
 class Walk:
     """One retrieval walk for one network and query, extended in place as
@@ -83,19 +76,21 @@ class Walk:
     (:func:`root_set` returns it) and all a sweep carries.
 
     Building a walk resolves and checks the query's nodes (every one,
-    whatever its pl) and the states the query names. ``specs`` holds
-    every node resolved so far (the query's nodes, every node reached,
-    and the parents :meth:`next_level` read), the one memo of a walk's
-    resolutions, at most :data:`MAX_NODES` of them; each reached node is
-    interior (kept with its spec, in the order reached) or frontier (kept
-    as its stub, which holds no CPD). ``pending`` lists the query nodes
-    the threshold has not yet passed, deepest first. The query's evidence
-    is partitioned relative to the latest threshold: ``evidence_plus``
-    sits at or above it, ``evidence_in_frontier`` was reached as a clamp
-    point, and :attr:`evidence_minus` is the rest. ``evidence_index``
-    maps each evidence node to its observed state's index, filled as the
-    query's labels are checked; inference clamps by it, and reads state
-    counts from ``specs``.
+    whatever its pl) and the states the query names; an objective that is
+    a truncation stub raises :class:`OpenPastError`, since a stub is only
+    ever a clamp. ``specs`` holds every node resolved so far (the query's
+    nodes, every node reached, and the parents :meth:`next_level` read),
+    the one memo of a walk's resolutions, at most :data:`MAX_NODES` of
+    them; each reached node is interior (in the order reached) or
+    frontier, kept with its spec either way; a truncation stub is frontier
+    at any pl. ``pending`` lists the query nodes the threshold has not yet
+    passed, deepest first. The query's evidence is partitioned relative to
+    the latest threshold: ``evidence_plus`` is interior,
+    ``evidence_in_frontier`` was reached as a clamp point, and
+    :attr:`evidence_minus` is the rest. ``evidence_index`` maps each
+    evidence node to its observed state's index, filled as the query's
+    labels are checked; inference clamps by it, and reads state counts
+    from ``specs``.
 
     ``level`` is the latest threshold: inf once built, NaN while an
     extension runs. ``table`` is inference's clamp table (None until the
@@ -114,7 +109,7 @@ class Walk:
     query: Query
     specs: dict[str, NodeSpec] = field(default_factory=dict, init=False)
     interior: dict[str, NodeSpec] = field(default_factory=dict, init=False)
-    frontier: dict[str, FrontierStub] = field(default_factory=dict, init=False)
+    frontier: dict[str, NodeSpec] = field(default_factory=dict, init=False)
     pending: list[str] = field(default_factory=list, init=False)
     evidence_plus: dict[str, str] = field(default_factory=dict, init=False)
     evidence_in_frontier: dict[str, str] = field(default_factory=dict, init=False)
@@ -130,11 +125,14 @@ class Walk:
             spec = self.resolve(name)
             if label not in spec.states:
                 raise UnknownStateError(f"node {name!r} has no state {label!r}; states are {list(spec.states)}")
-            report += _cut_violations(spec, self.net.t0)
+            report += _cut_violations(spec, self.net)
             if name in self.query.evidence:
                 self.evidence_index[name] = spec.states.index(label)
         if report:
             raise InvalidNetworkError(report)
+        stubs = [n for n in self.query.objective if self.specs[n].is_stub]
+        if stubs:
+            raise OpenPastError(f"objective node {stubs[0]!r} is a truncation stub; it has no prior to answer with")
         self.pending = sorted(self.query.names, key=lambda n: (self.specs[n].pl, n))
 
     @property
@@ -171,41 +169,34 @@ class Walk:
             raise QueryError(f"a walk needs strictly decreasing thresholds; got {v:g} after {self.level:g}")
         specs, interior, frontier, pending = self.specs, self.interior, self.frontier, self.pending
         evidence, e_plus, e_front, band = self.query.evidence, self.evidence_plus, self.evidence_in_frontier, self.band
-        # a walk with no interior has no frontier: only a query node can start it
-        if not interior and not (pending and specs[pending[-1]].pl >= v):
+        # a walk that reached nothing yet: only a query node can start it
+        if not interior and not frontier and not (pending and specs[pending[-1]].pl >= v):
             raise NoStartNodesError(f"no query or evidence node has pl >= {v:g}; nothing to retrieve")
         self.level = math.nan  # until this extension returns
 
-        seen = {n for n in frontier if specs[n].pl >= v}
+        seen = {n for n, spec in frontier.items() if spec.pl >= v and not spec.is_stub}
         for name in seen:
             del frontier[name]
             e_front.pop(name, None)
         while pending and specs[pending[-1]].pl >= v:
-            name = pending.pop()
-            if name in evidence:
-                e_plus[name] = evidence[name]
-            if name not in interior:
-                seen.add(name)
+            seen.add(pending.pop())
 
         queue = deque(sorted(seen))
         while queue:
             name = queue.popleft()
             spec = specs[name]
             parents = list(map(self.resolve, spec.parents)) if spec.pl >= v else ()
-            report = edge_violations(spec, parents) if parents else _cut_violations(spec, self.net.t0)
+            report = edge_violations(spec, parents) if parents else _cut_violations(spec, self.net)
             if report:
                 raise InvalidNetworkError(report)
-            if spec.pl < v:
-                frontier[name] = FrontierStub(name, spec.states, spec.pl)
+            if spec.pl < v or spec.is_stub:
+                frontier[name] = spec
                 if name in evidence:
                     e_front[name] = evidence[name]
                 continue
-            if spec.is_stub:
-                raise OpenPastError(
-                    f"interior node {name!r} is a truncation stub with no CPD; "
-                    "retrieve from a deeper truncation or raise the threshold"
-                )
             interior[name] = spec
+            if name in evidence:
+                e_plus[name] = evidence[name]
             band.append(name)
             for p in spec.parents:
                 if p not in seen and p not in interior and p not in frontier:
@@ -217,20 +208,20 @@ class Walk:
         """The latest level below the last retrieval: the largest pl among
         the frontier and the parents of the pending query nodes (read
         latest first, down to that level), behind which every other strict
-        ancestor lies; -inf when there is none or it holds a truncation stub."""
-        specs, level, stub = self.specs, -math.inf, False
-        for name in self.frontier:
-            spec = specs[name]
-            if spec.pl >= level:  # a tie keeps an earlier stub
-                level, stub = spec.pl, spec.is_stub or (stub and spec.pl == level)
+        ancestor lies; -inf when there is none. Truncation stubs are
+        skipped: one is a clamp at any threshold, so its pl is no level."""
+        specs, level = self.specs, -math.inf
+        for spec in self.frontier.values():
+            if spec.pl > level and not spec.is_stub:
+                level = spec.pl
         for name in reversed(self.pending):
             if specs[name].pl <= level:
                 break
             for p in specs[name].parents:
                 spec = self.resolve(p)
-                if spec.pl >= level:
-                    level, stub = spec.pl, spec.is_stub or (stub and spec.pl == level)
-        return -math.inf if stub else level
+                if spec.pl > level and not spec.is_stub:
+                    level = spec.pl
+        return level
 
 
 def walk_for(net: NetworkLike, query: Query, walk: Walk | None) -> Walk:
@@ -244,14 +235,17 @@ def walk_for(net: NetworkLike, query: Query, walk: Walk | None) -> Walk:
     return walk
 
 
-def _cut_violations(spec: NodeSpec, t0: float) -> list:
+def _cut_violations(spec: NodeSpec, net: NetworkLike) -> list:
     """The rules for a root, or for a node whose parents the walk does not
     follow (a frontier node, or a query node not yet reached): like a root
-    of an open past, it may not sit before ``t0``, and a genuine root has
-    one CPT row."""
-    if spec.pl >= t0 and (spec.parents or spec.cpt is None or len(spec.cpt) == 1):
+    of an open past, it may not sit before ``t0``, a genuine root has one
+    CPT row, and a truncation stub needs an open past."""
+    if spec.pl >= net.t0 and (spec.parents or (net.open_past if spec.cpt is None else len(spec.cpt) == 1)):
         return []
-    return root_violations(spec, t0, True) + ([] if spec.parents else edge_violations(spec, ()))
+    report = root_violations(spec, net.t0, True) + ([] if spec.parents else edge_violations(spec, ()))
+    if spec.is_stub and not spec.parents and not net.open_past:
+        report.append(Violation("cpt-missing", f"closed-past node {spec.name!r} has no prior (stub)"))
+    return report
 
 
 def ancestors(net: Network, targets: Iterable[str]) -> set[str]:
@@ -327,11 +321,13 @@ def root_set(
     """Backtrack from every query/evidence node at or above the threshold.
 
     Expansion stops at the first sub-threshold node on each ancestral
-    path; those nodes form the frontier. Nodes are resolved one by one
-    through ``net.resolve``, finite and lazy networks alike, and nothing
-    is materialized. Instead every node the walk expands is checked
-    against its resolved parents (strict temporal precedence and CPT
-    shape), and no parentless or frontier node may sit before ``t0``.
+    path, or at a truncation stub wherever it sits; those nodes form the
+    frontier. Nodes are resolved one by one through ``net.resolve``,
+    finite and lazy networks alike, and nothing is materialized. Instead
+    every node the walk expands is checked against its resolved parents
+    (strict temporal precedence and CPT shape), no parentless or
+    frontier node may sit before ``t0``, and a closed past may hold no
+    stub (``cpt-missing``).
     Resolving more than :data:`MAX_NODES` nodes raises
     :class:`ExpansionCapError`.
 

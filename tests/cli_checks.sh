@@ -113,6 +113,23 @@ PLIF_MAX_FRONTIER=abc plif query "$d/random.json" "${flags[@]}" --threshold 5 2>
 test "$code" -eq 2
 echo "frontier cap check: PLIF_MAX_FRONTIER=1 exit 5, PLIF_MAX_FRONTIER=abc exit 2"
 
+echo "== a truncation stub is a clamp wherever it sits; a stub objective exits 5"
+printf '{"t0": 0.0, "open_past": true, "nodes": [%s, %s, %s]}' \
+    '{"name": "o", "states": ["0", "1"], "pl": 3.0, "parents": [], "cpt": [[0.4, 0.6]]}' \
+    '{"name": "s", "states": ["0", "1"], "pl": 4.5, "parents": [], "cpt": null}' \
+    '{"name": "e", "states": ["0", "1"], "pl": 5.0, "parents": ["o", "s"], "cpt": [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8], [0.6, 0.4]]}' \
+    > "$d/stub.json"
+plif sweep "$d/stub.json" --target o=1 --obs e=1 --format csv > "$d/stub.csv"
+test "$(wc -l < "$d/stub.csv")" -eq 2
+for run in "query --threshold 4.5" sweep; do
+    code=0
+    plif $run "$d/stub.json" --target s=1 > "$d/stdout" 2> "$d/stderr" || code=$?
+    test "$code" -eq 5
+    test ! -s "$d/stdout"
+    grep -q "objective node 's' is a truncation stub" "$d/stderr"
+done
+echo "stub check: sweep past the stub s prints $(($(wc -l < "$d/stub.csv") - 1)) row, a stub objective exits 5 from query and sweep"
+
 echo "== a dumped submodel validates and is the materialized fragment; an unwritable dump exits 2"
 plif query "$d/random.json" "${flags[@]}" --threshold 5 --dump-submodel "$d/d.json"
 plif validate "$d/d.json"

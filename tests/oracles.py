@@ -192,10 +192,10 @@ def ancestor_levels(net, query, max_steps=None) -> list[float]:
     """The thresholds of a default sweep, from the parent lists of a finite
     network: the critical level (the earliest objective node's pl), then
     the distinct pls of the query nodes' strict ancestors below it,
-    latest first. Levels at or below ``t0``, or at or below the highest
-    truncation stub (no CPT) among the query nodes and their ancestors,
-    are dropped; ``-inf`` follows for a closed past, and ``max_steps``
-    keeps the first ones."""
+    latest first, save those of truncation stubs (no CPT), which are
+    clamps at every threshold. Levels at or below ``t0`` are dropped;
+    ``-inf`` follows for a closed past, and ``max_steps`` keeps the
+    first ones."""
     names = set(query.objective) | set(query.evidence)
     strict: set[str] = set()
     todo = [p for n in names for p in net.nodes[n].parents]
@@ -204,10 +204,9 @@ def ancestor_levels(net, query, max_steps=None) -> list[float]:
         if p not in strict:
             strict.add(p)
             todo.extend(net.nodes[p].parents)
-    floor = max([net.t0] + [net.nodes[n].pl for n in names | strict if net.nodes[n].cpt is None])
     critical = min(net.nodes[n].pl for n in query.objective)
-    below = sorted({net.nodes[a].pl for a in strict if net.nodes[a].pl < critical}, reverse=True)
-    levels = [v for v in [critical, *below] if v > floor]
+    below = {net.nodes[a].pl for a in strict if net.nodes[a].pl < critical and net.nodes[a].cpt is not None}
+    levels = [v for v in [critical, *sorted(below, reverse=True)] if v > net.t0]
     if not net.open_past:
         levels.append(float("-inf"))
     return levels[:max_steps]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -105,6 +107,44 @@ def test_query_exact_open_past_exits_5(cli, tmp_path):
     code, _, err = cli("query", str(path), "--target", "x_t+1=1", "--exact")
     assert code == 5
     assert "closed past" in err
+
+
+# an open past r (with its prior) -> b -> a -> o; the parent s of the
+# evidence e is a truncation stub above o's level, and e depends on s alone
+_STUB_DOC = {
+    "t0": 0.0,
+    "open_past": True,
+    "nodes": [
+        {"name": "r", "states": ["0", "1"], "pl": 0.0, "parents": [], "cpt": [[0.5, 0.5]]},
+        {"name": "b", "states": ["0", "1"], "pl": 1.0, "parents": ["r"], "cpt": [[0.7, 0.3], [0.2, 0.8]]},
+        {"name": "a", "states": ["0", "1"], "pl": 2.0, "parents": ["b"], "cpt": [[0.6, 0.4], [0.1, 0.9]]},
+        {"name": "o", "states": ["0", "1"], "pl": 3.0, "parents": ["a"], "cpt": [[0.8, 0.2], [0.3, 0.7]]},
+        {"name": "s", "states": ["0", "1"], "pl": 4.5, "parents": [], "cpt": None},
+        {"name": "e", "states": ["0", "1"], "pl": 5.0, "parents": ["s"], "cpt": [[0.6, 0.4], [0.3, 0.7]]},
+    ],
+}
+
+
+def test_sweep_clamps_a_stub_above_the_objective(cli, tmp_path):
+    path = tmp_path / "stub.json"
+    path.write_text(json.dumps(_STUB_DOC))
+    code, out, err = cli("sweep", str(path), "--target", "o=1", "--obs", "e=1", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["threshold"] for r in rows] == ["3", "2", "1"]
+    # e is independent of o, so every row holds P(o=1) = 0.5375, whatever s's prior
+    assert all(float(r["lower"]) <= 0.5375 <= float(r["upper"]) for r in rows)
+    assert {r["exactness"] for r in rows} == {"not_exact"}
+
+
+@pytest.mark.parametrize("command", ["query", "sweep"])
+def test_stub_objective_exits_5(cli, tmp_path, command):
+    path = tmp_path / "stub.json"
+    path.write_text(json.dumps(_STUB_DOC))
+    flags = ("--threshold", "4.5") if command == "query" else ()
+    code, out, err = cli(command, str(path), "--target", "s=1", *flags)
+    assert (code, out) == (5, "")
+    assert err == "error: objective node 's' is a truncation stub; it has no prior to answer with\n"
 
 
 def test_query_threshold_above_cpl_exits_3_quoting_level(cli, chain_file):

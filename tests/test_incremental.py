@@ -33,7 +33,6 @@ from plif import (
     Network,
     NoStartNodesError,
     NodeSpec,
-    OpenPastError,
     Query,
     QueryError,
     RandomNetSpec,
@@ -48,6 +47,7 @@ from plif import (
     hmm_sweep_experiment,
     random_network,
     root_set,
+    validate,
 )
 from plif.gen import hmm_node_name, random_query
 from plif.retrieval import Walk
@@ -144,14 +144,50 @@ def test_lazy_expansion_cap_is_enforced(run, monkeypatch):
 
 
 @RUNS
-def test_interior_truncation_stub_raises_open_past(run):
-    # an open-past network whose node at pl -2 lost its prior in truncation
+def test_interior_truncation_stub_is_clamped(run):
+    # an open-past network whose node at pl -2 lost its prior in truncation:
+    # below the threshold or not, s is a clamp, so the bracket runs over
+    # P(o=1 | s) = 0.55 and 0.8 and holds under any prior put on s
     stub = NodeSpec("s", ("0", "1"), (), None, pl=-2.0)
     mid = NodeSpec("m", ("0", "1"), ("s",), ((0.7, 0.3), (0.2, 0.8)), pl=-1.5)
     top = NodeSpec("o", ("0", "1"), ("m",), ((0.6, 0.4), (0.1, 0.9)), pl=-1.0)
     net = make_net(-5.0, True, stub, mid, top)
-    with pytest.raises(OpenPastError):
-        run(net, Query({"o": "1"}), DEEP)
+    out = run(net, Query({"o": "1"}), DEEP)
+    qb = out[-1] if run is _swept else out
+    assert (qb.lower, qb.upper) == pytest.approx((0.55, 0.8), abs=1e-12)
+    assert (qb.exactness, qb.frontier_size, qb.interior_size) == (infer.Exactness.NOT_EXACT, 1, 2)
+    rng = random.Random(0)
+    for p in [0.0, 1.0] + [rng.random() for _ in range(6)]:
+        closed = make_net(-2.0, False, dataclasses.replace(stub, cpt=((p, 1.0 - p),)), mid, top)
+        assert qb.lower - 1e-12 <= oracles.conditional(closed, {"o": "1"}, {}) <= qb.upper + 1e-12
+
+
+@pytest.mark.parametrize("v", [-1.5, -2.0, -3.0, -np.inf])
+def test_closed_lazy_past_refuses_a_stub_wherever_the_walk_meets_it(v):
+    # a closed past promises a prior on every root, so a resolver that
+    # yields the stub s breaks the network's rules: a threshold that does
+    # not reach s answers, and every one that does (the full past
+    # included) reports cpt-missing, as validate does
+    stub = NodeSpec("s", ("0", "1"), (), None, pl=-2.0)
+    mid = NodeSpec("m", ("0", "1"), ("s",), ((0.7, 0.3), (0.2, 0.8)), pl=-1.5)
+    top = NodeSpec("o", ("0", "1"), ("m",), ((0.6, 0.4), (0.1, 0.9)), pl=-1.0)
+    finite = make_net(-2.0, False, stub, mid, top)
+    assert {x.rule for x in validate(finite)} == {"cpt-missing"}
+    lazy = LazyNetwork(resolver=finite.spec, t0=-2.0, open_past=False)
+    q = Query({"o": "1"})
+    assert bounds_at(lazy, q, Threshold(-1.0)).frontier_size == 1
+    with pytest.raises(InvalidNetworkError) as exc:
+        bounds_at(lazy, q, Threshold(v))
+    assert _rules(exc) == {"cpt-missing"}
+    with pytest.raises(InvalidNetworkError) as exc:
+        anytime_sweep(lazy, q, Schedule((Threshold(-1.0), Threshold(v))), stop_on_exact=False)
+    assert _rules(exc) == {"cpt-missing"}
+    with pytest.raises(InvalidNetworkError) as exc:
+        anytime_sweep(lazy, q, stop_on_exact=False)
+    assert _rules(exc) == {"cpt-missing"}
+    with pytest.raises(InvalidNetworkError) as exc:
+        Walk(lazy, Query({"o": "1"}, {"s": "1"}))
+    assert _rules(exc) == {"cpt-missing"}
 
 
 # --- incremental rows equal one-shot rows ----------------------------------------

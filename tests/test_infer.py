@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -566,17 +567,83 @@ def test_default_levels_match_the_ancestor_oracle():
         assert [qb.threshold.v for qb in rows] == capped
 
 
+def _holds_under_stub_priors(net, q, rows, stub="s"):
+    """Every row contains P(q) in ``net`` closed with a prior put on the
+    truncation stub, for both point priors (where the evidence keeps a
+    positive probability) and six random ones."""
+    rng = np.random.default_rng(0)
+    for p in [0.0, 1.0, *rng.random(6)]:
+        prior = dataclasses.replace(net.nodes[stub], cpt=((float(p), 1.0 - float(p)),))
+        closed = dataclasses.replace(net, open_past=False, nodes={**net.nodes, stub: prior})
+        if oracles.probability(closed, q.evidence) == 0.0:
+            continue
+        want = oracles.conditional(closed, q.objective, q.evidence)
+        for qb in rows:
+            assert qb.lower - 1e-12 <= want <= qb.upper + 1e-12, (p, qb)
+
+
 def test_stub_above_the_critical_level_surfaces_from_the_first_retrieval():
-    # e's parent s is a truncation stub above o's level, so no threshold
-    # is usable, and the first retrieval names the stub
+    # e's parent s is a truncation stub above o's level: the first
+    # retrieval clamps it, and the schedule goes on below it
     s = NodeSpec("s", ("0", "1"), (), None, pl=4.5)
-    e = NodeSpec("e", ("0", "1"), ("s",), ((0.5, 0.5), (0.5, 0.5)), pl=5.0)
+    e = NodeSpec("e", ("0", "1"), ("s",), ((0.6, 0.4), (0.3, 0.7)), pl=5.0)
     net, q = _open_past_chain(s, e), Query({"o": "1"}, {"e": "1"})
     assert validate(net) == []
-    assert oracles.ancestor_levels(net, q) == []
-    for run in (lambda: default_schedule(net, q), lambda: anytime_sweep(net, q)):
-        with pytest.raises(OpenPastError, match="'s'"):
-            run()
+    assert oracles.ancestor_levels(net, q) == [3.0, 2.0, 1.0]
+    assert [t.v for t in default_schedule(net, q)] == [3.0, 2.0, 1.0]
+    first = root_set(net, q, Threshold(3.0))
+    assert first.frontier == {"a": net.nodes["a"], "s": s}
+    assert first.evidence_plus == {"e": "1"} and first.interior.keys() == {"o", "e"}
+    rows = anytime_sweep(net, q)
+    assert [qb.threshold.v for qb in rows] == [3.0, 2.0, 1.0]
+    assert not any(qb.exactness.is_exact for qb in rows)
+    _holds_under_stub_priors(net, q, rows)
+
+
+def _seeded_open_past(seed):
+    """A corpus network and its open past: root i lifted to pl i - 0.5, in
+    among the other nodes' levels, and stubbed with probability 0.6."""
+    closed = random_network(RandomNetSpec(seed=seed, node_count=3 + seed % 6))
+    rng = np.random.default_rng(seed + 50_000)
+    nodes = {}
+    for i, spec in enumerate(closed.nodes.values()):
+        if not spec.parents:
+            spec = dataclasses.replace(spec, pl=i - 0.5, cpt=None if rng.random() < 0.6 else spec.cpt)
+        nodes[spec.name] = spec
+    return closed, make_net(-1.0, True, *nodes.values())
+
+
+def test_open_past_rows_hold_under_random_priors_on_their_stubs():
+    # a stub is a clamp wherever the walk meets it, so every row of a full
+    # default sweep holds under any prior put on the stubs; the truth comes
+    # from the numpy joint of the network with such priors, not from plif
+    met_above = refused = 0
+    for seed in range(300):
+        closed, net = _seeded_open_past(seed)
+        assert validate(net) == []
+        q = random_query(closed, seed + 1000)
+        stubs = [s for s in net.nodes.values() if s.is_stub]
+        if any(net.nodes[n].is_stub for n in q.objective):
+            level = Threshold(min(net.nodes[n].pl for n in q.objective))
+            for run in (lambda: anytime_sweep(net, q), lambda: bounds_at(net, q, level)):
+                with pytest.raises(OpenPastError, match="objective"):
+                    run()
+            refused += 1
+            continue
+        rows = anytime_sweep(net, q, stop_on_exact=False)
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            priors = {s.name: dataclasses.replace(s, cpt=(tuple(rng.dirichlet(np.ones(len(s.states)))),)) for s in stubs}
+            filled = dataclasses.replace(net, nodes={**net.nodes, **priors})
+            names, joint = oracles.net_joint(filled)
+            want = oracles.joint_conditional(filled, names, joint, q.objective, q.evidence)
+            for qb in rows:
+                assert qb.lower - 1e-9 <= want <= qb.upper + 1e-9, (seed, qb)
+        assert all(qb.upper - qb.lower < infer.PROB_TOL for qb in rows if qb.exactness.is_exact)
+        parents = {n: s.parents for n, s in net.nodes.items()}
+        reached = set(q.evidence).union(*(oracles.reachable(parents, n) for n in q.names))
+        met_above += any(net.nodes[n].is_stub and net.nodes[n].pl >= rows[-1].threshold.v for n in reached)
+    assert met_above >= 40 and refused >= 90, (met_above, refused)
 
 
 def test_sweep_takes_a_schedule_or_max_steps_not_both(chain_net):
@@ -638,9 +705,10 @@ def test_schedule_passes_below_a_stub_outside_the_query_closure():
 
 
 @pytest.mark.parametrize("where", ["query_node", "ancestor"])
-def test_schedule_stops_above_a_stub_among_the_query_nodes_and_their_ancestors(where):
-    # a threshold at or below the stub s would retrieve it as a CPD-less
-    # interior node; s is evidence, or a second parent of a
+def test_schedule_passes_a_stub_among_the_query_nodes_and_their_ancestors(where):
+    # the stub s is evidence, or a second parent of a; a threshold at or
+    # below its pl clamps it like any frontier node, so the schedule runs
+    # on to t0 and every row holds under any prior put on s
     s = NodeSpec("s", ("0", "1"), (), None, pl=1.5)
     if where == "query_node":
         net, q = _open_past_chain(s), Query({"o": "1"}, {"s": "1"})
@@ -649,10 +717,12 @@ def test_schedule_stops_above_a_stub_among_the_query_nodes_and_their_ancestors(w
         a = NodeSpec("a", ("0", "1"), ("b", "s"), rows, pl=2.0)
         net, q = _open_past_chain(s, a), Query({"o": "1"})
     assert validate(net) == []
-    assert [t.v for t in default_schedule(net, q)] == [3.0, 2.0]
-    with pytest.raises(OpenPastError):
-        bounds_at(net, q, Threshold(1.0))
-    assert len(anytime_sweep(net, q, default_schedule(net, q))) == 2
+    assert [t.v for t in default_schedule(net, q)] == [3.0, 2.0, 1.0]
+    rs = root_set(net, q, Threshold(1.0))
+    assert rs.frontier.keys() == {"r", "s"} and "s" not in rs.evidence_plus
+    rows = anytime_sweep(net, q, default_schedule(net, q))
+    assert len(rows) == 3
+    _holds_under_stub_priors(net, q, rows)
 
 
 # --- anytime_sweep ---------------------------------------------------------------

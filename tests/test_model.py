@@ -28,7 +28,6 @@ from plif import (
     serialize,
     validate,
 )
-from plif.retrieval import FrontierStub
 
 
 def test_load_two_node_document():
@@ -361,11 +360,6 @@ _RECORDS = {
         NodeSpec,
         {"name": "x_t-1", "states": ("0", "1"), "parents": ("x_t-2",), "cpt": ((0.9, 0.1), (0.1, 0.9)), "pl": -3.0},
         "NodeSpec(name='x_t-1', states=('0', '1'), parents=('x_t-2',), cpt=((0.9, 0.1), (0.1, 0.9)), pl=-3.0)",
-    ),
-    "FrontierStub": (
-        FrontierStub,
-        {"name": "x_t-2", "states": ("0", "1"), "pl": -4.0},
-        "FrontierStub(name='x_t-2', states=('0', '1'), pl=-4.0)",
     ),
     "QueryBounds": (
         QueryBounds,

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import make_net
 from plif import (
     HmmParams,
     NoStartNodesError,
+    NodeSpec,
     Query,
     QueryError,
     RandomNetSpec,
@@ -118,11 +120,25 @@ def test_no_start_nodes_raises(chain_net):
 
 
 def test_frontier_stubs_carry_states_and_pl_but_no_cpd(chain_net):
+    # the walk keeps each frontier node's resolved spec; the fragment it
+    # writes keeps only its states and pl
     rs = root_set(chain_net, Query({"x": "1"}), Threshold(4.0))
-    stub = rs.frontier["t1"]
+    assert rs.frontier["t1"] is rs.specs["t1"]
+    stub = rs.fragment().spec("t1")
     assert stub.states == ("0", "1")
     assert stub.pl == 3.0
-    assert not hasattr(stub, "cpt")
+    assert stub.is_stub and stub.parents == ()
+
+
+def test_a_walk_that_met_only_a_stub_extends_like_a_fresh_one():
+    # at 4.0 the walk reaches only the evidence stub s, which stays a clamp;
+    # at 3.5 it has nothing new to retrieve, and equals a fresh walk there
+    s = NodeSpec("s", ("0", "1"), (), None, pl=5.0)
+    o = NodeSpec("o", ("0", "1"), (), ((0.5, 0.5),), pl=3.0)
+    net, q = make_net(0.0, True, s, o), Query({"o": "1"}, {"s": "1"})
+    walk = root_set(net, q, Threshold(4.0))
+    assert (walk.frontier, walk.interior, walk.evidence_in_frontier) == ({"s": s}, {}, {"s": "1"})
+    assert root_set(net, q, Threshold(3.5), walk=walk) == root_set(net, q, Threshold(3.5))
 
 
 def test_fragment_stubs_the_frontier_and_keeps_a_root_prior(chain_net):
