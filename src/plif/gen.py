@@ -23,7 +23,7 @@ from .retrieval import Threshold
 _HMM_NAME = re.compile(r"([xy])_t(?:([+-][1-9][0-9]*))?")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HmmParams:
     """Parameters of the unbounded binary emission chain.
 
@@ -116,7 +116,7 @@ def sweep_csv(rows: list[QueryBounds]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RandomNetSpec:
     """Recipe for one seeded random network.
 

@@ -75,7 +75,7 @@ class Exactness(enum.Enum):
         return self is not Exactness.NOT_EXACT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryBounds:
     """A certified bracket on the query at one threshold."""
 
@@ -87,7 +87,7 @@ class QueryBounds:
     interior_size: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Schedule:
     """Strictly decreasing thresholds to sweep, shallowest first."""
 
@@ -121,6 +121,8 @@ _NUM_DEN = object()
 _TINY = 2.0**-64
 #: a linear cell below this is either an exact zero or redone in logs
 _FLOOR = 2.0**-900
+#: a product of at most this many cells takes its minimum and peak in Python floats
+_SMALL = 8
 #: numpy 1.x einsum takes at most 31 operands (numpy 2 takes 63)
 _EINSUM_MAX = 31
 
@@ -129,7 +131,7 @@ class _NeedsLog(Exception):
     """A linear bucket cannot certify one of its cells."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Table:
     """Numerators and normalizers indexed by the states of ``axes`` (the
     unobserved frontier), then by :data:`_NUM_DEN`. The true value at a
@@ -198,9 +200,11 @@ def _bucket(group: Sequence[_Factor], h: str | None, keep: _Axes, log: bool) -> 
     only when the transpose is strided); a product is divided by its peak
     once that is below _TINY. Each input is a CPT entry or a message of
     this function, so none exceeds 1 and each is accurate or exactly
-    zero. A partial product that underflows stays below 2^-1022, so a
-    cell of at least _FLOOR has lost at most ``|h|`` such terms, a
-    relative error of at most ``|h|``·2^-122. A cell below _FLOOR must
+    zero; so a product of at most _SMALL cells reads its minimum and
+    peak as Python floats, equal to numpy's reductions and cheaper there.
+    A partial product that underflows stays below 2^-1022, so a cell of
+    at least _FLOOR has lost at most ``|h|`` such terms, a relative
+    error of at most ``|h|``·2^-122. A cell below _FLOOR must
     be an exact zero, as the einsum of the factors' 0/1 masks shows; if
     not, or past numpy 1.x einsum's 31 operands, :class:`_NeedsLog` is
     raised."""
@@ -231,7 +235,8 @@ def _bucket(group: Sequence[_Factor], h: str | None, keep: _Axes, log: bool) -> 
     out = np.einsum(*operands, out_ids)
     if len(group) == 1:
         return (out_axes, out), 0.0
-    low = np.minimum.reduce(out, axis=None)
+    flat = out.ravel().tolist() if out.size <= _SMALL else None
+    low = np.minimum.reduce(out, axis=None) if flat is None else min(flat)
     if low < _FLOOR:
         operands[::2] = ((t > 0.0).astype(float) for t in operands[::2])
         support = np.einsum(*operands, out_ids)
@@ -239,7 +244,7 @@ def _bucket(group: Sequence[_Factor], h: str | None, keep: _Axes, log: bool) -> 
             raise _NeedsLog
     elif low >= _TINY:  # so is the peak
         return (out_axes, out), 0.0
-    peak = np.maximum.reduce(out, axis=None)
+    peak = np.maximum.reduce(out, axis=None) if flat is None else max(flat)
     if 0.0 < peak < _TINY:
         return (out_axes, out / peak), math.log(peak)
     return (out_axes, out), 0.0
@@ -398,16 +403,18 @@ def exactness_status(walk: Walk, lower: float, upper: float) -> Exactness:
     """Classify a retrieval per the first matching exactness condition.
 
     In order: (1) the frontier lies entirely inside the evidence, so no
-    clamp is free; (2) every frontier node is a root with a prior (not a
-    truncation stub), at any pl, and no evidence was left unreached, so
-    the retrieved past is complete; (3) the bounds coincide anyway.
+    clamp is free; (2) every frontier node is a root with a prior, at any
+    pl, or an observed truncation stub, whose prior cancels in the
+    conditional, and no evidence was left unreached, so the retrieved
+    past is complete; (3) the bounds coincide anyway.
     Condition (2)'s evidence clause is exactly "evidence_minus is empty",
     which the sizes of the disjoint parts answer without building it.
     """
-    if len(walk.frontier) == len(walk.evidence_in_frontier):
+    e_front = walk.evidence_in_frontier
+    if len(walk.frontier) == len(e_front):
         return Exactness.FRONTIER_SUBSET_OF_EVIDENCE
-    dropped = len(walk.query.evidence) - len(walk.evidence_plus) - len(walk.evidence_in_frontier)
-    if not dropped and all(not f.parents and not f.is_stub for f in walk.frontier.values()):
+    dropped = len(walk.query.evidence) - len(walk.evidence_plus) - len(e_front)
+    if not dropped and all(not f.parents and (not f.is_stub or f.name in e_front) for f in walk.frontier.values()):
         return Exactness.FULL_PAST
     if abs(upper - lower) < PROB_TOL:
         return Exactness.COINCIDENCE
@@ -416,8 +423,10 @@ def exactness_status(walk: Walk, lower: float, upper: float) -> Exactness:
 
 def _exact_from_retrieval(walk: Walk) -> float:
     """Exact value when the retrieval closed the past: the walk's clamp
-    table times the frontier roots' own priors."""
-    num, den = _contract(walk, walk.frontier, (), walk.table).table
+    table times the frontier roots' own priors; an observed stub is
+    only clamped, as its prior cancels."""
+    roots = {n: s for n, s in walk.frontier.items() if not s.is_stub}
+    num, den = _contract(walk, roots, (), walk.table).table
     if den == 0.0:
         raise _zero_evidence(walk.query.evidence)
     return float(num / den)

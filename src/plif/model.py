@@ -54,7 +54,7 @@ MAX_CHECKED_CPTS = 1024
 Assignment = Mapping[str, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeSpec:
     """One node: states, declared parents, CPT rows, and potential level."""
 
@@ -70,7 +70,7 @@ class NodeSpec:
         return self.cpt is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Network:
     """A finite, immutable network. Construction does not validate; run
     :func:`validate` (or go through :func:`load_network`) first."""
@@ -92,7 +92,7 @@ class Network:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LazyNetwork:
     """An on-demand network: ``resolver`` maps a node name to its spec.
 
@@ -120,7 +120,7 @@ class LazyNetwork:
         return spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     """A conditional query: probability of ``objective`` given ``evidence``.
 
@@ -143,7 +143,7 @@ class Query:
         return set(self.objective) | set(self.evidence)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One broken invariant; ``rule`` is a stable machine-readable tag."""
 

@@ -46,7 +46,7 @@ NetworkLike = Union[Network, LazyNetwork]
 MAX_NODES = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Threshold:
     """Inclusive retrieval cutoff: a node is interior iff ``pl >= v``.
 
@@ -69,7 +69,7 @@ class Threshold:
         return math.isinf(self.v)
 
 
-@dataclass
+@dataclass(slots=True)
 class Walk:
     """One retrieval walk for one network and query, extended in place as
     the threshold deepens; it is the retrieval itself

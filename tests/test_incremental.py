@@ -15,6 +15,7 @@ leaves the walk to go on deeper as a fresh one would.
 """
 
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -390,6 +391,39 @@ def test_bucket_at_the_einsum_operand_limit(children, monkeypatch):
         ends.append(sum(p * o.cpt[s][1] for s, p in enumerate(post)) / sum(post))
     assert qb.lower == pytest.approx(min(ends), abs=1e-12)
     assert qb.upper == pytest.approx(max(ends), abs=1e-12)
+
+
+@pytest.mark.parametrize("cells", [infer._SMALL, 2 * infer._SMALL])
+@pytest.mark.parametrize("case", ["unscaled", "scaled", "exact_zero", "needs_log"])
+def test_bucket_minimum_on_both_sides_of_the_small_table_size(cells, case):
+    # a product of at most _SMALL cells reads its minimum and peak as Python
+    # floats, a larger one through numpy's reductions; both must decide alike.
+    # The product is u (cells / 2 states) times v (2 states), nothing summed
+    u = np.linspace(0.25, 0.5, cells // 2)
+    v = np.array([0.5, 0.25])
+    if case == "scaled":  # every cell below _TINY, none below _FLOOR
+        u, v = u * 2.0**-40, v * 2.0**-30
+    elif case == "exact_zero":  # zero cells whose support is zero too
+        u[-1] = 0.0
+    elif case == "needs_log":  # one cell of 2^-1000: below _FLOOR, yet not zero
+        u[-1], v[0] = 2.0**-500, 2.0**-500
+    want = np.outer(u, v)
+    assert want.size == cells
+    group = [(("u",), u), (("v",), v)]
+    if case == "needs_log":
+        with pytest.raises(infer._NeedsLog):
+            infer._bucket(group, None, ("u", "v"), False)
+        return
+    (axes, table), scale = infer._bucket(group, None, ("u", "v"), False)
+    assert axes == ("u", "v")
+    if case == "scaled":
+        peak = want.max()
+        assert want.min() > infer._FLOOR and peak < infer._TINY
+        assert scale == math.log(peak)
+        np.testing.assert_array_equal(table, want / peak)
+    else:
+        assert scale == 0.0
+        np.testing.assert_array_equal(table, want)
 
 
 def _with_zeros(net, rng):

@@ -615,9 +615,12 @@ def _seeded_open_past(seed):
 
 def test_open_past_rows_hold_under_random_priors_on_their_stubs():
     # a stub is a clamp wherever the walk meets it, so every row of a full
-    # default sweep holds under any prior put on the stubs; the truth comes
-    # from the numpy joint of the network with such priors, not from plif
-    met_above = refused = 0
+    # default sweep holds under any prior put on the stubs, and a row flagged
+    # exact equals the truth under each; the truth comes from the numpy joint
+    # of the network with such priors, not from plif. Each query is swept
+    # again with 80% of the stubs outside it observed: an observed stub's
+    # prior cancels, so it may stand in a full-past certificate
+    met_above = refused = certified = 0
     for seed in range(300):
         closed, net = _seeded_open_past(seed)
         assert validate(net) == []
@@ -631,19 +634,43 @@ def test_open_past_rows_hold_under_random_priors_on_their_stubs():
             refused += 1
             continue
         rows = anytime_sweep(net, q, stop_on_exact=False)
+        pick = np.random.default_rng(seed + 60_000)
+        seen = {s.name: s.states[pick.integers(len(s.states))] for s in stubs if s.name not in q.names and pick.random() < 0.8}
+        q_seen = Query(q.objective, {**q.evidence, **seen})
+        sweeps = [(q, rows), (q_seen, anytime_sweep(net, q_seen, stop_on_exact=False) if seen else [])]
         rng = np.random.default_rng(seed)
         for _ in range(4):
             priors = {s.name: dataclasses.replace(s, cpt=(tuple(rng.dirichlet(np.ones(len(s.states)))),)) for s in stubs}
             filled = dataclasses.replace(net, nodes={**net.nodes, **priors})
             names, joint = oracles.net_joint(filled)
-            want = oracles.joint_conditional(filled, names, joint, q.objective, q.evidence)
-            for qb in rows:
-                assert qb.lower - 1e-9 <= want <= qb.upper + 1e-9, (seed, qb)
-        assert all(qb.upper - qb.lower < infer.PROB_TOL for qb in rows if qb.exactness.is_exact)
+            for query, swept in sweeps:
+                want = oracles.joint_conditional(filled, names, joint, query.objective, query.evidence)
+                for qb in swept:
+                    assert qb.lower - 1e-9 <= want <= qb.upper + 1e-9, (seed, qb)
+                    if qb.exactness.is_exact:
+                        assert abs(qb.lower - want) <= 1e-9 and abs(qb.upper - want) <= 1e-9, (seed, qb)
+        for _, swept in sweeps:
+            assert all(qb.upper - qb.lower < infer.PROB_TOL for qb in swept if qb.exactness.is_exact)
+        certified += sum(qb.exactness is Exactness.FULL_PAST for qb in sweeps[1][1])
         parents = {n: s.parents for n, s in net.nodes.items()}
         reached = set(q.evidence).union(*(oracles.reachable(parents, n) for n in q.names))
         met_above += any(net.nodes[n].is_stub and net.nodes[n].pl >= rows[-1].threshold.v for n in reached)
-    assert met_above >= 40 and refused >= 90, (met_above, refused)
+    assert met_above >= 40 and refused >= 90 and certified >= 10, (met_above, refused, certified)
+
+
+def test_an_observed_stub_stands_in_a_full_past_certificate():
+    # s is an evidence stub off every path to o: conditioning on it cancels
+    # its prior, so at threshold 1 the row is the chain's own full-past value
+    s = NodeSpec("s", ("0", "1"), (), None, pl=1.5)
+    net, q = _open_past_chain(s), Query({"o": "1"}, {"s": "1"})
+    rows = anytime_sweep(net, q)
+    plain = anytime_sweep(_open_past_chain(), Query({"o": "1"}))
+    assert [qb.threshold.v for qb in rows] == [qb.threshold.v for qb in plain] == [3.0, 2.0, 1.0]
+    assert rows[-1].exactness is plain[-1].exactness is Exactness.FULL_PAST
+    assert rows[-1].lower == rows[-1].upper == pytest.approx(plain[-1].lower, abs=1e-15)
+    assert rows[-1].lower == pytest.approx(0.5375, abs=1e-12)
+    assert exactness_status(root_set(net, q, Threshold(1.0)), 0.0, 1.0) is Exactness.FULL_PAST
+    _holds_under_stub_priors(net, q, rows)
 
 
 def test_sweep_takes_a_schedule_or_max_steps_not_both(chain_net):

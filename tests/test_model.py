@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
+import sys
 
 import pytest
 
@@ -20,6 +23,7 @@ from plif import (
     Threshold,
     as_lazy,
     bounds_at,
+    default_schedule,
     hmm_model,
     hmm_query,
     load_network,
@@ -28,6 +32,8 @@ from plif import (
     serialize,
     validate,
 )
+from plif.model import Violation
+from plif.retrieval import Walk
 
 
 def test_load_two_node_document():
@@ -353,9 +359,11 @@ def test_a_chain_checks_its_rows_the_same_number_of_times_at_any_depth(monkeypat
     assert counts == {1000: 2, 4000: 2}
 
 
-# the frozen records a walk builds by the thousand, with their reprs pinned: a faster
-# hand-written __init__ must keep equality, hashing, replace and repr as they are
+# the frozen records a walk builds by the thousand, with their reprs pinned: slots
+# or a faster hand-written __init__ must keep equality, hashing, replace, repr,
+# copying and pickling as they are
 _RECORDS = {
+    "Threshold": (Threshold, {"v": -3.0}, "Threshold(v=-3.0)"),
     "NodeSpec": (
         NodeSpec,
         {"name": "x_t-1", "states": ("0", "1"), "parents": ("x_t-2",), "cpt": ((0.9, 0.1), (0.1, 0.9)), "pl": -3.0},
@@ -392,3 +400,49 @@ def test_records_keep_the_frozen_dataclass_contract(record):
     moved = dataclasses.replace(a, **{last: fields[last] + 1})
     assert moved != a and moved == cls(**{**fields, last: fields[last] + 1})
     assert dataclasses.replace(a) == a
+
+
+@pytest.mark.parametrize("record", list(_RECORDS))
+def test_records_copy_and_pickle_equal(record):
+    cls, fields, pinned = _RECORDS[record]
+    a = cls(**fields)
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is cls and twin == a and hash(twin) == hash(a)
+        assert repr(twin) == pinned
+
+
+def test_every_record_is_slotted():
+    # one instance of each dataclass under plif, read off a real walk; none
+    # carries an instance dict, so none takes an attribute it does not declare
+    params = HmmParams(window=3)
+    lazy, q = hmm_model(params), hmm_query(params)
+    walk = Walk(lazy, q)
+    qb = bounds_at(lazy, q, Threshold(-1.0), walk=walk)
+    recipe = RandomNetSpec(seed=1)
+    records = [
+        walk.specs["x_t"],
+        random_network(recipe),
+        lazy,
+        q,
+        Violation("rule", "message"),
+        qb.threshold,
+        walk,
+        qb,
+        default_schedule(lazy, q, max_steps=2),
+        walk.table,
+        params,
+        recipe,
+    ]
+    declared = {
+        c for name, m in list(sys.modules.items()) if name.startswith("plif.") for c in vars(m).values()
+        if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == name
+    }
+    assert {type(r) for r in records} == declared and len(declared) == 12
+    for r in records:
+        assert dataclasses.is_dataclass(r) and "__slots__" in type(r).__dict__
+        assert not hasattr(r, "__dict__"), type(r).__name__
+        # a frozen slotted record's __setattr__ ends in super() on the class
+        # from before slots on Python 3.10 and 3.11, which raises TypeError
+        with pytest.raises((AttributeError, TypeError)):
+            r.unknown = 1
+        assert not hasattr(r, "unknown")
