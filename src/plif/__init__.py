@@ -48,7 +48,6 @@ from .model import (
 )
 from .retrieval import (
     Threshold,
-    ancestors,
     d_separated,
     materialize,
     root_set,
@@ -80,7 +79,6 @@ __all__ = [
     "UnknownNodeError",
     "UnknownStateError",
     "ZeroEvidenceError",
-    "ancestors",
     "anytime_sweep",
     "as_lazy",
     "bounds_at",

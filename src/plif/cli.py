@@ -48,11 +48,10 @@ def main(argv: list[str] | None = None) -> int:
         for v in exc.violations:
             print(f"{v.rule}: {v.message}", file=sys.stderr)
         return exc.exit_code
-    except (PlifError, ValueError) as exc:
-        usage = isinstance(exc, (QueryError, ValueError))
+    except PlifError as exc:
+        usage = isinstance(exc, QueryError)
         print(f"{'usage error' if usage else 'error'}: {exc}", file=sys.stderr)
-        # a ValueError a check missed is a usage error too
-        return getattr(exc, "exit_code", QueryError.exit_code)
+        return exc.exit_code
 
 
 @functools.cache

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownNodeError
+from .errors import QueryError, UnknownNodeError
 from .infer import QueryBounds, anytime_sweep, bounds_at
 from .infer import default_schedule  # noqa: F401  (bench/tracing.py wraps it here)
 from .model import LazyNetwork, Network, NodeSpec, Query
@@ -42,11 +42,11 @@ class HmmParams:
     def __post_init__(self):
         for label, p in (("transition_stay", self.transition_stay), ("emission_true", self.emission_true)):
             if not 0.0 < p < 1.0:
-                raise ValueError(f"{label} must be inside (0, 1), got {p!r}")
+                raise QueryError(f"{label} must be inside (0, 1), got {p!r}")
         if self.window < 1:
-            raise ValueError("window must be at least 1")
+            raise QueryError("window must be at least 1")
         if not 0.0 < self.y_pl_offset < 1.0:
-            raise ValueError("y_pl_offset must keep observations between hidden steps")
+            raise QueryError("y_pl_offset must keep observations between hidden steps")
 
 
 def hmm_node_name(var: str, offset: int) -> str:
@@ -132,14 +132,16 @@ class RandomNetSpec:
     cpt_floor: float = 0.05
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise QueryError("seed must be non-negative")
         if not 1 <= self.node_count <= 12:
-            raise ValueError("node_count must be between 1 and 12")
+            raise QueryError("node_count must be between 1 and 12")
         if not 1 <= self.max_parents <= 3:
-            raise ValueError("max_parents must be between 1 and 3")
+            raise QueryError("max_parents must be between 1 and 3")
         if self.state_count not in (2, 3):
-            raise ValueError("state_count must be 2 or 3")
+            raise QueryError("state_count must be 2 or 3")
         if not 0.0 <= self.cpt_floor < 0.5:
-            raise ValueError("cpt_floor must be in [0, 0.5)")
+            raise QueryError("cpt_floor must be in [0, 0.5)")
 
 
 def random_network(spec: RandomNetSpec) -> Network:

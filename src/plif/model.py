@@ -97,9 +97,10 @@ class LazyNetwork:
     """An on-demand network: ``resolver`` maps a node name to its spec.
 
     The resolver must be deterministic: resolving the same name twice
-    yields the same spec. Each call resolves and checks the spec afresh,
-    save the rows of a CPT that ``checked`` holds as passed
-    (:func:`_local_spec_violations`); a walk resolves each node once.
+    yields the same spec. Each call resolves and checks the spec afresh
+    (:func:`_local_spec_violations`, save the rows of a CPT ``checked``
+    holds as passed); a walk resolves each node once and checks the rest
+    of its rules there (:func:`node_violations`).
     """
 
     resolver: Callable[[str], NodeSpec]
@@ -212,41 +213,48 @@ def t0_violations(t0: float, open_past: bool) -> list[Violation]:
     return []
 
 
-def edge_violations(spec: NodeSpec, parents: Sequence[NodeSpec]) -> list[Violation]:
-    """Strict temporal precedence on every edge from ``parents`` (the specs
-    of the declared parents that exist) and, when all of them exist, the
-    CPT row count. Strict precedence also rules out cycles."""
-    out: list[Violation] = []
-    if spec.cpt is not None and len(parents) == len(spec.parents):
-        expected = 1  # counted in a loop: on Python 3.11 a comprehension is one more call per node
-        for p in parents:
-            expected *= len(p.states)
-        if len(spec.cpt) != expected:
-            out.append(Violation("cpt-shape", f"node {spec.name!r} has {len(spec.cpt)} CPT rows, expected {expected}"))
-    for parent in parents:
-        if not (parent.pl < spec.pl):
-            out.append(
-                Violation(
-                    "temporal-precedence",
-                    f"edge {parent.name!r}->{spec.name!r} has pl({parent.name!r})={parent.pl:g} "
-                    f">= pl({spec.name!r})={spec.pl:g}",
+def node_violations(spec: NodeSpec, parents: Sequence[NodeSpec] | None, t0: float, open_past: bool) -> list[Violation]:
+    """The rules on one node that its parents, ``t0`` and the past decide.
+
+    ``parents`` holds the specs of the declared parents that exist, or is
+    None where a walk cuts the node (a frontier node, or a query node not
+    yet reached). Edges need strict temporal precedence (so no cycle) and,
+    with every parent present, one CPT row per joint parent state. A root
+    or cut node may not sit before ``t0``; a genuine root has one CPT row
+    and, in a closed past, a prior and pl ``t0``.
+    """
+    if parents is not None and spec.parents:
+        out: list[Violation] = []
+        if spec.cpt is not None and len(parents) == len(spec.parents):
+            expected = 1  # counted in a loop: on Python 3.11 a comprehension is one more call per node
+            for p in parents:
+                expected *= len(p.states)
+            if len(spec.cpt) != expected:
+                out.append(Violation("cpt-shape", f"node {spec.name!r} has {len(spec.cpt)} CPT rows, expected {expected}"))
+        for parent in parents:
+            if not (parent.pl < spec.pl):
+                out.append(
+                    Violation(
+                        "temporal-precedence",
+                        f"edge {parent.name!r}->{spec.name!r} has pl({parent.name!r})={parent.pl:g} "
+                        f">= pl({spec.name!r})={spec.pl:g}",
+                    )
                 )
-            )
+        return out
+    cpt, root = spec.cpt, not spec.parents
+    if spec.pl >= t0 and (not root or (open_past if cpt is None else len(cpt) == 1 and (open_past or spec.pl == t0))):
+        return []
+    out = []
+    if root and cpt is None and not open_past:
+        out.append(Violation("cpt-missing", f"closed-past node {spec.name!r} has no prior (stub)"))
+    if root and cpt is not None and len(cpt) != 1:
+        out.append(Violation("cpt-shape", f"node {spec.name!r} has {len(cpt)} CPT rows, expected 1"))
+    if root and not open_past and spec.pl != t0:
+        message = f"root {spec.name!r} has pl={spec.pl:g}, closed-past roots must sit at t0={t0:g}"
+        out.append(Violation("root-pl", message))
+    elif spec.pl < t0:
+        out.append(Violation("root-pl", f"root {spec.name!r} has pl={spec.pl:g} before t0={t0:g}"))
     return out
-
-
-def root_violations(spec: NodeSpec, t0: float, open_past: bool) -> list[Violation]:
-    """Where a node with no parents (or whose parents were cut away) may sit."""
-    if not open_past and spec.pl != t0:
-        return [
-            Violation(
-                "root-pl",
-                f"root {spec.name!r} has pl={spec.pl:g}, closed-past roots must sit at t0={t0:g}",
-            )
-        ]
-    if open_past and spec.pl < t0:
-        return [Violation("root-pl", f"root {spec.name!r} has pl={spec.pl:g} before t0={t0:g}")]
-    return []
 
 
 def validate(net: Network) -> list[Violation]:
@@ -261,16 +269,10 @@ def validate(net: Network) -> list[Violation]:
         if key != spec.name:
             out.append(Violation("node-key", f"node keyed {key!r} is named {spec.name!r}"))
         out.extend(_local_spec_violations(spec, checked))
-        if spec.cpt is None and not spec.parents and not net.open_past:
-            out.append(
-                Violation("cpt-missing", f"closed-past node {spec.name!r} has no prior (stub)")
-            )
         for p in spec.parents:
             if p not in net.nodes:
                 out.append(Violation("unknown-parent", f"node {spec.name!r} lists missing parent {p!r}"))
-        out.extend(edge_violations(spec, [net.nodes[p] for p in spec.parents if p in net.nodes]))
-        if not spec.parents:
-            out.extend(root_violations(spec, net.t0, net.open_past))
+        out.extend(node_violations(spec, [net.nodes[p] for p in spec.parents if p in net.nodes], net.t0, net.open_past))
     return out
 
 

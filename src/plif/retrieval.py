@@ -34,9 +34,7 @@ from .model import (
     Network,
     NodeSpec,
     Query,
-    Violation,
-    edge_violations,
-    root_violations,
+    node_violations,
     t0_violations,
 )
 
@@ -75,10 +73,10 @@ class Walk:
     the threshold deepens; it is the retrieval itself
     (:func:`root_set` returns it) and all a sweep carries.
 
-    Building a walk resolves and checks the query's nodes (every one,
-    whatever its pl) and the states the query names; an objective that is
-    a truncation stub raises :class:`OpenPastError`, since a stub is only
-    ever a clamp. ``specs`` holds every node resolved so far (the query's
+    Building a walk checks ``t0``, resolves and checks the query's nodes
+    (each one as a cut node, whatever its pl) and the states the query
+    names; a stub objective raises :class:`OpenPastError`, since a stub
+    is only a clamp. ``specs`` holds every node resolved so far (the query's
     nodes, every node reached, and the parents :meth:`next_level` read),
     the one memo of a walk's resolutions, at most :data:`MAX_NODES` of
     them; each reached node is interior (in the order reached) or
@@ -120,12 +118,12 @@ class Walk:
     factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        report = t0_violations(self.net.t0, True)
+        report = t0_violations(self.net.t0, self.net.open_past)
         for name, label in (*self.query.objective.items(), *self.query.evidence.items()):
             spec = self.resolve(name)
             if label not in spec.states:
                 raise UnknownStateError(f"node {name!r} has no state {label!r}; states are {list(spec.states)}")
-            report += _cut_violations(spec, self.net)
+            report += node_violations(spec, None, self.net.t0, self.net.open_past)
             if name in self.query.evidence:
                 self.evidence_index[name] = spec.states.index(label)
         if report:
@@ -169,6 +167,7 @@ class Walk:
             raise QueryError(f"a walk needs strictly decreasing thresholds; got {v:g} after {self.level:g}")
         specs, interior, frontier, pending = self.specs, self.interior, self.frontier, self.pending
         evidence, e_plus, e_front, band = self.query.evidence, self.evidence_plus, self.evidence_in_frontier, self.band
+        t0, open_past = self.net.t0, self.net.open_past
         # a walk that reached nothing yet: only a query node can start it
         if not interior and not frontier and not (pending and specs[pending[-1]].pl >= v):
             raise NoStartNodesError(f"no query or evidence node has pl >= {v:g}; nothing to retrieve")
@@ -185,8 +184,8 @@ class Walk:
         while queue:
             name = queue.popleft()
             spec = specs[name]
-            parents = list(map(self.resolve, spec.parents)) if spec.pl >= v else ()
-            report = edge_violations(spec, parents) if parents else _cut_violations(spec, self.net)
+            parents = list(map(self.resolve, spec.parents)) if spec.pl >= v else None
+            report = node_violations(spec, parents, t0, open_past)
             if report:
                 raise InvalidNetworkError(report)
             if spec.pl < v or spec.is_stub:
@@ -235,20 +234,7 @@ def walk_for(net: NetworkLike, query: Query, walk: Walk | None) -> Walk:
     return walk
 
 
-def _cut_violations(spec: NodeSpec, net: NetworkLike) -> list:
-    """The rules for a root, or for a node whose parents the walk does not
-    follow (a frontier node, or a query node not yet reached): like a root
-    of an open past, it may not sit before ``t0``, a genuine root has one
-    CPT row, and a truncation stub needs an open past."""
-    if spec.pl >= net.t0 and (spec.parents or (net.open_past if spec.cpt is None else len(spec.cpt) == 1)):
-        return []
-    report = root_violations(spec, net.t0, True) + ([] if spec.parents else edge_violations(spec, ()))
-    if spec.is_stub and not spec.parents and not net.open_past:
-        report.append(Violation("cpt-missing", f"closed-past node {spec.name!r} has no prior (stub)"))
-    return report
-
-
-def ancestors(net: Network, targets: Iterable[str]) -> set[str]:
+def _ancestors(net: Network, targets: Iterable[str]) -> set[str]:
     """All strict ancestors of ``targets`` (a target appears only if it is
     an ancestor of another target)."""
     targets = set(targets)
@@ -286,7 +272,7 @@ def d_separated(
     if not a or not b:
         return True
 
-    closure = (a | b | c) | ancestors(net, a | b | c)
+    closure = (a | b | c) | _ancestors(net, a | b | c)
     adj: dict[str, set[str]] = {n: set() for n in closure}
     for n in closure:
         parents = [p for p in net.spec(n).parents if p in closure]
@@ -324,10 +310,11 @@ def root_set(
     path, or at a truncation stub wherever it sits; those nodes form the
     frontier. Nodes are resolved one by one through ``net.resolve``,
     finite and lazy networks alike, and nothing is materialized. Instead
-    every node the walk expands is checked against its resolved parents
-    (strict temporal precedence and CPT shape), no parentless or
-    frontier node may sit before ``t0``, and a closed past may hold no
-    stub (``cpt-missing``).
+    the walk checks every node it reaches by the node rules of
+    :func:`~plif.model.validate` (:func:`~plif.model.node_violations`), an
+    expanded node against its resolved parents and a frontier node as a
+    cut, so a lazy network obeys the rules a document does wherever the
+    walk reaches.
     Resolving more than :data:`MAX_NODES` nodes raises
     :class:`ExpansionCapError`.
 

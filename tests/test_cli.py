@@ -424,7 +424,6 @@ _RAISED = [
         "cpt-row-sum: row 0 of 'a'\nacyclic: a -> a\n",
     ),
     (errors.QueryError("--target names 'a' twice"), 2, "usage error: --target names 'a' twice\n"),
-    (ValueError("a missed check"), 2, "usage error: a missed check\n"),
     (
         errors.ThresholdError(3.0, 2.0, "x"),
         3,
@@ -457,6 +456,17 @@ def test_every_error_class_exits_with_its_code_and_one_report(cli, chain_file, m
     assert cli("validate", chain_file) == (code, "", stderr)
     if isinstance(exc, errors.PlifError):
         assert type(exc).exit_code == code
+
+
+def test_an_unexpected_error_propagates_with_its_traceback(cli, chain_file, monkeypatch):
+    # only a PlifError is a reported outcome; any other exception is a
+    # fault in plif, so main lets it through rather than call it a usage error
+    def read(path):
+        raise ValueError("a missed check")
+
+    monkeypatch.setattr(plif.cli, "_read", read)
+    with pytest.raises(ValueError, match="a missed check"):
+        cli("validate", chain_file)
 
 
 def test_the_exit_code_table_covers_every_error_class():
@@ -500,10 +510,23 @@ def test_gen_random_emits_loadable_deterministic_document(cli):
     assert len(net) == 6
 
 
-def test_gen_random_rejects_oversized(cli):
-    code, _, err = cli("gen-random", "--seed", "1", "--nodes", "40")
-    assert code == 2
-    assert "usage error" in err
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("gen-random", "--seed", "1", "--nodes", "40"),
+        ("gen-random", "--seed", "-1"),
+        ("gen-random", "--seed", "1", "--cpt-floor", "nan"),
+        ("gen-hmm", "--stay", "1.5"),
+        ("sweep", "--hmm", "--window", "0"),
+    ],
+    ids=["nodes-40", "seed-minus-1", "cpt-floor-nan", "gen-hmm-stay-1.5", "sweep-hmm-window-0"],
+)
+def test_gen_random_rejects_oversized(cli, args):
+    # the generators' argument checks raise QueryError: a usage error, not a traceback
+    code, out, err = cli(*args)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+    assert "Traceback" not in err
 
 
 def test_gen_hmm_fragment_is_queryable(cli, tmp_path):

@@ -5,6 +5,7 @@ from conftest import random_chain
 from plif import (
     HmmParams,
     Query,
+    QueryError,
     RandomNetSpec,
     Threshold,
     UnknownNodeError,
@@ -121,9 +122,9 @@ def test_hmm_fragment_sweep_equals_lazy_sweep(depth, window):
 
 
 def test_hmm_params_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(QueryError):
         HmmParams(transition_stay=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(QueryError):
         HmmParams(window=0)
 
 
@@ -149,10 +150,12 @@ def test_random_networks_always_validate():
 
 
 def test_random_net_spec_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(QueryError):
         RandomNetSpec(seed=0, node_count=13)
-    with pytest.raises(ValueError):
+    with pytest.raises(QueryError):
         RandomNetSpec(seed=0, state_count=4)
+    with pytest.raises(QueryError):
+        RandomNetSpec(seed=-1)
 
 
 def test_random_query_deterministic_and_disjoint():

@@ -34,12 +34,15 @@ from plif import (
     Network,
     NoStartNodesError,
     NodeSpec,
+    OpenPastError,
+    PlifError,
     Query,
     QueryError,
     RandomNetSpec,
     Schedule,
     Threshold,
     ThresholdError,
+    UnknownNodeError,
     anytime_sweep,
     bounds_at,
     default_schedule,
@@ -189,6 +192,83 @@ def test_closed_lazy_past_refuses_a_stub_wherever_the_walk_meets_it(v):
     with pytest.raises(InvalidNetworkError) as exc:
         Walk(lazy, Query({"o": "1"}, {"s": "1"}))
     assert _rules(exc) == {"cpt-missing"}
+
+
+@RUNS
+@pytest.mark.parametrize(
+    "t0, rule", [(0.0, "root-pl"), (-np.inf, "t0-not-finite")], ids=["root-off-t0", "t0-minus-inf"]
+)
+def test_closed_lazy_past_obeys_the_rules_a_document_does(run, t0, rule):
+    # the walk checks every node by the rules validate applies: a closed
+    # past has a finite t0, and each of its genuine roots sits at t0, so
+    # the root r at pl 5 breaks the network under t0 = 0 and under -inf
+    root = NodeSpec("r", ("0", "1"), (), ((0.3, 0.7),), pl=5.0)
+    top = NodeSpec("o", ("0", "1"), ("r",), ((0.6, 0.4), (0.1, 0.9)), pl=6.0)
+    finite = make_net(t0, False, root, top)
+    expected = {(x.rule, x.message) for x in validate(finite)}
+    assert rule in {r for r, _ in expected}
+    lazy = LazyNetwork(resolver=finite.spec, t0=t0, open_past=False)
+    with pytest.raises(InvalidNetworkError) as exc:
+        run(lazy, Query({"o": "1"}), Threshold.full_past())
+    assert rule in _rules(exc)
+    assert {(x.rule, x.message) for x in exc.value.violations} <= expected
+
+
+def _mutated(seed: int) -> Network:
+    """A small seeded random network with up to two random faults (a node
+    moved, a CPT row dropped or bent, a parent added or dropped, a prior
+    cut to a stub) under a random t0 and past."""
+    rng = random.Random(seed)
+    net = random_network(RandomNetSpec(seed=seed, node_count=2 + seed % 5, state_count=2))
+    nodes = dict(net.nodes)
+    names = list(nodes)
+    for _ in range(rng.randint(0, 2)):
+        spec = nodes[rng.choice(names)]
+        kind = rng.randrange(5)
+        if kind == 0:
+            spec = dataclasses.replace(spec, pl=rng.choice((-2.0, -1.0, 0.0, 0.5, spec.pl + 1.0, float("nan"))))
+        elif kind == 1 and spec.cpt is not None:
+            bent = ((0.5, 0.6),) if rng.random() < 0.5 else ()
+            spec = dataclasses.replace(spec, cpt=spec.cpt[1:] + bent)
+        elif kind == 2:
+            spec = dataclasses.replace(spec, parents=spec.parents + (rng.choice(names + ["ghost"]),))
+        elif kind == 3 and spec.parents:
+            spec = dataclasses.replace(spec, parents=spec.parents[1:])
+        else:
+            spec = dataclasses.replace(spec, parents=(), cpt=None)
+        nodes[spec.name] = spec
+    return Network(rng.choice((0.0, -1.0, -math.inf)), rng.random() < 0.5, nodes)
+
+
+def test_a_walk_refuses_exactly_the_networks_validate_refuses():
+    # validate and the walk share one rule set: a full-past walk that
+    # reaches every node refuses a mutated network exactly when validate
+    # does, and a walk stepping down its own levels, cutting nodes on the
+    # way, refuses none that validate passes
+    refused = 0
+    for seed in range(1200):
+        net = _mutated(seed)
+        lazy = LazyNetwork(resolver=net.spec, t0=net.t0, open_past=net.open_past)
+        *rest, name = sorted(net.nodes)
+        every = Query({name: net.nodes[name].states[0]}, {n: net.nodes[n].states[0] for n in rest})
+        try:
+            root_set(lazy, every, Threshold.full_past())
+        except (InvalidNetworkError, UnknownNodeError):
+            refused += 1
+            assert validate(net), seed
+        except OpenPastError:  # a stub objective: the walk raises before it reaches the rest
+            continue
+        else:
+            assert validate(net) == [], seed
+        try:
+            walk = Walk(lazy, Query({name: net.nodes[name].states[0]}))
+            while walk.level > -math.inf:
+                walk.extend(walk.next_level())
+        except InvalidNetworkError:
+            assert validate(net), seed
+        except PlifError:
+            pass
+    assert refused > 300
 
 
 # --- incremental rows equal one-shot rows ----------------------------------------

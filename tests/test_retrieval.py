@@ -12,7 +12,6 @@ from plif import (
     RandomNetSpec,
     Threshold,
     UnknownNodeError,
-    ancestors,
     d_separated,
     hmm_model,
     hmm_query,
@@ -21,18 +20,19 @@ from plif import (
     validate,
 )
 from plif.gen import random_query
+from plif.retrieval import _ancestors
 
 
 def test_ancestors_of_chain_target(chain_net):
-    assert ancestors(chain_net, {"x"}) == {"t1", "t2", "y"}
+    assert _ancestors(chain_net, {"x"}) == {"t1", "t2", "y"}
 
 
 def test_ancestors_of_roots_is_empty(chain_net):
-    assert ancestors(chain_net, {"y"}) == set()
+    assert _ancestors(chain_net, {"y"}) == set()
 
 
 def test_ancestors_includes_target_reachable_from_other_target(chain_net):
-    assert "t1" in ancestors(chain_net, {"x", "t1"})
+    assert "t1" in _ancestors(chain_net, {"x", "t1"})
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -40,7 +40,7 @@ def test_ancestors_matches_reachability_oracle(seed):
     net = random_network(RandomNetSpec(seed=seed, node_count=10))
     parents = {n: net.spec(n).parents for n in net.nodes}
     for name in net.nodes:
-        assert ancestors(net, {name}) == oracles.reachable(parents, name)
+        assert _ancestors(net, {name}) == oracles.reachable(parents, name)
 
 
 def test_dsep_chain_blocked_by_middle(chain_net):
@@ -168,7 +168,7 @@ def test_root_set_on_lazy_matches_hand_fragment():
 
 
 def _threshold_values(net, query):
-    pool = {net.spec(a).pl for a in ancestors(net, query.names)} | {
+    pool = {net.spec(a).pl for a in _ancestors(net, query.names)} | {
         net.spec(n).pl for n in query.names
     }
     return sorted(pool, reverse=True)
