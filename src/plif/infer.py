@@ -8,11 +8,14 @@ decreasing potential level, which puts every node's children before
 it, and builds each CPT only when it reaches the node, so only the cut
 is live. Nodes that share a CPT share its array within one walk, and a
 summed-out node's own CPT goes straight into its own bucket. Each
-bucket is one einsum call, and a lone factor that only needs its axes
-reordered is transposed into C order in scan order, copied only when
-the transpose is strided, so later ops read a chain step's table
-contiguously. Where a bucket cannot certify a cell, the
-whole contraction is redone in logs (:func:`_bucket`). Nothing else is
+bucket is one einsum call, and a lone factor left at the end, which
+only needs its axes reordered, is transposed without one into C order
+in scan order, copied only when the transpose is strided, so later ops
+read a chain step's table contiguously. Where a bucket cannot certify a
+cell, the whole contraction is redone in logs (:func:`_bucket`). One size
+rule holds for every reduction: at most :data:`_SMALL` cells are read as
+Python floats, equal to numpy's reductions and cheaper there (a bucket's
+minimum and peak, the normalizer minimum, the scan). Nothing else is
 rebuilt per call: state counts come from the walk's specs or the
 arrays' shapes, and evidence indices from the walk. The table keeps a
 log-scale per clamp (one for all while they agree), so long evidence
@@ -31,7 +34,8 @@ Bounds come from scanning the unobserved frontier: for every joint clamp
 of those nodes the submodel yields one conditional value, and the true
 query is a convex combination of them, so their min and max bracket it.
 Clamps whose normalizer is zero inside the submodel carry no weight in
-that combination and are excluded from the scan.
+that combination and are excluded from the scan; a table with one
+log-scale has none.
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ _NUM_DEN = object()
 _TINY = 2.0**-64
 #: a linear cell below this is either an exact zero or redone in logs
 _FLOOR = 2.0**-900
-#: a product of at most this many cells takes its minimum and peak in Python floats
+#: a reduction over at most this many cells reads them as Python floats
 _SMALL = 8
 #: numpy 1.x einsum takes at most 31 operands (numpy 2 takes 63)
 _EINSUM_MAX = 31
@@ -137,10 +141,11 @@ class _Table:
     unobserved frontier), then by :data:`_NUM_DEN`. The true value at a
     cell is ``table`` there times ``exp(logscale)`` at its ``axes`` cell.
     ``logscale`` is one float when every clamp shares it (a linear
-    contraction that left every normalizer at least _TINY), else an
-    array over ``axes``, -inf where the normalizer is exactly zero. When
-    the last bucket held one factor (a chain step), ``table`` is C-ordered
-    in scan order, copied only when the transpose is strided."""
+    contraction that left every normalizer at least _TINY, by the size
+    rule's minimum), else an array over ``axes``, -inf where the
+    normalizer is exactly zero. When the elimination ended with one
+    factor (a chain step), ``table`` is C-ordered in scan order, copied
+    only when the transpose is strided."""
 
     axes: _Axes
     table: np.ndarray
@@ -195,13 +200,13 @@ def _bucket(group: Sequence[_Factor], h: str | None, keep: _Axes, log: bool) -> 
 
     In logs (``log``) the factors are added and ``h`` is summed out by
     ``np.logaddexp``. Linearly, one :func:`numpy.einsum` call multiplies
-    and sums. A lone factor is only summed, which is accurate, or with
-    nothing to sum only transposed, into C order over ``keep`` (copied
-    only when the transpose is strided); a product is divided by its peak
-    once that is below _TINY. Each input is a CPT entry or a message of
-    this function, so none exceeds 1 and each is accurate or exactly
-    zero; so a product of at most _SMALL cells reads its minimum and
-    peak as Python floats, equal to numpy's reductions and cheaper there.
+    and sums. A lone factor is only summed, which is accurate (a lone
+    factor with nothing to sum is :func:`_eliminate`'s to transpose); a
+    product is divided by its peak once that is below _TINY. Each input
+    is a CPT entry or a message of this function, so none exceeds 1 and
+    each is accurate or exactly zero; so by the module's size rule a
+    product of at most _SMALL cells reads its minimum and peak as Python
+    floats, equal to numpy's reductions and cheaper there.
     A partial product that underflows stays below 2^-1022, so a cell of
     at least _FLOOR has lost at most ``|h|`` such terms, a relative
     error of at most ``|h|``·2^-122. A cell below _FLOOR must
@@ -224,8 +229,6 @@ def _bucket(group: Sequence[_Factor], h: str | None, keep: _Axes, log: bool) -> 
         raise FactorTooLargeError(cells, MAX_JOINT_CELLS)
     out_axes = keep if h is None else tuple([a for a in ids if a != h])
     out_ids = [ids[a] for a in out_axes]
-    if h is None and len(group) == 1:
-        return (keep, np.ascontiguousarray(operands[0].transpose(out_ids))), 0.0
     if log:
         union = keep if h is None else tuple(ids)
         out = sum(_align(axes, t, union) for axes, t in group)
@@ -305,7 +308,8 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
     rebuilt per call but the order: state counts come from ``walk.specs``
     (:func:`_factor`) or the factors' shapes (:func:`_bucket`), and
     evidence indices from ``walk.evidence_index``. Each factor is placed
-    where it is made, by :func:`_first`, in its bucket or in the rest."""
+    where it is made, by :func:`_first`, in its bucket or in the rest; a
+    lone rest is transposed here, under a bucket's MAX_JOINT_CELLS cap."""
     start = not isinstance(prior, _Table)
     keep = (*scan, *prior) if start else (*scan, _NUM_DEN)
     nodes, clamps = walk.specs, walk.evidence_index
@@ -341,8 +345,14 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
             shift += scale
         h = _first(factor[0], rank)
         (rest if h is None else buckets.setdefault(h, [])).append(factor)
-    (_, table), scale = _bucket(rest, None, keep, log)
-    shift += scale
+    if len(rest) == 1:  # a lone factor only needs its axes reordered
+        axes, table = rest[0]
+        if table.size > MAX_JOINT_CELLS:
+            raise FactorTooLargeError(table.size, MAX_JOINT_CELLS)
+        table = np.ascontiguousarray(table.transpose([axes.index(a) for a in keep]))
+    else:
+        (_, table), scale = _bucket(rest, None, keep, log)
+        shift += scale
     if start:
         target = tuple(nodes[n].states.index(v) for n, v in prior.items())
         pair = np.empty((*table.shape[: len(scan)], 2))
@@ -355,7 +365,7 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
     if log:
         finite = np.where(den == -np.inf, 0.0, den)
         return _Table(scan, np.exp(table - finite[..., None]), den)
-    if den.min() >= _TINY:
+    if (min(den.reshape(-1).tolist()) if den.size <= _SMALL else den.min()) >= _TINY:
         return _Table(scan, table, shift)
     zero = den == 0.0
     den = np.where(zero, 1.0, den)
@@ -369,10 +379,9 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
 def cpl(walk: Walk) -> tuple[str, float]:
     """The objective node furthest into the past and its potential level.
 
-    Ties break lexicographically on the node name.
+    Ties break on the node name; the walk reads it once (``Walk.critical``).
     """
-    pl_star, o_star = min((walk.specs[n].pl, n) for n in walk.query.objective)
-    return o_star, pl_star
+    return walk.critical
 
 
 def frontier_clamp_table(walk: Walk) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -457,7 +466,9 @@ def bounds_at(net: NetworkLike, query: Query, threshold: Threshold, *, walk: Wal
     The threshold must not exceed the critical potential level (the
     earliest objective node); the full-past sentinel additionally needs a
     closed past. Frontier clamps with a zero normalizer are skipped; if
-    all of them are, the evidence is unreachable and an error is raised.
+    all of them are, the evidence is unreachable and an error is raised;
+    a table with one log-scale has none (:class:`_Table`), and at most
+    _SMALL clamps are scanned as Python floats (the size rule).
     More joint clamps of the unobserved frontier than :data:`MAX_CLAMPS`
     (or ``PLIF_MAX_FRONTIER``, read first) raise :class:`FrontierTooWideError`.
 
@@ -482,17 +493,21 @@ def bounds_at(net: NetworkLike, query: Query, threshold: Threshold, *, walk: Wal
         raise FrontierTooWideError(width, cap)
     scan, num, den = frontier_clamp_table(walk)
 
-    if not den.min() > 0.0:  # only then are clamps masked, and copied
+    if den.size <= _SMALL:
+        ratios = [n / d for n, d in zip(num.reshape(-1).tolist(), den.reshape(-1).tolist()) if d > 0.0]
+    elif isinstance(walk.table.logscale, float) or den.min() > 0.0:  # one scale: none below _TINY
+        ratios = num / den
+    else:  # only here are clamps masked, and copied
         valid = den > 0.0
-        if not valid.any():
-            raise _zero_evidence(query.evidence)
-        num, den = num[valid], den[valid]
+        ratios = num[valid] / den[valid]
+    if not len(ratios):
+        raise _zero_evidence(query.evidence)
+    low, high = (min(ratios), max(ratios)) if den.size <= _SMALL else (float(ratios.min()), float(ratios.max()))
     # num <= den holds exactly in real arithmetic; the clamp to [0, 1]
     # only absorbs last-ulp drift from summing the objective axis into
     # den, and it is monotone, so it is applied to the extremes alone
-    ratios = num / den
-    lower = min(max(float(ratios.min()), 0.0), 1.0)
-    upper = min(max(float(ratios.max()), 0.0), 1.0)
+    lower = min(max(low, 0.0), 1.0)
+    upper = min(max(high, 0.0), 1.0)
 
     if threshold.is_full_past:
         status = Exactness.FULL_PAST

@@ -98,9 +98,10 @@ class Walk:
     ``table`` holds every other interior CPT, a walk stays consistent
     whatever raises after an extension. ``factors`` is inference's memo
     of CPT arrays (``infer._factor``), kept for the walk's lifetime, so
-    nodes that share a CPT share one array across every step.
-    :meth:`extend` refuses a threshold not below ``level``, and any
-    extension once one raised.
+    nodes that share a CPT share one array across every step, and
+    ``critical`` is inference's ``cpl``, read once. :meth:`extend`
+    refuses a threshold not below ``level``, and any extension once one
+    raised.
     """
 
     net: NetworkLike
@@ -116,6 +117,7 @@ class Walk:
     level: float = field(default=math.inf, init=False)
     table: object = field(default=None, init=False, compare=False, repr=False)
     factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    critical: tuple[str, float] = field(default=("", math.inf), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         report = t0_violations(self.net.t0, self.net.open_past)
@@ -132,6 +134,7 @@ class Walk:
         if stubs:
             raise OpenPastError(f"objective node {stubs[0]!r} is a truncation stub; it has no prior to answer with")
         self.pending = sorted(self.query.names, key=lambda n: (self.specs[n].pl, n))
+        self.critical = min((self.specs[n].pl, n) for n in self.query.objective)[::-1]
 
     @property
     def evidence_minus(self) -> frozenset[str]:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -328,6 +329,33 @@ def test_bounds_error_when_every_clamp_is_impossible():
     net = make_net(0.0, False, r, m, o)
     with pytest.raises(ZeroEvidenceError):
         bounds_at(net, Query({"o": "1"}, {"m": "1"}), Threshold(1.0))
+
+
+@pytest.mark.parametrize("clamps", [infer._SMALL, 2 * infer._SMALL])
+@pytest.mark.parametrize("case", ["positive", "some_zero", "all_zero"])
+def test_bounds_scan_on_both_sides_of_the_small_table_size(clamps, case):
+    # the scan reads at most _SMALL clamps as Python floats, more through
+    # numpy, where a table with one scale is not masked; both must give the
+    # per-clamp bracket exactly. The stub f is the frontier at any
+    # threshold, o and m are children of f, and m = 1 is observed. Every
+    # entry is dyadic, so each product and sum is exact
+    states = tuple(str(i) for i in range(clamps))
+    seen = [0.0 if case == "all_zero" or (case == "some_zero" and i % 3 == 0) else (1 + i % 3) / 4 for i in range(clamps)]
+    # a permutation of 1/64 .. clamps/64: the minimum sits at a zeroed clamp
+    hit = [((5 * i) % clamps + 1) / 64 for i in range(clamps)]
+    f = NodeSpec("f", states, (), None, pl=-10.0)
+    m = NodeSpec("m", ("0", "1"), ("f",), tuple((1.0 - p, p) for p in seen), pl=0.0)
+    o = NodeSpec("o", ("0", "1"), ("f",), tuple((1.0 - p, p) for p in hit), pl=1.0)
+    net = make_net(-20.0, True, f, m, o)
+    q = Query({"o": "1"}, {"m": "1"})
+    if case == "all_zero":
+        with pytest.raises(ZeroEvidenceError):
+            bounds_at(net, q, Threshold(-5.0))
+        return
+    ends = [float(Fraction(p) * Fraction(h) / (Fraction(p) * (Fraction(1.0 - h) + Fraction(h)))) for p, h in zip(seen, hit) if p > 0.0]
+    qb = bounds_at(net, q, Threshold(-5.0))
+    assert qb.frontier_size == 1 and (case == "positive") == (min(ends) == 1 / 64)
+    assert (qb.lower, qb.upper) == (min(ends), max(ends))
 
 
 @pytest.mark.parametrize("seed", range(40))

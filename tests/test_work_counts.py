@@ -4,7 +4,7 @@ A wrapper around ``infer._contract`` records the nodes each contraction
 is given, one around ``infer._bucket`` the buckets it runs, and one around
 ``np.einsum`` its calls. A sweep must contract each interior node exactly
 once, a step of a long chain sweep must do the same work, with one
-einsum, at any depth, a step of a coupled k-chain must cover the same
+einsum and one bucket, at any depth, a step of a coupled k-chain must cover the same
 cells bucket by bucket, and one threshold on the chain must run buckets
 in a number affine in its window. Nodes are
 counted, not arrays built: a walk builds one array per distinct CPT
@@ -147,11 +147,13 @@ def test_one_threshold_runs_buckets_affine_in_its_window(monkeypatch):
 
 def test_a_chain_step_runs_one_einsum_at_any_depth(monkeypatch):
     # a step's one bucket multiplies the table into the new node's CPT; the
-    # table it leaves only needs its axes reordered, which costs no einsum
+    # table it leaves only needs its axes reordered, which the elimination
+    # does itself, with no einsum and no second bucket
     p = HmmParams(window=10)
     lazy, q = hmm_model(p), hmm_query(p)
     walk = Walk(lazy, q)
     calls, einsum = [0], np.einsum
+    count = _Count(monkeypatch)
 
     def counting_einsum(*args):
         calls[0] += 1
@@ -160,11 +162,12 @@ def test_a_chain_step_runs_one_einsum_at_any_depth(monkeypatch):
     monkeypatch.setattr(np, "einsum", counting_einsum)
     per_step = {}
     for d in range(1, 4001):
-        before = calls[0]
+        before = calls[0], count.buckets
         bounds_at(lazy, q, Threshold(-float(d)), walk=walk)
         if d in (1000, 4000):
-            per_step[d] = calls[0] - before
-    assert per_step == {1000: 1, 4000: 1}
+            per_step[d] = calls[0] - before[0], count.buckets - before[1]
+    # (einsum calls, buckets)
+    assert per_step == {1000: (1, 1), 4000: (1, 1)}
 
 
 def test_a_chain_walk_keeps_the_same_arrays_at_any_depth():
