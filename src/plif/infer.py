@@ -357,9 +357,10 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
         target = tuple(nodes[n].states.index(v) for n, v in prior.items())
         pair = np.empty((*table.shape[: len(scan)], 2))
         pair[..., 0] = table[(Ellipsis, *target)]
-        objective = tuple(range(len(scan), len(keep)))
-        flat = table.reshape((*pair.shape[:-1], -1))
-        pair[..., 1] = np.logaddexp.reduce(flat, axis=-1) if log else table.sum(axis=objective)
+        if log:
+            pair[..., 1] = np.logaddexp.reduce(table.reshape((*pair.shape[:-1], -1)), axis=-1)
+        else:
+            pair[..., 1] = table.sum(axis=tuple(range(len(scan), len(keep))))
         table = pair
     den = table[..., 1]  # the peak of each clamp, as num <= den
     if log:
@@ -515,14 +516,8 @@ def bounds_at(net: NetworkLike, query: Query, threshold: Threshold, *, walk: Wal
         status = exactness_status(walk, lower, upper)
         if status is Exactness.FULL_PAST:
             lower = upper = _exact_from_retrieval(walk)
-    return QueryBounds(
-        threshold=threshold,
-        lower=lower,
-        upper=upper,
-        exactness=status,
-        frontier_size=len(walk.frontier),
-        interior_size=len(walk.interior),
-    )
+    # positional: a frozen dataclass's keywords cost about a third more
+    return QueryBounds(threshold, lower, upper, status, len(walk.frontier), len(walk.interior))
 
 
 def _levels(walk: Walk, max_steps: int | None) -> Iterator[Threshold]:

@@ -264,15 +264,18 @@ def validate(net: Network) -> list[Violation]:
     rules reports all of them, each naming the offending nodes; a cycle
     breaks strict ``temporal-precedence`` on at least one of its edges.
     """
-    out, checked = t0_violations(net.t0, net.open_past), {}
-    for key, spec in net.nodes.items():
+    out, checked, nodes = t0_violations(net.t0, net.open_past), {}, net.nodes
+    for key, spec in nodes.items():
         if key != spec.name:
             out.append(Violation("node-key", f"node keyed {key!r} is named {spec.name!r}"))
         out.extend(_local_spec_violations(spec, checked))
+        parents = []
         for p in spec.parents:
-            if p not in net.nodes:
+            if p in nodes:
+                parents.append(nodes[p])
+            else:
                 out.append(Violation("unknown-parent", f"node {spec.name!r} lists missing parent {p!r}"))
-        out.extend(node_violations(spec, [net.nodes[p] for p in spec.parents if p in net.nodes], net.t0, net.open_past))
+        out.extend(node_violations(spec, parents, net.t0, net.open_past))
     return out
 
 
@@ -288,9 +291,19 @@ def _parse_int(token: str) -> float:
     return float(token) + 0.0  # the literal -0 reads as 0.0, not -0.0
 
 
-def load_network(text: str) -> Network:
+#: built once; see :func:`load_network`
+_DECODER = json.JSONDecoder(parse_int=_parse_int, parse_constant=_reject_constant)
+
+
+def load_network(text: str | bytes | bytearray) -> Network:
     """Parse and validate a network document.
 
+    ``text`` is a ``str``, or ``bytes`` / ``bytearray`` in the UTF-8,
+    UTF-16 or UTF-32 that :func:`json.loads` detects; a ``str`` that
+    starts with a byte order mark is refused, as :func:`json.loads`
+    refuses it. Every other ``str`` goes through one decoder, built at
+    import: it holds only its two number hooks and keeps nothing between
+    calls, so it is safe to share across calls and threads.
     The parser checks only shape: every JSON number reads as a float (one
     too large reads as ``inf``), and :func:`validate` alone judges values.
     Raises :class:`NetworkFormatError` on malformed syntax or shape and
@@ -298,7 +311,10 @@ def load_network(text: str) -> Network:
     parsed network breaks an invariant.
     """
     try:
-        doc = json.loads(text, parse_int=_parse_int, parse_constant=_reject_constant)
+        if isinstance(text, str) and not text.startswith("\ufeff"):
+            doc = _DECODER.decode(text)
+        else:  # json.loads decodes bytes and words the BOM error
+            doc = json.loads(text, parse_int=_parse_int, parse_constant=_reject_constant)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise NetworkFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -321,7 +337,7 @@ def load_network(text: str) -> Network:
         if spec.name in nodes:
             raise NetworkFormatError(f"duplicate node name {spec.name!r}")
         nodes[spec.name] = spec
-    net = Network(t0=t0, open_past=open_past, nodes=nodes)
+    net = Network(t0, open_past, nodes)
     report = validate(net)
     if report:
         raise InvalidNetworkError(report)
@@ -341,9 +357,10 @@ def _node_from_document(raw, index: int) -> NodeSpec:
         raise NetworkFormatError(f"node #{index} is missing key {exc.args[0]!r}") from None
     if not isinstance(name, str):
         raise NetworkFormatError(f"node #{index} name must be a string")
-    if not (isinstance(states, list) and all(isinstance(s, str) for s in states)):
+    # map with a bound isinstance check: no generator frame per list
+    if not (isinstance(states, list) and all(map(str.__instancecheck__, states))):
         raise NetworkFormatError(f"node {name!r}: states must be a list of strings")
-    if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
+    if not (isinstance(parents, list) and all(map(str.__instancecheck__, parents))):
         raise NetworkFormatError(f"node {name!r}: parents must be a list of strings")
     if type(pl) is not float:
         raise NetworkFormatError(f"node {name!r}: pl must be a number, got {pl!r}")
@@ -351,16 +368,10 @@ def _node_from_document(raw, index: int) -> NodeSpec:
         if not isinstance(cpt, list):
             raise NetworkFormatError(f"node {name!r}: cpt must be a list of rows or null")
         for r, row in enumerate(cpt):
-            if not (isinstance(row, list) and all(type(p) is float for p in row)):
+            if not (isinstance(row, list) and all(map(float.__instancecheck__, row))):
                 raise NetworkFormatError(f"node {name!r}: cpt row {r} must be a list of numbers")
         cpt = tuple(map(tuple, cpt))
-    return NodeSpec(
-        name=name,
-        states=tuple(states),
-        parents=tuple(parents),
-        cpt=cpt,
-        pl=pl,
-    )
+    return NodeSpec(name, tuple(states), tuple(parents), cpt, pl)
 
 
 def serialize(net: Network) -> str:

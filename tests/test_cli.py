@@ -73,6 +73,13 @@ def test_validate_malformed_document_exits_with_its_code(cli, tmp_path, name):
     assert "Traceback" not in err
 
 
+def test_a_document_with_a_byte_order_mark_is_refused_in_the_same_words(cli, tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + _DOC)
+    message = "error: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"
+    assert cli("validate", str(path)) == (1, "", message)
+
+
 def test_query_chain_exact_via_frontier_evidence(cli, chain_file):
     code, out, _ = cli(
         "query", chain_file, "--target", "x=1", "--obs", "y=1", "--threshold", "2.0"

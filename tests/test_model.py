@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import sys
+import threading
 
 import pytest
 
@@ -116,15 +117,6 @@ def test_closed_past_needs_finite_t0():
     assert any(v.rule == "t0-not-finite" for v in validate(net))
 
 
-def test_parse_rejects_nan_and_non_finite_literals():
-    with pytest.raises(NetworkFormatError):
-        load_network('{"t0": NaN, "open_past": false, "nodes": []}')
-    doc = json.loads(json.dumps(TWO_NODE_DOC))
-    doc["nodes"][0]["pl"] = "oops"
-    with pytest.raises(NetworkFormatError):
-        load_network(json.dumps(doc))
-
-
 def test_integer_literals_round_trip_as_floats_with_zero_unsigned():
     text = (
         '{"t0": -0, "open_past": false, "nodes": ['
@@ -144,11 +136,108 @@ def test_integer_literals_round_trip_as_floats_with_zero_unsigned():
     )
 
 
-def test_parse_rejects_duplicate_node_names():
-    doc = json.loads(json.dumps(TWO_NODE_DOC))
-    doc["nodes"].append(dict(doc["nodes"][0]))
-    with pytest.raises(NetworkFormatError):
-        load_network(json.dumps(doc))
+def _doc_text(edit) -> str:
+    doc = copy.deepcopy(TWO_NODE_DOC)
+    edit(doc)
+    return json.dumps(doc)
+
+
+# integer literals, so that the decoder's number hook runs inside each parse
+_INT_DOC = (
+    '{"t0": 0, "open_past": false, "nodes": ['
+    '{"name": "c", "states": ["0", "1"], "pl": 0, "parents": [], "cpt": [[1, 0]]}, '
+    '{"name": "e", "states": ["0", "1"], "pl": 1, "parents": ["c"], "cpt": [[0, 1], [1, 0]]}]}'
+)
+_INT_NET = make_net(
+    0.0,
+    False,
+    NodeSpec("c", ("0", "1"), (), ((1.0, 0.0),), 0.0),
+    NodeSpec("e", ("0", "1"), ("c",), ((0.0, 1.0), (1.0, 0.0)), 1.0),
+)
+
+SHAPE_ERRORS = {
+    "top-level-list": ("[]", "top level must be a JSON object"),
+    "no-t0": ('{"open_past": false, "nodes": []}', "missing top-level key 't0'"),
+    "no-open-past": ('{"t0": 0.0, "nodes": []}', "missing top-level key 'open_past'"),
+    "no-nodes": ('{"t0": 0.0, "open_past": false}', "missing top-level key 'nodes'"),
+    "t0-true": ('{"t0": true, "open_past": false, "nodes": []}', "t0 must be a number or \"-inf\", got True"),
+    "t0-string": ('{"t0": "inf", "open_past": true, "nodes": []}', "t0 must be a number or \"-inf\", got 'inf'"),
+    "open-past-number": ('{"t0": 0.0, "open_past": 0, "nodes": []}', "open_past must be true or false"),
+    "nodes-object": ('{"t0": 0.0, "open_past": false, "nodes": {}}', "nodes must be a list"),
+    "node-list": (_doc_text(lambda d: d["nodes"].append([])), "node #2 must be an object"),
+    **{
+        f"node-no-{key}": (_doc_text(lambda d, key=key: d["nodes"][1].pop(key)), f"node #1 is missing key {key!r}")
+        for key in ("name", "states", "parents", "cpt", "pl")
+    },
+    "name-number": (_doc_text(lambda d: d["nodes"][0].update(name=1)), "node #0 name must be a string"),
+    "states-string": (_doc_text(lambda d: d["nodes"][0].update(states="01")), "node 'c': states must be a list of strings"),
+    "state-number": (_doc_text(lambda d: d["nodes"][0].update(states=["0", 1])), "node 'c': states must be a list of strings"),
+    "parent-number": (_doc_text(lambda d: d["nodes"][1].update(parents=[0])), "node 'e': parents must be a list of strings"),
+    "pl-true": (_doc_text(lambda d: d["nodes"][0].update(pl=True)), "node 'c': pl must be a number, got True"),
+    "pl-string": (_doc_text(lambda d: d["nodes"][0].update(pl="oops")), "node 'c': pl must be a number, got 'oops'"),
+    "cpt-object": (_doc_text(lambda d: d["nodes"][0].update(cpt={})), "node 'c': cpt must be a list of rows or null"),
+    "row-number": (_doc_text(lambda d: d["nodes"][0].update(cpt=[0.7, 0.3])), "node 'c': cpt row 0 must be a list of numbers"),
+    **{
+        f"row-holds-{kind}": (
+            _doc_text(lambda d, bad=bad: d["nodes"][1]["cpt"][1].append(bad)),
+            "node 'e': cpt row 1 must be a list of numbers",
+        )
+        for kind, bad in (("true", True), ("null", None), ("string", "0.5"), ("list", [0.5]))
+    },
+    "duplicate-name": (_doc_text(lambda d: d["nodes"].append(dict(d["nodes"][0]))), "duplicate node name 'c'"),
+    **{
+        f"literal-{token}": (
+            f'{{"t0": {token}, "open_past": false, "nodes": []}}',
+            f"non-finite literal {token!r} is not allowed in network documents",
+        )
+        for token in ("NaN", "Infinity", "-Infinity")
+    },
+    "not-json": ('{"t0": ', "not valid JSON: Expecting value: line 1 column 8 (char 7)"),
+    "utf8-bom": ("\ufeff" + _INT_DOC, "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_ERRORS)
+def test_every_shape_rule_raises_its_message_and_leaves_nothing_behind(name):
+    text, message = SHAPE_ERRORS[name]
+    with pytest.raises(NetworkFormatError) as exc:
+        load_network(text)
+    assert str(exc.value) == message
+    # the decoder is shared by every call: a failed parse must not leak into the next
+    assert load_network(_INT_DOC) == _INT_NET
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16", "utf-32"])
+def test_a_document_loads_from_bytes_as_from_text(encoding):
+    data = _INT_DOC.encode(encoding)
+    assert load_network(data) == load_network(bytearray(data)) == load_network(_INT_DOC) == _INT_NET
+
+
+def test_loads_from_several_threads_equal_the_sequential_ones():
+    texts = [_INT_DOC.replace('"pl": 1', f'"pl": {k + 1}') for k in range(40)]
+    expected = [load_network(t) for t in texts]
+    results: list = [None] * 4
+    errors: list = []
+
+    def work(slot: int) -> None:
+        try:
+            results[slot] = [load_network(t) for _ in range(10) for t in texts]
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside a parse, not between them
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert all(r == expected * 10 for r in results)
 
 
 def test_parse_t0_minus_inf_sentinel():
