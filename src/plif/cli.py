@@ -11,6 +11,8 @@ errors.py):
   5  other inference errors (frontier too wide, intermediate factor too large,
      full past or stub objective on a truncated past, expansion cap)
   6  not separated (dsep)
+  141  stdout closed by its reader before the output ended (`| head`),
+       the code a shell reports for a writer ended by SIGPIPE
 
 The PLIF_MAX_FRONTIER environment variable overrides the cap of 65536
 joint frontier clamps per threshold (infer.MAX_CLAMPS) in every bounds_at.
@@ -21,10 +23,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from typing import Iterator
 
 from .errors import InvalidNetworkError, NetworkFormatError, PlifError, QueryError
 from .gen import (
+    SWEEP_CSV_HEADER,
     HmmParams,
     RandomNetSpec,
     format_threshold,
@@ -32,7 +37,7 @@ from .gen import (
     hmm_query,
     hmm_sweep_experiment,
     random_network,
-    sweep_csv,
+    sweep_csv_row,
 )
 from .infer import QueryBounds, anytime_sweep, bounds_at
 from .model import Query, load_network, serialize
@@ -52,6 +57,11 @@ def main(argv: list[str] | None = None) -> int:
         usage = isinstance(exc, QueryError)
         print(f"{'usage error' if usage else 'error'}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at
+        # exit cannot fail again, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 @functools.cache
@@ -243,16 +253,25 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _emit_sweep(rows: list[QueryBounds], fmt: str) -> None:
-    if fmt == "csv":
-        sys.stdout.write(sweep_csv(rows))
-        return
-    print(f"{'threshold':>10}  {'lower':>12}  {'upper':>12}  {'frontier':>8}  {'interior':>8}")
-    for qb in rows:
-        print(
-            f"{format_threshold(qb.threshold):>10}  {qb.lower:>12.9f}  {qb.upper:>12.9f}  "
-            f"{qb.frontier_size:>8}  {qb.interior_size:>8}"
-        )
+def _emit_sweep(rows: Iterator[QueryBounds], fmt: str) -> None:
+    """Print each row as the sweep yields it. The header waits for the
+    first row, so a sweep that raises at its first step prints nothing,
+    and one that raises later leaves the rows it printed."""
+    header, row = (SWEEP_CSV_HEADER, sweep_csv_row) if fmt == "csv" else (_HUMAN_HEADER, _human_row)
+    for i, qb in enumerate(rows):
+        if i == 0:
+            print(header)
+        print(row(qb), flush=True)
+
+
+_HUMAN_HEADER = f"{'threshold':>10}  {'lower':>12}  {'upper':>12}  {'frontier':>8}  {'interior':>8}"
+
+
+def _human_row(qb: QueryBounds) -> str:
+    return (
+        f"{format_threshold(qb.threshold):>10}  {qb.lower:>12.9f}  {qb.upper:>12.9f}  "
+        f"{qb.frontier_size:>8}  {qb.interior_size:>8}"
+    )
 
 
 def _cmd_dsep(args) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -90,12 +91,12 @@ def hmm_query(params: HmmParams = HmmParams()) -> Query:
     return Query(objective={hmm_node_name("x", 1): "1"}, evidence=evidence)
 
 
-def hmm_sweep_experiment(params: HmmParams, depth: int) -> list[QueryBounds]:
-    """Sweep thresholds -1, -2, ..., -depth on the standard chain query.
-
-    Returns one row per threshold regardless of exactness so the whole
-    shrinking-interval curve is available. ``depth`` must be at least 1.
-    """
+def hmm_sweep_experiment(params: HmmParams, depth: int) -> Iterator[QueryBounds]:
+    """Sweep thresholds -1, -2, ..., -depth on the standard chain query,
+    one row per threshold whatever its exactness, so the whole
+    shrinking-interval curve shows. This is :func:`anytime_sweep`'s
+    generator, so its errors (``depth`` below 1 among them) surface on
+    iteration."""
     return anytime_sweep(hmm_model(params), hmm_query(params), max_steps=depth, stop_on_exact=False)
 
 
@@ -103,17 +104,22 @@ def format_threshold(th: Threshold) -> str:
     return "-inf" if th.is_full_past else f"{th.v:g}"
 
 
-def sweep_csv(rows: list[QueryBounds]) -> str:
-    """CSV table: threshold,lower,upper,frontier_size,interior_size,exactness
-    with probabilities at 9 decimal places; the last column shows why a
+SWEEP_CSV_HEADER = "threshold,lower,upper,frontier_size,interior_size,exactness"
+
+
+def sweep_csv_row(qb: QueryBounds) -> str:
+    """One line of :func:`sweep_csv`, without its newline."""
+    return (
+        f"{format_threshold(qb.threshold)},{qb.lower:.9f},{qb.upper:.9f},"
+        f"{qb.frontier_size},{qb.interior_size},{qb.exactness.value}"
+    )
+
+
+def sweep_csv(rows: Iterable[QueryBounds]) -> str:
+    """CSV table: :data:`SWEEP_CSV_HEADER`, then one line per row with
+    probabilities at 9 decimal places; the last column shows why a
     sweep stopped."""
-    lines = ["threshold,lower,upper,frontier_size,interior_size,exactness"]
-    for qb in rows:
-        lines.append(
-            f"{format_threshold(qb.threshold)},{qb.lower:.9f},{qb.upper:.9f},"
-            f"{qb.frontier_size},{qb.interior_size},{qb.exactness.value}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(f"{line}\n" for line in [SWEEP_CSV_HEADER, *map(sweep_csv_row, rows)])
 
 
 @dataclass(frozen=True, slots=True)

@@ -377,14 +377,6 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
 # operations
 
 
-def cpl(walk: Walk) -> tuple[str, float]:
-    """The objective node furthest into the past and its potential level.
-
-    Ties break on the node name; the walk reads it once (``Walk.critical``).
-    """
-    return walk.critical
-
-
 def frontier_clamp_table(walk: Walk) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Conditional numerators/denominators for every clamp of the
     unobserved frontier, in one contraction.
@@ -483,7 +475,7 @@ def bounds_at(net: NetworkLike, query: Query, threshold: Threshold, *, walk: Wal
     """
     cap = _clamp_cap()
     walk = walk_for(net, query, walk)
-    o_star, pl_star = cpl(walk)
+    o_star, pl_star = walk.critical
     if threshold.v > pl_star:
         raise ThresholdError(threshold.v, pl_star, o_star)
     if threshold.is_full_past and net.open_past:
@@ -530,7 +522,7 @@ def _levels(walk: Walk, max_steps: int | None) -> Iterator[Threshold]:
         raise QueryError(f"max_steps must be at least 1, got {max_steps}")
     if max_steps is None and net.open_past and isinstance(net, LazyNetwork):
         raise QueryError("an unbounded model needs max_steps to bound the schedule")
-    v, count = cpl(walk)[1], 0
+    v, count = walk.critical[1], 0
     while v > net.t0 and count != max_steps:
         yield Threshold(v)
         count += 1
@@ -559,18 +551,6 @@ def default_schedule(net: NetworkLike, query: Query, *, max_steps: int | None = 
     return Schedule(tuple(out))
 
 
-def _sweep(walk: Walk, schedule: Schedule | None, max_steps: int | None, stop_on_exact: bool) -> Iterator[QueryBounds]:
-    """Bounds at each threshold of ``schedule``, or of :func:`_levels`
-    read off ``walk`` without one, each step extending ``walk`` and its
-    clamp table (:func:`bounds_at`); with ``stop_on_exact`` it ends after
-    the first result certified exact."""
-    for th in _levels(walk, max_steps) if schedule is None else schedule:
-        qb = bounds_at(walk.net, walk.query, th, walk=walk)
-        yield qb
-        if stop_on_exact and qb.exactness.is_exact:
-            return
-
-
 def anytime_sweep(
     net: NetworkLike,
     query: Query,
@@ -578,42 +558,27 @@ def anytime_sweep(
     *,
     max_steps: int | None = None,
     stop_on_exact: bool = True,
-) -> list[QueryBounds]:
-    """Bounds at each threshold of ``schedule``, shallowest first, or
-    without one at :func:`default_schedule`'s (at most ``max_steps``),
-    each read off the sweep's own walk. The walk carries the retrieval
-    and the clamp table, so each step walks only from the frontier the
-    threshold has passed and contracts only the newly retrieved CPTs:
-    every node is resolved, checked and contracted once per sweep, and
-    the nodes the walk resolves, query nodes included, count against
-    ``retrieval.MAX_NODES``. With ``stop_on_exact`` (the default) the
-    sweep ends at the first result certified exact.
+) -> Iterator[QueryBounds]:
+    """Yield the bounds at each threshold of ``schedule``, shallowest
+    first, or without one at :func:`default_schedule`'s (at most
+    ``max_steps``), each as soon as :func:`bounds_at` certifies it.
+    Every step reads off the sweep's own walk. The walk carries the
+    retrieval and the clamp table, so each step walks only from the
+    frontier the threshold has passed and contracts only the newly
+    retrieved CPTs: every node is resolved, checked and contracted once
+    per sweep, and the nodes the walk resolves, query nodes included,
+    count against ``retrieval.MAX_NODES``. With ``stop_on_exact`` (the
+    default) the sweep ends after the first row certified exact.
+
+    This is a generator: nothing runs before the first ``next()``, so an
+    argument or query error surfaces there, and an error at a later step
+    (a cap, say) ends the sweep after the rows it already yielded.
     """
     if schedule is not None and max_steps is not None:
         raise QueryError("max_steps caps the default thresholds; it cannot cap a schedule")
-    return list(_sweep(Walk(net, query), schedule, max_steps, stop_on_exact))
-
-
-def map_decision(net: NetworkLike, query: Query, schedule: Schedule) -> tuple[str, Threshold] | None:
-    """Sweep until the most likely state of a binary objective is settled.
-
-    Returns the winning state label and the first threshold that decided
-    it, or None when the schedule runs out (or the answer is certified
-    exact) without separating the two states.
-    """
-    if len(query.objective) != 1:
-        raise QueryError("map_decision needs exactly one objective node")
-    ((name, label),) = query.objective.items()
     walk = Walk(net, query)
-    states = walk.specs[name].states
-    if len(states) != 2:
-        raise QueryError(f"map_decision needs a binary objective; {name!r} has {len(states)} states")
-    other = states[0] if states[1] == label else states[1]
-    for qb in _sweep(walk, schedule, None, True):
-        # separation must clear the probability tolerance, so an exact
-        # tie at 0.5 never decides on float noise
-        if qb.lower > 0.5 + PROB_TOL:
-            return label, qb.threshold
-        if qb.upper < 0.5 - PROB_TOL:
-            return other, qb.threshold
-    return None
+    for th in _levels(walk, max_steps) if schedule is None else schedule:
+        qb = bounds_at(net, query, th, walk=walk)
+        yield qb
+        if stop_on_exact and qb.exactness.is_exact:
+            return

@@ -306,15 +306,17 @@ def load_network(text: str | bytes | bytearray) -> Network:
     calls, so it is safe to share across calls and threads.
     The parser checks only shape: every JSON number reads as a float (one
     too large reads as ``inf``), and :func:`validate` alone judges values.
-    Raises :class:`NetworkFormatError` on malformed syntax or shape and
-    :class:`InvalidNetworkError` (carrying the full report) when the
-    parsed network breaks an invariant.
+    Raises :class:`NetworkFormatError` on any other type and on malformed
+    syntax or shape, and :class:`InvalidNetworkError` (carrying the full
+    report) when the parsed network breaks an invariant.
     """
     try:
         if isinstance(text, str) and not text.startswith("\ufeff"):
             doc = _DECODER.decode(text)
-        else:  # json.loads decodes bytes and words the BOM error
+        elif isinstance(text, (str, bytes, bytearray)):  # json.loads decodes bytes and words the BOM error
             doc = json.loads(text, parse_int=_parse_int, parse_constant=_reject_constant)
+        else:
+            raise NetworkFormatError(f"a network document must be str, bytes or bytearray, not {type(text).__name__}")
     except (json.JSONDecodeError, RecursionError) as exc:
         raise NetworkFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

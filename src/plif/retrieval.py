@@ -99,9 +99,9 @@ class Walk:
     whatever raises after an extension. ``factors`` is inference's memo
     of CPT arrays (``infer._factor``), kept for the walk's lifetime, so
     nodes that share a CPT share one array across every step, and
-    ``critical`` is inference's ``cpl``, read once. :meth:`extend`
-    refuses a threshold not below ``level``, and any extension once one
-    raised.
+    ``critical`` is the earliest objective node (ties on the name) and
+    its level. :meth:`extend` refuses a threshold not below ``level``,
+    and any extension once one raised.
     """
 
     net: NetworkLike

@@ -3,9 +3,10 @@
 # 10,000-step chain sweep, four byte-for-byte or structural checks on
 # generated networks, and the exit codes of malformed documents, of a
 # threshold above the critical level, of zero-probability evidence and of
-# the PLIF_MAX_FRONTIER cap. It runs whichever `plif` and `python` come
-# first on PATH, so it checks an installed console script as well as a
-# `python -m plif` shim; `python` must import the same plif.
+# the PLIF_MAX_FRONTIER cap, also where a sweep meets the cap after a
+# row, and of a sweep whose reader closes the pipe early. It runs whichever `plif` and `python` come first on PATH, so it
+# checks an installed console script as well as a `python -m plif` shim;
+# `python` must import the same plif.
 #
 #   bash tests/cli_checks.sh    # exits non-zero at the first failed check
 set -euo pipefail
@@ -112,6 +113,25 @@ code=0
 PLIF_MAX_FRONTIER=abc plif query "$d/random.json" "${flags[@]}" --threshold 5 2> /dev/null || code=$?
 test "$code" -eq 2
 echo "frontier cap check: PLIF_MAX_FRONTIER=1 exit 5, PLIF_MAX_FRONTIER=abc exit 2"
+
+echo "== a sweep capped at a later step keeps the rows it printed and exits 5"
+plif gen-random --seed 113 --nodes 10 --out "$d/r113.json"
+code=0
+PLIF_MAX_FRONTIER=2 plif sweep "$d/r113.json" --target n08=0 --full-sweep --format csv > "$d/stdout" 2> "$d/stderr" || code=$?
+test "$code" -eq 5
+test "$(head -n 1 "$d/stdout")" = "threshold,lower,upper,frontier_size,interior_size,exactness"
+test "$(wc -l < "$d/stdout")" -eq 2
+grep -q "frontier too wide: 6 clamp assignments exceed the cap of 2" "$d/stderr"
+if grep -q Traceback "$d/stderr"; then cat "$d/stderr" >&2; exit 1; fi
+echo "capped sweep check: header and the row at threshold $(tail -n 1 "$d/stdout" | cut -d, -f1) kept, exit 5, no traceback"
+
+echo "== a sweep whose reader closes the pipe early ends with 141 and no traceback"
+code=0
+plif sweep --hmm --depth 5000 --window 5000 --format csv 2> "$d/stderr" | head -n 1 > "$d/stdout" || code=${PIPESTATUS[0]}
+test "$code" -eq 141
+test "$(cat "$d/stdout")" = "threshold,lower,upper,frontier_size,interior_size,exactness"
+if [ -s "$d/stderr" ]; then cat "$d/stderr" >&2; exit 1; fi
+echo "closed pipe check: header read, exit 141, stderr empty"
 
 echo "== a truncation stub is a clamp wherever it sits; a stub objective exits 5"
 printf '{"t0": 0.0, "open_past": true, "nodes": [%s, %s, %s]}' \

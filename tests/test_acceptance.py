@@ -110,7 +110,7 @@ def test_criterion_02_hmm_interval_values():
         -2.0: (0.346154, 0.878378),
         -3.0: (0.643365, 0.873239),
     }
-    rows = hmm_sweep_experiment(HmmParams(), depth=3)
+    rows = list(hmm_sweep_experiment(HmmParams(), depth=3))
     ok = True
     for depth, qb in enumerate(rows, start=1):
         lo_ref = oracles.hmm_clamp_filter(0.9, 0.8, 0, depth, 10)
@@ -322,7 +322,7 @@ def test_incremental_sweep_matches_one_shot_on_corpus(corpus):
     rows = 0
     for rec in records:
         schedule = default_schedule(rec.net, rec.query)
-        swept = anytime_sweep(rec.net, rec.query, schedule, stop_on_exact=False)
+        swept = list(anytime_sweep(rec.net, rec.query, schedule, stop_on_exact=False))
         assert len(swept) == len(rec.steps)
         for qb, step in zip(swept, rec.steps):
             rows += 1

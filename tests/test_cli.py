@@ -334,13 +334,23 @@ def test_sweep_on_file_rejects_chain_flags(cli, chain_file, flag, value):
     assert f"sweep takes no {flag}" in err
 
 
-def test_sweep_frontier_cap_env_var(cli, chain_file):
+def test_sweep_frontier_cap_env_var(cli, chain_file, tmp_path):
     code, _, err = cli(
         "sweep", chain_file, "--target", "x=1", "--format", "csv",
         env={"PLIF_MAX_FRONTIER": "1"},
     )
     assert code == 5
     assert "frontier too wide" in err
+    # a cap met at a later step keeps the rows certified before it
+    doc = str(tmp_path / "r113.json")
+    assert cli("gen-random", "--seed", "113", "--nodes", "10", "--out", doc)[0] == 0
+    code, out, err = cli(
+        "sweep", doc, "--target", "n08=0", "--full-sweep", "--format", "csv",
+        env={"PLIF_MAX_FRONTIER": "2"},
+    )
+    assert code == 5
+    assert out == "threshold,lower,upper,frontier_size,interior_size,exactness\n8,0.286201231,0.319429120,1,1,not_exact\n"
+    assert err == "error: frontier too wide: 6 clamp assignments exceed the cap of 2\n"
 
 
 @pytest.mark.parametrize(
@@ -576,6 +586,18 @@ def test_module_entry_point_runs_as_subprocess(two_node_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "exact=0.310000000"
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_sweep_quietly():
+    # 5,000 rows overflow the pipe's buffer, so the sweep writes after the
+    # reader is gone, as under `plif sweep ... | head -n 1`
+    argv = [sys.executable, "-m", "plif", "sweep", "--hmm", "--depth", "5000", "--window", "5000", "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "threshold,lower,upper,frontier_size,interior_size,exactness\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == ""
 
 
 def test_ci_checks_script_passes(tmp_path):

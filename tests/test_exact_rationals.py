@@ -73,7 +73,7 @@ def test_sweeps_hold_the_rational_truth_on_hostile_networks():
         truth = oracles.exact_conditional(net, q.objective, q.evidence)
         if truth is None:
             with pytest.raises(ZeroEvidenceError):
-                anytime_sweep(net, q, stop_on_exact=False)
+                list(anytime_sweep(net, q, stop_on_exact=False))
             zero += 1
             continue
         for qb in anytime_sweep(net, q, stop_on_exact=False):

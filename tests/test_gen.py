@@ -63,7 +63,7 @@ def test_hmm_query_window_names():
 
 
 def test_hmm_sweep_first_row_reads_the_transition_column():
-    rows = hmm_sweep_experiment(HmmParams(), depth=1)
+    rows = list(hmm_sweep_experiment(HmmParams(), depth=1))
     assert len(rows) == 1
     assert rows[0].lower == pytest.approx(0.1, abs=1e-12)
     assert rows[0].upper == pytest.approx(0.9, abs=1e-12)
@@ -75,7 +75,7 @@ def test_hmm_sweep_crosses_half_at_third_row():
 
 
 def test_hmm_sweep_intervals_weakly_shrink():
-    rows = hmm_sweep_experiment(HmmParams(), depth=8)
+    rows = list(hmm_sweep_experiment(HmmParams(), depth=8))
     for shallow, deep in zip(rows, rows[1:]):
         assert deep.lower >= shallow.lower - 1e-9
         assert deep.upper <= shallow.upper + 1e-9
@@ -117,8 +117,8 @@ def test_hmm_materialized_depth_counts():
 def test_hmm_fragment_sweep_equals_lazy_sweep(depth, window):
     params = HmmParams(window=window)
     frag = load_network(serialize(materialize(hmm_model(params), hmm_query(params), float(-depth))))
-    rows = anytime_sweep(frag, hmm_query(params), max_steps=depth, stop_on_exact=False)
-    assert rows == hmm_sweep_experiment(params, depth)
+    rows = list(anytime_sweep(frag, hmm_query(params), max_steps=depth, stop_on_exact=False))
+    assert rows == list(hmm_sweep_experiment(params, depth))
 
 
 def test_hmm_params_validated():

@@ -67,7 +67,7 @@ def _one_shot(net, query, th, **kw):
 def _swept(net, query, th, **kw):
     # reaches th only after two shallower steps of the same sweep
     schedule = Schedule((Threshold(-1.0), Threshold(-2.0), th))
-    return anytime_sweep(net, query, schedule, stop_on_exact=False, **kw)
+    return list(anytime_sweep(net, query, schedule, stop_on_exact=False, **kw))
 
 
 RUNS = pytest.mark.parametrize("run", [_one_shot, _swept], ids=["bounds_at", "anytime_sweep"])
@@ -184,10 +184,10 @@ def test_closed_lazy_past_refuses_a_stub_wherever_the_walk_meets_it(v):
         bounds_at(lazy, q, Threshold(v))
     assert _rules(exc) == {"cpt-missing"}
     with pytest.raises(InvalidNetworkError) as exc:
-        anytime_sweep(lazy, q, Schedule((Threshold(-1.0), Threshold(v))), stop_on_exact=False)
+        list(anytime_sweep(lazy, q, Schedule((Threshold(-1.0), Threshold(v))), stop_on_exact=False))
     assert _rules(exc) == {"cpt-missing"}
     with pytest.raises(InvalidNetworkError) as exc:
-        anytime_sweep(lazy, q, stop_on_exact=False)
+        list(anytime_sweep(lazy, q, stop_on_exact=False))
     assert _rules(exc) == {"cpt-missing"}
     with pytest.raises(InvalidNetworkError) as exc:
         Walk(lazy, Query({"o": "1"}, {"s": "1"}))
@@ -289,7 +289,7 @@ def test_incremental_sweep_matches_one_shot_on_long_chain():
     p = HmmParams(window=120)
     lazy, q = hmm_model(p), hmm_query(p)
     schedule = default_schedule(lazy, q, max_steps=120)
-    rows = anytime_sweep(lazy, q, schedule, stop_on_exact=False)
+    rows = list(anytime_sweep(lazy, q, schedule, stop_on_exact=False))
     _assert_same_rows(rows, [bounds_at(hmm_model(p), q, th) for th in schedule])
 
 
@@ -320,7 +320,7 @@ def test_incremental_sweep_skips_zero_normalizer_across_the_gate():
     q = hmm_query(p)
     depths = [1, 2, 1000, 2497, 2498, 2499, 2500]
     schedule = Schedule(tuple(Threshold(-float(d)) for d in depths))
-    rows = anytime_sweep(_tweaked(p, **gate), q, schedule, stop_on_exact=False)
+    rows = list(anytime_sweep(_tweaked(p, **gate), q, schedule, stop_on_exact=False))
     _assert_same_rows(rows, [bounds_at(_tweaked(p, **gate), q, th) for th in schedule])
     want = oracles.hmm_clamp_filter(0.9, 0.8, 1, window - 1, window)
     assert rows[-1].lower == rows[-1].upper == pytest.approx(want, abs=1e-9)
@@ -348,7 +348,7 @@ def test_incremental_sweep_keeps_per_clamp_scales_of_a_surviving_frontier_node()
     q = hmm_query(p)
     depths = [1, 2, 3, 400, 401, 1000]
     schedule = Schedule(tuple(Threshold(-float(d)) for d in depths))
-    rows = anytime_sweep(LazyNetwork(resolve, float("-inf")), q, schedule, stop_on_exact=False)
+    rows = list(anytime_sweep(LazyNetwork(resolve, float("-inf")), q, schedule, stop_on_exact=False))
     for depth, qb in zip(depths, rows):
         ends = [
             oracles.hmm_clamp_filter(0.9, emit, clamp, depth, window)
@@ -539,7 +539,7 @@ def test_incremental_sweep_with_rescaling_at_every_step(seed, log, monkeypatch):
     q = random_query(net, seed + 7)
     schedule = default_schedule(net, q)
     try:
-        fused = anytime_sweep(net, q, schedule, stop_on_exact=False)
+        fused = list(anytime_sweep(net, q, schedule, stop_on_exact=False))
     except infer.ZeroEvidenceError:
         fused = None
     monkeypatch.setattr(infer, "_TINY", 1.0)
@@ -550,9 +550,9 @@ def test_incremental_sweep_with_rescaling_at_every_step(seed, log, monkeypatch):
     except infer.ZeroEvidenceError:
         assert fused is None
         with pytest.raises(infer.ZeroEvidenceError):
-            anytime_sweep(net, q, schedule, stop_on_exact=False)
+            list(anytime_sweep(net, q, schedule, stop_on_exact=False))
         return
-    rows = anytime_sweep(net, q, schedule, stop_on_exact=False)
+    rows = list(anytime_sweep(net, q, schedule, stop_on_exact=False))
     _assert_same_rows(rows, fresh)
     assert fused is not None
     _assert_same_rows(rows, fused)
@@ -789,7 +789,7 @@ def test_state_refuses_a_threshold_not_below_the_last_and_goes_on_deeper():
 
 def test_ten_thousand_step_sweep_matches_the_filter_oracle():
     window = 10_000
-    rows = hmm_sweep_experiment(HmmParams(window=window), window)
+    rows = list(hmm_sweep_experiment(HmmParams(window=window), window))
     assert [qb.threshold.v for qb in rows] == [-float(d) for d in range(1, window + 1)]
     for depth in (1, 10, 5000, window):
         lo, hi = (oracles.hmm_clamp_filter(0.9, 0.8, c, depth, window) for c in (0, 1))

@@ -23,6 +23,7 @@ from plif import (
     Schedule,
     Threshold,
     ThresholdError,
+    UnknownNodeError,
     ZeroEvidenceError,
     anytime_sweep,
     as_lazy,
@@ -36,7 +37,7 @@ from plif import (
     validate,
 )
 from plif.gen import hmm_node_name, random_query
-from plif.infer import cpl, exactness_status, map_decision
+from plif.infer import exactness_status
 from plif.retrieval import Walk
 
 HMM = HmmParams()
@@ -73,23 +74,23 @@ def test_schedule_must_strictly_decrease_and_be_nonempty():
         Schedule((Threshold(1.0), Threshold(1.0)))
 
 
-# --- cpl ----------------------------------------------------------------------
+# --- the critical level ---------------------------------------------------------
 
 
 def test_cpl_chain(chain_net):
-    assert cpl(Walk(chain_net, Query({"x": "1"}, {"y": "1"}))) == ("x", 4.0)
+    assert Walk(chain_net, Query({"x": "1"}, {"y": "1"})).critical == ("x", 4.0)
 
 
 def test_cpl_single_objective(two_node_net):
-    assert cpl(Walk(two_node_net, Query({"e": "0"}))) == ("e", 1.0)
+    assert Walk(two_node_net, Query({"e": "0"})).critical == ("e", 1.0)
 
 
 def test_cpl_on_lazy_model():
-    assert cpl(Walk(hmm_model(HMM), hmm_query(HMM))) == ("x_t+1", -1.0)
+    assert Walk(hmm_model(HMM), hmm_query(HMM)).critical == ("x_t+1", -1.0)
 
 
 def test_cpl_tie_breaks_lexicographically(collider_net):
-    assert cpl(Walk(collider_net, Query({"b": "1", "a": "1"}))) == ("a", 0.0)
+    assert Walk(collider_net, Query({"b": "1", "a": "1"})).critical == ("a", 0.0)
 
 
 # --- exact values: the full-past bracket, where lower equals upper --------------
@@ -305,10 +306,23 @@ def test_frontier_cap_env_var_caps_a_library_sweep(monkeypatch):
     lazy, q = hmm_model(HMM), hmm_query(HMM)
     monkeypatch.setenv("PLIF_MAX_FRONTIER", "1")
     with pytest.raises(FrontierTooWideError, match="exceed the cap of 1"):
-        anytime_sweep(lazy, q, max_steps=3)
+        list(anytime_sweep(lazy, q, max_steps=3))
     monkeypatch.setenv("PLIF_MAX_FRONTIER", "abc")
     with pytest.raises(QueryError, match="PLIF_MAX_FRONTIER must be an integer, got 'abc'"):
-        anytime_sweep(lazy, q, max_steps=3)
+        list(anytime_sweep(lazy, q, max_steps=3))
+
+
+def test_a_capped_library_sweep_yields_its_certified_rows_before_the_cap(monkeypatch):
+    # gen-random --seed 113: the first row needs one clamp, the second six
+    net = random_network(RandomNetSpec(seed=113, node_count=10))
+    q = Query({"n08": "0"})
+    monkeypatch.setenv("PLIF_MAX_FRONTIER", "2")
+    rows = anytime_sweep(net, q, stop_on_exact=False)
+    first = next(rows)
+    assert first.threshold == Threshold(8.0) and first.exactness is Exactness.NOT_EXACT
+    assert (f"{first.lower:.9f}", f"{first.upper:.9f}") == ("0.286201231", "0.319429120")
+    with pytest.raises(FrontierTooWideError, match="6 clamp assignments exceed the cap of 2"):
+        next(rows)
 
 
 def test_bounds_zero_normalizer_clamps_are_excluded():
@@ -444,11 +458,11 @@ def test_widest_bucket_of_coupled_chains_is_pinned(monkeypatch, cap, fits):
     schedule = Schedule(tuple(Threshold(-float(d)) for d in range(1, 8)))
     monkeypatch.setattr(infer, "MAX_JOINT_CELLS", cap)
     if fits:
-        rows = anytime_sweep(net, q, schedule, stop_on_exact=False)
+        rows = list(anytime_sweep(net, q, schedule, stop_on_exact=False))
         assert len(rows) == 7 and rows[-1].upper - rows[-1].lower < rows[0].upper - rows[0].lower
     else:
         with pytest.raises(FactorTooLargeError):
-            anytime_sweep(net, q, schedule, stop_on_exact=False)
+            list(anytime_sweep(net, q, schedule, stop_on_exact=False))
 
 
 # --- exactness_status -----------------------------------------------------------
@@ -555,7 +569,7 @@ def test_schedule_and_sweep_count_one_walk_against_the_node_cap(route, monkeypat
         monkeypatch.setattr("plif.retrieval.MAX_NODES", cap)
         if route == "default_schedule":
             return default_schedule(hmm_model(HMM), hmm_query(HMM), max_steps=15)
-        return anytime_sweep(hmm_model(HMM), hmm_query(HMM), max_steps=15, stop_on_exact=False)
+        return list(anytime_sweep(hmm_model(HMM), hmm_query(HMM), max_steps=15, stop_on_exact=False))
 
     assert len(run(26)) == 15
     with pytest.raises(ExpansionCapError):
@@ -622,7 +636,7 @@ def test_stub_above_the_critical_level_surfaces_from_the_first_retrieval():
     first = root_set(net, q, Threshold(3.0))
     assert first.frontier == {"a": net.nodes["a"], "s": s}
     assert first.evidence_plus == {"e": "1"} and first.interior.keys() == {"o", "e"}
-    rows = anytime_sweep(net, q)
+    rows = list(anytime_sweep(net, q))
     assert [qb.threshold.v for qb in rows] == [3.0, 2.0, 1.0]
     assert not any(qb.exactness.is_exact for qb in rows)
     _holds_under_stub_priors(net, q, rows)
@@ -656,16 +670,16 @@ def test_open_past_rows_hold_under_random_priors_on_their_stubs():
         stubs = [s for s in net.nodes.values() if s.is_stub]
         if any(net.nodes[n].is_stub for n in q.objective):
             level = Threshold(min(net.nodes[n].pl for n in q.objective))
-            for run in (lambda: anytime_sweep(net, q), lambda: bounds_at(net, q, level)):
+            for run in (lambda: list(anytime_sweep(net, q)), lambda: bounds_at(net, q, level)):
                 with pytest.raises(OpenPastError, match="objective"):
                     run()
             refused += 1
             continue
-        rows = anytime_sweep(net, q, stop_on_exact=False)
+        rows = list(anytime_sweep(net, q, stop_on_exact=False))
         pick = np.random.default_rng(seed + 60_000)
         seen = {s.name: s.states[pick.integers(len(s.states))] for s in stubs if s.name not in q.names and pick.random() < 0.8}
         q_seen = Query(q.objective, {**q.evidence, **seen})
-        sweeps = [(q, rows), (q_seen, anytime_sweep(net, q_seen, stop_on_exact=False) if seen else [])]
+        sweeps = [(q, rows), (q_seen, list(anytime_sweep(net, q_seen, stop_on_exact=False)) if seen else [])]
         rng = np.random.default_rng(seed)
         for _ in range(4):
             priors = {s.name: dataclasses.replace(s, cpt=(tuple(rng.dirichlet(np.ones(len(s.states)))),)) for s in stubs}
@@ -691,8 +705,8 @@ def test_an_observed_stub_stands_in_a_full_past_certificate():
     # its prior, so at threshold 1 the row is the chain's own full-past value
     s = NodeSpec("s", ("0", "1"), (), None, pl=1.5)
     net, q = _open_past_chain(s), Query({"o": "1"}, {"s": "1"})
-    rows = anytime_sweep(net, q)
-    plain = anytime_sweep(_open_past_chain(), Query({"o": "1"}))
+    rows = list(anytime_sweep(net, q))
+    plain = list(anytime_sweep(_open_past_chain(), Query({"o": "1"})))
     assert [qb.threshold.v for qb in rows] == [qb.threshold.v for qb in plain] == [3.0, 2.0, 1.0]
     assert rows[-1].exactness is plain[-1].exactness is Exactness.FULL_PAST
     assert rows[-1].lower == rows[-1].upper == pytest.approx(plain[-1].lower, abs=1e-15)
@@ -703,12 +717,16 @@ def test_an_observed_stub_stands_in_a_full_past_certificate():
 
 def test_sweep_takes_a_schedule_or_max_steps_not_both(chain_net):
     q = Query({"x": "1"}, {"y": "1"})
-    with pytest.raises(QueryError, match="max_steps"):
-        anytime_sweep(chain_net, q, default_schedule(chain_net, q), max_steps=2)
-    with pytest.raises(QueryError, match="max_steps must be at least 1"):
-        anytime_sweep(chain_net, q, max_steps=0)
-    with pytest.raises(QueryError, match="unbounded model needs max_steps"):
-        anytime_sweep(hmm_model(HMM), hmm_query(HMM))
+    # the sweep is a generator: its argument errors surface at the first next()
+    bad = [
+        (anytime_sweep(chain_net, q, default_schedule(chain_net, q), max_steps=2), QueryError, "cannot cap a schedule"),
+        (anytime_sweep(chain_net, q, max_steps=0), QueryError, "max_steps must be at least 1"),
+        (anytime_sweep(hmm_model(HMM), hmm_query(HMM)), QueryError, "unbounded model needs max_steps"),
+        (anytime_sweep(chain_net, Query({"nope": "1"})), UnknownNodeError, "unknown node"),
+    ]
+    for rows, error, message in bad:
+        with pytest.raises(error, match=message):
+            next(rows)
 
 
 def test_schedule_through_closed_lazy_wrapper_matches_finite(chain_net):
@@ -751,7 +769,7 @@ def test_schedule_passes_below_a_stub_outside_the_query_closure():
     q = Query({"o": "1"})
     sched = default_schedule(net, q)
     assert [t.v for t in sched] == [3.0, 2.0, 1.0]
-    rows = anytime_sweep(net, q, sched)
+    rows = list(anytime_sweep(net, q, sched))
     assert len(rows) == 3
     assert rows[-1].exactness is Exactness.FULL_PAST
     closed = dataclasses.replace(_open_past_chain(), open_past=False)
@@ -775,7 +793,7 @@ def test_schedule_passes_a_stub_among_the_query_nodes_and_their_ancestors(where)
     assert [t.v for t in default_schedule(net, q)] == [3.0, 2.0, 1.0]
     rs = root_set(net, q, Threshold(1.0))
     assert rs.frontier.keys() == {"r", "s"} and "s" not in rs.evidence_plus
-    rows = anytime_sweep(net, q, default_schedule(net, q))
+    rows = list(anytime_sweep(net, q, default_schedule(net, q)))
     assert len(rows) == 3
     _holds_under_stub_priors(net, q, rows)
 
@@ -798,7 +816,7 @@ def test_hmm_sweep_matches_filter_oracle():
 def test_sweep_chain_strictly_tightens():
     net = random_chain(seed=7)
     q = Query({"c3": "1"}, {"c0": "1"})
-    rows = anytime_sweep(net, q, default_schedule(net, q))
+    rows = list(anytime_sweep(net, q, default_schedule(net, q)))
     assert len(rows) >= 2
     for shallow, deep in zip(rows, rows[1:]):
         assert shallow.lower < deep.lower
@@ -807,10 +825,10 @@ def test_sweep_chain_strictly_tightens():
 
 def test_sweep_stops_early_on_exact(chain_net):
     q = Query({"x": "1"}, {"y": "1"})
-    rows = anytime_sweep(chain_net, q, default_schedule(chain_net, q))
+    rows = list(anytime_sweep(chain_net, q, default_schedule(chain_net, q)))
     assert len(rows) == 3  # stops at pl(t2) where the frontier is the evidence
     assert rows[-1].exactness is Exactness.FRONTIER_SUBSET_OF_EVIDENCE
-    full = anytime_sweep(chain_net, q, default_schedule(chain_net, q), stop_on_exact=False)
+    full = list(anytime_sweep(chain_net, q, default_schedule(chain_net, q), stop_on_exact=False))
     assert len(full) == 4
 
 
@@ -835,51 +853,38 @@ def test_sweep_reuses_lazy_resolutions_incrementally():
     # per distinct node, not once per threshold
     for run in (anytime_sweep, default_schedule):
         calls.clear()
-        run(lazy, q, max_steps=5)
+        list(run(lazy, q, max_steps=5))
         assert calls and len(calls) == len(set(calls))
 
 
 def test_sweep_degenerate_schedule(two_node_net):
-    rows = anytime_sweep(two_node_net, Query({"c": "1"}), Schedule((Threshold.full_past(),)))
+    rows = list(anytime_sweep(two_node_net, Query({"c": "1"}), Schedule((Threshold.full_past(),))))
     assert len(rows) == 1
     assert rows[0].lower == rows[0].upper == pytest.approx(0.3)
     assert rows[0].exactness is Exactness.FULL_PAST
 
 
-# --- map_decision ----------------------------------------------------------------
+# --- deciding from the yielded rows -------------------------------------------------
 
 
-def test_map_decision_hmm_decides_at_third_step():
-    lazy = hmm_model(HMM)
-    q = hmm_query(HMM)
-    sched = default_schedule(lazy, q, max_steps=10)
-    assert map_decision(lazy, q, sched) == ("1", Threshold(-3.0))
-
-
-def test_map_decision_deterministic_edge_decides_immediately():
+def test_deterministic_edge_sweep_is_exact_at_its_first_row():
     c = NodeSpec("c", ("0", "1"), (), ((0.5, 0.5),), pl=0.0)
     e = NodeSpec("e", ("0", "1"), ("c",), ((1.0, 0.0), (0.0, 1.0)), pl=1.0)
     net = make_net(0.0, False, c, e)
     q = Query({"e": "1"}, {"c": "1"})
-    sched = default_schedule(net, q)
-    assert map_decision(net, q, sched) == ("1", sched.thresholds[0])
+    (row,) = anytime_sweep(net, q)
+    assert row.threshold == default_schedule(net, q).thresholds[0]
+    assert row.lower == row.upper == 1.0
+    assert row.exactness is Exactness.FRONTIER_SUBSET_OF_EVIDENCE
 
 
-def test_map_decision_symmetric_chain_is_undecided(symmetric_net):
+def test_symmetric_chain_sweep_never_leaves_one_half(symmetric_net):
     q = Query({"o": "1"})
-    sched = default_schedule(symmetric_net, q)
-    assert map_decision(symmetric_net, q, sched) is None
-    final = bounds_at(symmetric_net, q, Threshold.full_past())
-    assert final.lower == final.upper == pytest.approx(0.5, abs=1e-12)
-
-
-def test_map_decision_rejects_nonbinary(collider_net):
-    with pytest.raises(QueryError):
-        map_decision(
-            collider_net,
-            Query({"a": "1", "b": "1"}),
-            Schedule((Threshold(0.0),)),
-        )
+    rows = list(anytime_sweep(symmetric_net, q, stop_on_exact=False))
+    assert rows[-1].threshold.is_full_past
+    # no row separates o = 1 from o = 0 by more than the probability tolerance
+    assert all(qb.lower <= 0.5 + infer.PROB_TOL and qb.upper >= 0.5 - infer.PROB_TOL for qb in rows)
+    assert rows[-1].lower == rows[-1].upper == pytest.approx(0.5, abs=1e-12)
 
 
 # --- convergence ------------------------------------------------------------------

@@ -194,6 +194,10 @@ SHAPE_ERRORS = {
     },
     "not-json": ('{"t0": ', "not valid JSON: Expecting value: line 1 column 8 (char 7)"),
     "utf8-bom": ("\ufeff" + _INT_DOC, "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    **{
+        f"input-{kind}": (bad, f"a network document must be str, bytes or bytearray, not {kind}")
+        for kind, bad in (("NoneType", None), ("dict", {}), ("int", 1))
+    },
 }
 
 

@@ -85,7 +85,7 @@ def test_a_sweep_contracts_each_interior_node_once(monkeypatch, lazy):
     count = _Count(monkeypatch)
     for net, q in zip(nets, queries):
         count.reset()
-        rows = anytime_sweep(as_lazy(net) if lazy else net, q, stop_on_exact=False)
+        rows = list(anytime_sweep(as_lazy(net) if lazy else net, q, stop_on_exact=False))
         sizes = [0] + [qb.interior_size for qb in rows]
         # one band a step: the nodes that step newly retrieved
         assert [len(names) for names, _ in count.of("band")] == [b - a for a, b in zip(sizes, sizes[1:])]
@@ -98,7 +98,7 @@ def test_a_sweep_contracts_each_interior_node_once(monkeypatch, lazy):
 def test_chain_steps_do_the_same_work_at_any_depth(monkeypatch):
     p = HmmParams(window=10)
     count = _Count(monkeypatch)
-    anytime_sweep(hmm_model(p), hmm_query(p), max_steps=4010, stop_on_exact=False)
+    list(anytime_sweep(hmm_model(p), hmm_query(p), max_steps=4010, stop_on_exact=False))
     steps = [(len(names), buckets) for names, buckets in count.of("band")]
     assert len(steps) == 4010 and not count.of("roots")
     assert steps[1000:1010] == steps[4000:4010]
@@ -125,7 +125,7 @@ def test_coupled_chain_steps_cover_the_same_cells_at_any_depth(monkeypatch):
 
     monkeypatch.setattr(infer, "_contract", counting_contract)
     monkeypatch.setattr(infer, "_bucket", counting_bucket)
-    rows = anytime_sweep(lazy, q, max_steps=12, stop_on_exact=False)
+    rows = list(anytime_sweep(lazy, q, max_steps=12, stop_on_exact=False))
     assert len(rows) == len(steps) == 12
     # the cells of each bucket, in order: flat once the frontier holds all k chains
     assert steps[2] and steps[2:] == [steps[2]] * 10
@@ -196,5 +196,5 @@ def test_a_chain_step_leaves_its_clamp_table_c_contiguous_in_scan_order(monkeypa
         return scan, num, den
 
     monkeypatch.setattr(infer, "frontier_clamp_table", recording)
-    anytime_sweep(lazy, q, max_steps=12, stop_on_exact=False)
+    list(anytime_sweep(lazy, q, max_steps=12, stop_on_exact=False))
     assert layouts == [(True, True, True)] * 12
