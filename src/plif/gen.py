@@ -109,10 +109,8 @@ SWEEP_CSV_HEADER = "threshold,lower,upper,frontier_size,interior_size,exactness"
 
 def sweep_csv_row(qb: QueryBounds) -> str:
     """One line of :func:`sweep_csv`, without its newline."""
-    return (
-        f"{format_threshold(qb.threshold)},{qb.lower:.9f},{qb.upper:.9f},"
-        f"{qb.frontier_size},{qb.interior_size},{qb.exactness.value}"
-    )
+    th, e = format_threshold(qb.threshold), qb.exactness.value
+    return "%s,%.9f,%.9f,%d,%d,%s" % (th, qb.lower, qb.upper, qb.frontier_size, qb.interior_size, e)
 
 
 def sweep_csv(rows: Iterable[QueryBounds]) -> str:

@@ -46,7 +46,7 @@ import math
 import os
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -196,7 +196,8 @@ def _bucket(group: Sequence[_Factor], h: str | None, keep: _Axes, log: bool) -> 
     ``keep``, which must list the group's axes; it may share memory with
     a factor and so must not be written to. Also returns the log of the
     scalar it was divided by. One pass over the group numbers its axes
-    for einsum and counts the product's cells from the factors' shapes.
+    for einsum, lists the output axes and counts the product's cells
+    from the factors' shapes.
 
     In logs (``log``) the factors are added and ``h`` is summed out by
     ``np.logaddexp``. Linearly, one :func:`numpy.einsum` call multiplies
@@ -215,20 +216,26 @@ def _bucket(group: Sequence[_Factor], h: str | None, keep: _Axes, log: bool) -> 
     raised."""
     ids: dict = {}
     operands: list = []
+    out_axes, out_ids = [], []
     cells = 1
     for axes, t in group:
         sub = []
-        for a, n in zip(axes, t.shape):
+        for a in axes:
             i = ids.get(a)
             if i is None:
                 i = ids[a] = len(ids)
-                cells *= n
+                cells *= t.shape[len(sub)]  # sub numbers the axes before a
+                if a != h:
+                    out_axes.append(a)
+                    out_ids.append(i)
             sub.append(i)
         operands += (t, sub)
     if cells > MAX_JOINT_CELLS:
         raise FactorTooLargeError(cells, MAX_JOINT_CELLS)
-    out_axes = keep if h is None else tuple([a for a in ids if a != h])
-    out_ids = [ids[a] for a in out_axes]
+    if h is None:
+        out_axes, out_ids = keep, [ids[a] for a in keep]
+    else:
+        out_axes = tuple(out_axes)
     if log:
         union = keep if h is None else tuple(ids)
         out = sum(_align(axes, t, union) for axes, t in group)
@@ -253,8 +260,8 @@ def _bucket(group: Sequence[_Factor], h: str | None, keep: _Axes, log: bool) -> 
     return (out_axes, out), 0.0
 
 
-def _contract(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Table | Assignment) -> _Table:
-    """Multiply the CPTs in ``specs`` (nodes of ``walk``) into ``prior``,
+def _contract(walk: Walk, specs: Iterable[NodeSpec], scan: _Axes, prior: _Table | Assignment) -> _Table:
+    """Multiply the CPTs of ``specs`` (nodes of ``walk``, read once) into ``prior``,
     with the query's evidence fixed, and sum out every variable but
     ``scan``, by bucket elimination in decreasing ``(pl, name)``.
 
@@ -285,11 +292,12 @@ def _contract(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Ta
     normalizer is below _TINY, when it keeps the one scale; from logs, a
     numerator below 2^-1074 of its normalizer reads zero.
     """
+    order = sorted(specs, key=attrgetter("pl", "name"), reverse=True)
     try:
-        return _eliminate(walk, specs, scan, prior, False)
+        return _eliminate(walk, order, scan, prior, False)
     except _NeedsLog:
         with np.errstate(divide="ignore"):
-            return _eliminate(walk, specs, scan, prior, True)
+            return _eliminate(walk, order, scan, prior, True)
 
 
 def _first(axes: _Axes, rank: Mapping[str, int]) -> str | None:
@@ -303,17 +311,17 @@ def _first(axes: _Axes, rank: Mapping[str, int]) -> str | None:
     return h
 
 
-def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _Table | Assignment, log: bool) -> _Table:
-    """:func:`_contract`, in logs (``log``) or linearly. Nothing is
-    rebuilt per call but the order: state counts come from ``walk.specs``
+def _eliminate(walk: Walk, order: Sequence[NodeSpec], scan: _Axes, prior: _Table | Assignment, log: bool) -> _Table:
+    """:func:`_contract`, in logs (``log``) or linearly, over the specs in
+    elimination ``order``, which both passes share. Nothing is rebuilt
+    per call but each node's rank in it: state counts come from ``walk.specs``
     (:func:`_factor`) or the factors' shapes (:func:`_bucket`), and
     evidence indices from ``walk.evidence_index``. Each factor is placed
     where it is made, by :func:`_first`, in its bucket or in the rest; a
     lone rest is transposed here, under a bucket's MAX_JOINT_CELLS cap."""
     start = not isinstance(prior, _Table)
     keep = (*scan, *prior) if start else (*scan, _NUM_DEN)
-    nodes, clamps = walk.specs, walk.evidence_index
-    order = sorted(specs.values(), key=attrgetter("pl", "name"), reverse=True)
+    nodes, clamps, memo = walk.specs, walk.evidence_index, walk.factors
     rank = {s.name: i for i, s in enumerate(order) if s.name not in clamps and s.name not in keep}
     buckets: dict[str, list[_Factor]] = {}
     rest: list[_Factor] = []
@@ -336,7 +344,7 @@ def _eliminate(walk: Walk, specs: Mapping[str, NodeSpec], scan: _Axes, prior: _T
         h = _first(prior.axes, rank)
         (rest if h is None else buckets.setdefault(h, [])).append(((*prior.axes, _NUM_DEN), table))
     for spec in order:
-        factor = _factor(spec, nodes, clamps, log, walk.factors)
+        factor = _factor(spec, nodes, clamps, log, memo)
         if spec.name in rank:
             # every parent comes later in the order, so a CPT joins its own bucket, last
             group = buckets.pop(spec.name, [])
@@ -395,7 +403,7 @@ def frontier_clamp_table(walk: Walk) -> tuple[tuple[str, ...], np.ndarray, np.nd
     raises, the walk is left as it was.
     """
     scan = tuple(sorted(walk.frontier.keys() - walk.evidence_in_frontier))
-    band = {n: walk.interior[n] for n in walk.band}
+    band = map(walk.interior.__getitem__, walk.band)
     walk.table = table = _contract(walk, band, scan, walk.query.objective if walk.table is None else walk.table)
     walk.band.clear()
     return scan, table.table[..., 0], table.table[..., 1]
@@ -427,7 +435,7 @@ def _exact_from_retrieval(walk: Walk) -> float:
     """Exact value when the retrieval closed the past: the walk's clamp
     table times the frontier roots' own priors; an observed stub is
     only clamped, as its prior cancels."""
-    roots = {n: s for n, s in walk.frontier.items() if not s.is_stub}
+    roots = [s for s in walk.frontier.values() if not s.is_stub]
     num, den = _contract(walk, roots, (), walk.table).table
     if den == 0.0:
         raise _zero_evidence(walk.query.evidence)

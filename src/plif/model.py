@@ -163,9 +163,10 @@ def _local_spec_violations(spec: NodeSpec, checked: dict) -> list[Violation]:
     width = len(spec.states)
     if width < 2:
         out.append(Violation("state-count", f"node {spec.name!r} needs at least 2 states"))
-    if len(set(spec.states)) != width:
+    # two labels are compared, not hashed into a set
+    if (spec.states[0] == spec.states[1]) if width == 2 else len(set(spec.states)) != width:
         out.append(Violation("duplicate-state", f"node {spec.name!r} repeats a state label"))
-    if len(set(spec.parents)) != len(spec.parents):
+    if len(spec.parents) > 1 and len(set(spec.parents)) != len(spec.parents):
         out.append(Violation("duplicate-parent", f"node {spec.name!r} repeats a parent name"))
     if not math.isfinite(spec.pl):
         out.append(Violation("pl-not-finite", f"node {spec.name!r} has pl={spec.pl!r}"))

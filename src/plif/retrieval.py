@@ -120,21 +120,25 @@ class Walk:
     critical: tuple[str, float] = field(default=("", math.inf), init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        report = t0_violations(self.net.t0, self.net.open_past)
-        for name, label in (*self.query.objective.items(), *self.query.evidence.items()):
+        t0, open_past, objective, evidence = self.net.t0, self.net.open_past, self.query.objective, self.query.evidence
+        report = t0_violations(t0, open_past)
+        keys = []  # (pl, name) of each query node, objective first
+        for name, label in (*objective.items(), *evidence.items()):
             spec = self.resolve(name)
             if label not in spec.states:
                 raise UnknownStateError(f"node {name!r} has no state {label!r}; states are {list(spec.states)}")
-            report += node_violations(spec, None, self.net.t0, self.net.open_past)
-            if name in self.query.evidence:
+            report += node_violations(spec, None, t0, open_past)
+            if name in evidence:
                 self.evidence_index[name] = spec.states.index(label)
+            keys.append((spec.pl, name))
         if report:
             raise InvalidNetworkError(report)
-        stubs = [n for n in self.query.objective if self.specs[n].is_stub]
+        stubs = [n for n in objective if self.specs[n].is_stub]
         if stubs:
             raise OpenPastError(f"objective node {stubs[0]!r} is a truncation stub; it has no prior to answer with")
-        self.pending = sorted(self.query.names, key=lambda n: (self.specs[n].pl, n))
-        self.critical = min((self.specs[n].pl, n) for n in self.query.objective)[::-1]
+        self.critical = min(keys[: len(objective)])[::-1]
+        keys.sort()
+        self.pending = [name for _, name in keys]
 
     @property
     def evidence_minus(self) -> frozenset[str]:
@@ -168,7 +172,7 @@ class Walk:
             if math.isnan(self.level):
                 raise QueryError("an extension of this walk raised; start a new one")
             raise QueryError(f"a walk needs strictly decreasing thresholds; got {v:g} after {self.level:g}")
-        specs, interior, frontier, pending = self.specs, self.interior, self.frontier, self.pending
+        specs, interior, frontier, pending, resolve = self.specs, self.interior, self.frontier, self.pending, self.resolve
         evidence, e_plus, e_front, band = self.query.evidence, self.evidence_plus, self.evidence_in_frontier, self.band
         t0, open_past = self.net.t0, self.net.open_past
         # a walk that reached nothing yet: only a query node can start it
@@ -187,11 +191,11 @@ class Walk:
         while queue:
             name = queue.popleft()
             spec = specs[name]
-            parents = list(map(self.resolve, spec.parents)) if spec.pl >= v else None
+            parents = list(map(resolve, spec.parents)) if spec.pl >= v else None
             report = node_violations(spec, parents, t0, open_past)
             if report:
                 raise InvalidNetworkError(report)
-            if spec.pl < v or spec.is_stub:
+            if spec.pl < v or spec.cpt is None:  # spec.is_stub, read inline: this runs once a node
                 frontier[name] = spec
                 if name in evidence:
                     e_front[name] = evidence[name]

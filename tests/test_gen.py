@@ -7,6 +7,7 @@ from plif import (
     Query,
     QueryError,
     RandomNetSpec,
+    Schedule,
     Threshold,
     UnknownNodeError,
     anytime_sweep,
@@ -93,13 +94,22 @@ def test_hmm_sweep_insensitive_to_window_truncation():
     assert [(r.lower, r.upper) for r in short] == [(r.lower, r.upper) for r in long]
 
 
-def test_sweep_csv_schema():
+def test_sweep_csv_schema(hmm4_net):
     rows = hmm_sweep_experiment(HmmParams(), depth=2)
     text = sweep_csv(rows)
     lines = text.strip().splitlines()
     assert lines[0] == "threshold,lower,upper,frontier_size,interior_size,exactness"
     assert lines[1] == "-1,0.100000000,0.900000000,1,1,not_exact"
     assert len(lines) == 3
+    # a fractional threshold and the full-past sentinel, byte for byte
+    q = Query({"x_t+1": "1"}, {"y_t": "1", "y_t-1": "1"})
+    schedule = Schedule((Threshold(-1.0), Threshold(-2.5), Threshold.full_past()))
+    assert sweep_csv(anytime_sweep(hmm4_net, q, schedule, stop_on_exact=False)) == (
+        "threshold,lower,upper,frontier_size,interior_size,exactness\n"
+        "-1,0.100000000,0.900000000,1,1,not_exact\n"
+        "-2.5,0.346153846,0.878378378,1,4,not_exact\n"
+        "-inf,0.835403727,0.835403727,0,6,full_past\n"
+    )
 
 
 def test_hmm_materialized_depth_counts():

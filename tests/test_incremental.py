@@ -109,22 +109,28 @@ def test_lazy_cpt_rows_not_matching_parents_are_rejected(run):
     assert "cpt-shape" in _rules(exc)
 
 
+_THREE = ((0.8, 0.1, 0.1), (0.1, 0.8, 0.1))
+
+
 @RUNS
 @pytest.mark.parametrize(
-    "change, rule",
+    "change, rule, words",
     [
-        ({"parents": ("x_t-2", "x_t-2"), "cpt": ((0.9, 0.1), (0.1, 0.9)) * 2}, "duplicate-parent"),
-        ({"states": ("0", "0")}, "duplicate-state"),
-        ({"pl": float("nan")}, "pl-not-finite"),
+        ({"parents": ("x_t-2", "x_t-2"), "cpt": ((0.9, 0.1), (0.1, 0.9)) * 2}, "duplicate-parent", "repeats a parent name"),
+        ({"parents": ("x_t-2", "x_t-3", "x_t-2"), "cpt": ((0.9, 0.1), (0.1, 0.9)) * 4}, "duplicate-parent", "repeats a parent name"),
+        ({"states": ("0", "0")}, "duplicate-state", "repeats a state label"),
+        ({"states": ("0", "1", "0"), "cpt": _THREE}, "duplicate-state", "repeats a state label"),
+        ({"states": ("0", "0", "1"), "cpt": _THREE}, "duplicate-state", "repeats a state label"),
+        ({"pl": float("nan")}, "pl-not-finite", "has pl=nan"),
     ],
-    ids=["duplicate-parent", "duplicate-state", "pl-not-finite"],
+    ids=["duplicate-parent", "three-parents-one-repeat", "duplicate-state", "states-010", "states-001", "pl-not-finite"],
 )
-def test_lazy_node_breaking_a_rule_of_its_own_is_rejected(run, change, rule):
+def test_lazy_node_breaking_a_rule_of_its_own_is_rejected(run, change, rule, words):
     # x_t-1 (pl -3) is interior at the deepest threshold; a sweep meets it first on the frontier
     lazy = _tweaked(**{"x_t-1": change})
     with pytest.raises(InvalidNetworkError) as exc:
         run(lazy, hmm_query(HMM), DEEP)
-    assert _rules(exc) == {rule}
+    assert [(v.rule, v.message) for v in exc.value.violations] == [(rule, f"node 'x_t-1' {words}")]
 
 
 @RUNS
@@ -504,6 +510,28 @@ def test_bucket_minimum_on_both_sides_of_the_small_table_size(cells, case):
     else:
         assert scale == 0.0
         np.testing.assert_array_equal(table, want)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_bucket_output_axes_are_the_other_axes_in_first_seen_order(seed):
+    # the loop that numbers a group's axes for einsum also lists the output
+    # axes; they must be every axis but h in the order first seen, or keep
+    # when nothing is summed out
+    rng = np.random.default_rng(seed)
+    sizes = {a: int(rng.integers(1, 4)) for a in "abcdef"}
+    group = []
+    for _ in range(int(rng.integers(1, 5))):
+        axes = tuple(str(a) for a in rng.permutation(list(sizes))[: int(rng.integers(1, 4))])
+        group.append((axes, rng.uniform(0.5, 1.0, [sizes[a] for a in axes])))
+    seen = tuple(dict.fromkeys(a for axes, _ in group for a in axes))
+    h = None if seed % 3 == 0 else seen[int(rng.integers(len(seen)))]
+    keep = tuple(rng.permutation(seen).tolist()) if h is None else ()
+    want = keep if h is None else tuple(a for a in seen if a != h)
+    (axes, table), scale = infer._bucket(group, h, keep, False)
+    assert axes == want and scale == 0.0
+    letters = {a: chr(ord("a") + i) for i, a in enumerate(seen)}
+    spec = ",".join("".join(letters[a] for a in ax) for ax, _ in group) + "->" + "".join(letters[a] for a in want)
+    np.testing.assert_allclose(table, np.einsum(spec, *(t for _, t in group)), rtol=1e-12)
 
 
 def _with_zeros(net, rng):

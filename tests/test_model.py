@@ -354,15 +354,19 @@ _NAN, _INF = math.nan, math.inf
 _RANGE = ("cpt-entry-range", "node 'a' row 0 leaves [0, 1]")
 
 
+_STATES = ("duplicate-state", "node 'a' repeats a state label")
+_PARENTS = ("duplicate-parent", "node 'a' repeats a parent name")
+
+
 @pytest.mark.parametrize(
-    "states, row, report",
+    "states, row, report, parents",
     [
-        (("0", "1"), (_NAN, 0.5), [_RANGE]),
-        (("0", "1"), (0.5, _NAN), [_RANGE]),
-        (("0", "1"), (_INF, 0.0), [_RANGE, ("cpt-row-sum", "node 'a' row 0 sums to inf, expected 1")]),
-        (("0", "1"), (_INF, -_INF), [_RANGE]),
-        (("0", "1"), (-0.0, 1.0), []),
-        (("0", "1"), (1.0, 0.0), []),
+        (("0", "1"), (_NAN, 0.5), [_RANGE], ()),
+        (("0", "1"), (0.5, _NAN), [_RANGE], ()),
+        (("0", "1"), (_INF, 0.0), [_RANGE, ("cpt-row-sum", "node 'a' row 0 sums to inf, expected 1")], ()),
+        (("0", "1"), (_INF, -_INF), [_RANGE], ()),
+        (("0", "1"), (-0.0, 1.0), [], ()),
+        (("0", "1"), (1.0, 0.0), [], ()),
         (
             (),
             (),
@@ -370,14 +374,40 @@ _RANGE = ("cpt-entry-range", "node 'a' row 0 leaves [0, 1]")
                 ("state-count", "node 'a' needs at least 2 states"),
                 ("cpt-row-sum", "node 'a' row 0 sums to 0, expected 1"),
             ],
+            (),
         ),
+        # two labels are compared directly, more are counted through a set
+        (("0", "0"), (0.5, 0.5), [_STATES], ()),
+        (("0", "1", "0"), (0.5, 0.25, 0.25), [_STATES], ()),
+        (("0", "0", "1"), (0.5, 0.25, 0.25), [_STATES], ()),
+        (("0",), (1.0,), [("state-count", "node 'a' needs at least 2 states")], ()),
+        # a parent list shorter than 2 cannot repeat, a longer one is counted through a set
+        (("0", "1"), (0.5, 0.5), [], ("p",)),
+        (("0", "1"), (0.5, 0.5), [_PARENTS], ("p", "q", "p")),
+        (("0", "0"), (0.5, 0.5), [_STATES, _PARENTS], ("p", "p")),
     ],
-    ids=["nan-first", "nan-last", "inf", "inf-minus-inf", "minus-zero", "exact-one", "empty"],
+    ids=[
+        "nan-first",
+        "nan-last",
+        "inf",
+        "inf-minus-inf",
+        "minus-zero",
+        "exact-one",
+        "empty",
+        "states-00",
+        "states-010",
+        "states-001",
+        "one-state",
+        "one-parent",
+        "three-parents-one-repeat",
+        "both-repeat",
+    ],
 )
-def test_cpt_row_checks_report_each_rule_once_in_order(states, row, report):
+def test_cpt_row_checks_report_each_rule_once_in_order(states, row, report, parents):
     # a NaN is out of range wherever it sits; its row sum is NaN, which no tolerance rejects
-    spec = NodeSpec("a", states, (), (row,), 0.0)
-    assert [(v.rule, v.message) for v in validate(make_net(0.0, False, spec))] == report
+    roots = [NodeSpec(p, ("0", "1"), (), ((0.5, 0.5),), 0.0) for p in dict.fromkeys(parents)]
+    spec = NodeSpec("a", states, parents, (row,) * 2 ** len(parents), 1.0 if parents else 0.0)
+    assert [(v.rule, v.message) for v in validate(make_net(0.0, False, *roots, spec))] == report
     lazy = LazyNetwork({"a": spec}.__getitem__, 0.0)
     if not report:
         assert lazy.resolve("a") is spec

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_net
+from conftest import kchain, make_net
 from plif import (
     HmmParams,
     NoStartNodesError,
@@ -20,7 +20,7 @@ from plif import (
     validate,
 )
 from plif.gen import random_query
-from plif.retrieval import _ancestors
+from plif.retrieval import Walk, _ancestors
 
 
 def test_ancestors_of_chain_target(chain_net):
@@ -165,6 +165,27 @@ def test_root_set_on_lazy_matches_hand_fragment():
     assert rs.interior.keys() == {"x_t+1", "x_t", "x_t-1", "y_t", "y_t-1"}
     assert rs.evidence_plus.keys() == {"y_t", "y_t-1"}
     assert rs.evidence_minus == frozenset(f"y_t-{j}" for j in range(2, 10))
+
+
+@pytest.mark.parametrize("case", ["kchain", *(f"corpus-{s}" for s in range(40))])
+def test_a_walk_lists_its_query_nodes_by_level_then_name(case):
+    # a walk sorts the (pl, name) pairs it collects while resolving the
+    # query; that must equal sorting the names by a key that looks each
+    # spec up again, through ties on pl (8 per step on the k-chain, roots
+    # at t0 in the corpus recipe)
+    if case == "kchain":
+        net, query = kchain(k=8, window=4)
+    else:
+        s = int(case.split("-")[1])
+        net = random_network(RandomNetSpec(seed=s, node_count=3 + s % 10, state_count=2 + s % 2))
+        query = random_query(net, s + 1_000_000)
+    walk = Walk(net, query)
+    spec = net.resolve
+    assert walk.pending == sorted(query.names, key=lambda n: (spec(n).pl, n))
+    assert walk.critical == min((spec(n).pl, n) for n in query.objective)[::-1]
+    if case == "kchain":
+        pls = [spec(n).pl for n in walk.pending]
+        assert max(map(pls.count, pls)) == 8
 
 
 def _threshold_values(net, query):

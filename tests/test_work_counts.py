@@ -10,7 +10,9 @@ in a number affine in its window. Nodes are
 counted, not arrays built: a walk builds one array per distinct CPT
 (``Walk.factors``), so a lazy chain's nodes share two at any depth.
 Layout is checked, not timed: a chain step leaves its clamp table
-C-contiguous over its scan axes, which every later op reads.
+C-contiguous over its scan axes, which every later op reads. A resolver
+that records the names it is asked for shows that a walk, one threshold's
+or a whole sweep's, resolves each node of the chain once.
 """
 
 import math
@@ -21,6 +23,7 @@ import pytest
 import plif.infer as infer
 from plif import (
     HmmParams,
+    LazyNetwork,
     RandomNetSpec,
     Threshold,
     anytime_sweep,
@@ -53,7 +56,8 @@ class _Count:
             return bucket(*args)
 
         def counting_contract(walk, specs, scan, prior):
-            names = list(specs)
+            specs = list(specs)  # the contraction reads its specs once, so they are kept for it
+            names = [s.name for s in specs]
             if all(n in walk.interior for n in names):
                 kind = "band"
                 again = self.done.intersection(names)
@@ -198,3 +202,35 @@ def test_a_chain_step_leaves_its_clamp_table_c_contiguous_in_scan_order(monkeypa
     monkeypatch.setattr(infer, "frontier_clamp_table", recording)
     list(anytime_sweep(lazy, q, max_steps=12, stop_on_exact=False))
     assert layouts == [(True, True, True)] * 12
+
+
+def _counted(lazy):
+    """``lazy`` behind a resolver that records every name it is asked for."""
+    names = []
+
+    def resolver(name):
+        names.append(name)
+        return lazy.resolver(name)
+
+    return LazyNetwork(resolver, lazy.t0, lazy.open_past), names
+
+
+@pytest.mark.parametrize("w", [10, 100, 1000])
+def test_one_threshold_resolves_each_node_once(w):
+    # at -w the walk resolves the w observations, x_t+1 down to x_t-(w-2)
+    # and its one frontier node x_t-(w-1): 2w + 1 nodes, each once
+    p = HmmParams(window=w)
+    lazy, names = _counted(hmm_model(p))
+    bounds_at(lazy, hmm_query(p), Threshold(-float(w)))
+    assert len(names) == len(set(names)) == 2 * w + 1
+
+
+@pytest.mark.parametrize("d", [10, 120])
+def test_a_chain_sweep_resolves_each_node_once(d):
+    # depth = window = d: the sweep's one walk resolves the same 2d + 1
+    # nodes as one threshold at -d
+    p = HmmParams(window=d)
+    lazy, names = _counted(hmm_model(p))
+    rows = list(anytime_sweep(lazy, hmm_query(p), max_steps=d, stop_on_exact=False))
+    assert len(rows) == d
+    assert len(names) == len(set(names)) == 2 * d + 1
