@@ -21,6 +21,7 @@ joint frontier clamps per threshold (infer.MAX_CLAMPS) in every bounds_at.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -98,9 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hmm", action="store_true", help="run the built-in unbounded chain experiment")
     _add_query_flags(p, required=False)
     p.add_argument("--depth", type=int, default=10, help="number of thresholds (default 10)")
-    p.add_argument("--window", type=int, help="observation window for --hmm (default 10)")
-    p.add_argument("--stay", type=float, help="hidden-state stay probability for --hmm (default 0.9)")
-    p.add_argument("--emit", type=float, help="observation match probability for --hmm (default 0.8)")
+    # the chain flags are stored under the HmmParams fields they set; the record holds their defaults
+    hmm = HmmParams()
+    p.add_argument("--window", type=int, help=f"observation window for --hmm (default {hmm.window})")
+    p.add_argument("--stay", type=float, dest="transition_stay", metavar="STAY",
+                   help=f"hidden-state stay probability for --hmm (default {hmm.transition_stay})")
+    p.add_argument("--emit", type=float, dest="emission_true", metavar="EMIT",
+                   help=f"observation match probability for --hmm (default {hmm.emission_true})")
     p.add_argument("--full-sweep", action="store_true", help="do not stop early on an exact result")
     p.add_argument("--format", choices=("human", "csv"), default="human")
     p.set_defaults(func=_cmd_sweep)
@@ -114,18 +119,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-random", help="emit a seeded random network document")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--nodes", type=int, default=10)
-    p.add_argument("--max-parents", type=int, default=3)
-    p.add_argument("--states", type=int, default=3, choices=(2, 3))
-    p.add_argument("--cpt-floor", type=float, default=0.05)
+    p.add_argument("--nodes", type=int, dest="node_count", metavar="NODES")
+    p.add_argument("--max-parents", type=int)
+    p.add_argument("--states", type=int, dest="state_count", choices=(2, 3))
+    p.add_argument("--cpt-floor", type=float)
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_gen_random)
 
     p = sub.add_parser("gen-hmm", help="emit a materialized fragment of the unbounded chain")
     p.add_argument("--depth", type=int, default=10, help="retrieval floor is -depth; at least 1")
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--stay", type=float, default=0.9)
-    p.add_argument("--emit", type=float, default=0.8)
+    p.add_argument("--window", type=int)
+    p.add_argument("--stay", type=float, dest="transition_stay", metavar="STAY")
+    p.add_argument("--emit", type=float, dest="emission_true", metavar="EMIT")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_gen_hmm)
 
@@ -184,59 +189,38 @@ def _cmd_query(args) -> int:
     if args.dump_submodel:
         _write_doc(serialize(walk.fragment()), args.dump_submodel)
     if args.exact:
-        _emit_exact(qb.lower, args.format)
+        record = {"exact": qb.lower}
     else:
-        _emit_bounds(qb, args.format)
+        # the bracket's fields in declaration order, the threshold and exactness as text
+        record = {f.name: getattr(qb, f.name) for f in dataclasses.fields(qb)}
+        record.update(threshold=format_threshold(qb.threshold), exactness=qb.exactness.value)
+    _emit_record(record, args.format)
     return 0
 
 
-def _emit_exact(value: float, fmt: str) -> None:
+def _emit_record(record: dict, fmt: str) -> None:
+    """Print one query record. JSON prints its fields as they are; the
+    human ``key=value`` lines and CSV (a header, then one row) leave out
+    the threshold and print floats at 9 decimals."""
+    if fmt == "json":
+        print(json.dumps(record))
+        return
+    shown = {k: f"{v:.9f}" if isinstance(v, float) else str(v) for k, v in record.items() if k != "threshold"}
     if fmt == "human":
-        print(f"exact={value:.9f}")
-    elif fmt == "csv":
-        print("exact")
-        print(f"{value:.9f}")
+        print("\n".join(f"{k}={v}" for k, v in shown.items()))
     else:
-        print(json.dumps({"exact": value}))
-
-
-def _emit_bounds(qb: QueryBounds, fmt: str) -> None:
-    if fmt == "human":
-        print(f"lower={qb.lower:.9f}")
-        print(f"upper={qb.upper:.9f}")
-        print(f"exactness={qb.exactness.value}")
-        print(f"frontier_size={qb.frontier_size}")
-        print(f"interior_size={qb.interior_size}")
-    elif fmt == "csv":
-        print("lower,upper,exactness,frontier_size,interior_size")
-        print(
-            f"{qb.lower:.9f},{qb.upper:.9f},{qb.exactness.value},"
-            f"{qb.frontier_size},{qb.interior_size}"
-        )
-    else:
-        print(
-            json.dumps(
-                {
-                    "threshold": format_threshold(qb.threshold),
-                    "lower": qb.lower,
-                    "upper": qb.upper,
-                    "exactness": qb.exactness.value,
-                    "frontier_size": qb.frontier_size,
-                    "interior_size": qb.interior_size,
-                }
-            )
-        )
+        print(",".join(shown))
+        print(",".join(shown.values()))
 
 
 def _cmd_sweep(args) -> int:
-    chain = {"--window": args.window, "--stay": args.stay, "--emit": args.emit}
+    chain = {"--window": args.window, "--stay": args.transition_stay, "--emit": args.emission_true}
     unused = {"network path": args.path, "--target": args.target, "--obs": args.obs} if args.hmm else chain
     for flag, value in unused.items():
         if value is not None:
             raise QueryError(f"sweep takes no {flag} {'with' if args.hmm else 'without'} --hmm")
     if args.hmm:
-        given = zip(("window", "transition_stay", "emission_true"), chain.values())
-        params = HmmParams(**{k: v for k, v in given if v is not None})
+        params = _given(HmmParams, args)
     else:
         if args.path is None:
             raise QueryError("sweep needs a network path or --hmm")
@@ -281,20 +265,21 @@ def _cmd_dsep(args) -> int:
     return 0 if separated else 6
 
 
+def _given(record: type, args):
+    """A generator ``record`` built from only the flags that were given:
+    each flag is stored under the field it sets, and the record alone
+    holds the default of every other field."""
+    given = ((f.name, getattr(args, f.name, None)) for f in dataclasses.fields(record))
+    return record(**{name: value for name, value in given if value is not None})
+
+
 def _cmd_gen_random(args) -> int:
-    spec = RandomNetSpec(
-        seed=args.seed,
-        node_count=args.nodes,
-        max_parents=args.max_parents,
-        state_count=args.states,
-        cpt_floor=args.cpt_floor,
-    )
-    _write_doc(serialize(random_network(spec)), args.out)
+    _write_doc(serialize(random_network(_given(RandomNetSpec, args))), args.out)
     return 0
 
 
 def _cmd_gen_hmm(args) -> int:
-    params = HmmParams(transition_stay=args.stay, emission_true=args.emit, window=args.window)
+    params = _given(HmmParams, args)
     if args.depth < 1:
         raise QueryError(f"--depth must be at least 1, got {args.depth}")
     _write_doc(serialize(materialize(hmm_model(params), hmm_query(params), -args.depth)), args.out)

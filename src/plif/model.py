@@ -242,10 +242,7 @@ def node_violations(spec: NodeSpec, parents: Sequence[NodeSpec] | None, t0: floa
                     )
                 )
         return out
-    cpt, root = spec.cpt, not spec.parents
-    if spec.pl >= t0 and (not root or (open_past if cpt is None else len(cpt) == 1 and (open_past or spec.pl == t0))):
-        return []
-    out = []
+    cpt, root, out = spec.cpt, not spec.parents, []
     if root and cpt is None and not open_past:
         out.append(Violation("cpt-missing", f"closed-past node {spec.name!r} has no prior (stub)"))
     if root and cpt is not None and len(cpt) != 1:
@@ -300,25 +297,26 @@ def load_network(text: str | bytes | bytearray) -> Network:
     """Parse and validate a network document.
 
     ``text`` is a ``str``, or ``bytes`` / ``bytearray`` in the UTF-8,
-    UTF-16 or UTF-32 that :func:`json.loads` detects; a ``str`` that
-    starts with a byte order mark is refused, as :func:`json.loads`
-    refuses it. Every other ``str`` goes through one decoder, built at
-    import: it holds only its two number hooks and keeps nothing between
-    calls, so it is safe to share across calls and threads.
+    UTF-16 or UTF-32 that :func:`json.detect_encoding` detects. Every
+    input goes through one decoder, built at import: it holds only its
+    two number hooks and keeps nothing between calls, so it is safe to
+    share across calls and threads. A ``str`` that starts with a byte
+    order mark is refused in the words of :func:`json.loads`.
     The parser checks only shape: every JSON number reads as a float (one
     too large reads as ``inf``), and :func:`validate` alone judges values.
-    Raises :class:`NetworkFormatError` on any other type and on malformed
-    syntax or shape, and :class:`InvalidNetworkError` (carrying the full
-    report) when the parsed network breaks an invariant.
+    Raises :class:`NetworkFormatError` on any other type, on bytes that do
+    not decode and on malformed syntax or shape, and :class:`InvalidNetworkError`
+    (carrying the full report) when the parsed network breaks an invariant.
     """
     try:
-        if isinstance(text, str) and not text.startswith("\ufeff"):
-            doc = _DECODER.decode(text)
-        elif isinstance(text, (str, bytes, bytearray)):  # json.loads decodes bytes and words the BOM error
-            doc = json.loads(text, parse_int=_parse_int, parse_constant=_reject_constant)
-        else:
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
+        elif not isinstance(text, str):
             raise NetworkFormatError(f"a network document must be str, bytes or bytearray, not {type(text).__name__}")
-    except (json.JSONDecodeError, RecursionError) as exc:
+        elif text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise NetworkFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise NetworkFormatError("top level must be a JSON object")

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end checks of the plif command: the README reproduction, a
-# 10,000-step chain sweep, four byte-for-byte or structural checks on
-# generated networks, and the exit codes of malformed documents, of a
+# 10,000-step chain sweep, six byte-for-byte or structural checks on
+# generated networks (two of them that a generator flag left out is its
+# record's default), and the exit codes of malformed documents, of a
 # threshold above the critical level, of zero-probability evidence and of
 # the PLIF_MAX_FRONTIER cap, also where a sweep meets the cap after a
 # row, and of a sweep whose reader closes the pipe early. It runs whichever `plif` and `python` come first on PATH, so it
@@ -43,6 +44,15 @@ plif sweep "$d/fragment.json" --target x_t+1=1 "${obs[@]}" --depth 40 --full-swe
 plif sweep --hmm --depth 40 --window 40 --format csv > "$d/lazy.csv"
 cmp "$d/fragment.csv" "$d/lazy.csv"
 echo "fragment sweep check: $(($(wc -l < "$d/lazy.csv") - 1)) rows, byte-identical to the lazy chain sweep"
+
+echo "== a generator flag left out is its record's default"
+plif gen-hmm --depth 3 > "$d/hmm-bare.json"
+plif gen-hmm --depth 3 --window 10 --stay 0.9 --emit 0.8 > "$d/hmm-spelled.json"
+cmp "$d/hmm-bare.json" "$d/hmm-spelled.json"
+plif gen-random --seed 7 > "$d/random-bare.json"
+plif gen-random --seed 7 --nodes 10 --max-parents 3 --states 3 --cpt-floor 0.05 > "$d/random-spelled.json"
+cmp "$d/random-bare.json" "$d/random-spelled.json"
+echo "default check: gen-hmm --depth 3 and gen-random --seed 7 byte-identical with their defaults spelled out"
 
 plif gen-random --seed 7 --nodes 10 --out "$d/random.json"
 flags=(--target n09=1 --obs n02=0)

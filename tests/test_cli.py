@@ -12,7 +12,7 @@ import plif
 import plif.cli
 import plif.errors as errors
 from conftest import TWO_NODE_DOC
-from plif import Query, load_network, materialize, serialize
+from plif import Query, RandomNetSpec, hmm_model, hmm_query, load_network, materialize, random_network, serialize
 from plif.model import Violation
 
 
@@ -216,6 +216,74 @@ def test_query_json_format_is_machine_readable(cli, chain_file):
     payload = json.loads(out)
     assert payload["exactness"] == "not_exact"
     assert 0.0 <= payload["lower"] <= payload["upper"] <= 1.0
+
+
+_GENERATED_QUERIES = {
+    "random": ("--target", "n09=1", "--obs", "n02=0"),
+    "fragment": ("--target", "x_t+1=1", "--obs", "y_t=1", "--obs", "y_t-1=1", "--obs", "y_t-2=1"),
+}
+_OPEN_PAST = (5, "", "error: the full-past threshold needs a closed past (roots with priors)\n")
+_BOUNDS_CSV_HEADER = "lower,upper,exactness,frontier_size,interior_size\n"
+
+# every query form in every format, byte for byte, on `gen-random --seed 7`
+# and on the fragment `gen-hmm --depth 5 --window 3`, whose open past has
+# no full-past bracket
+QUERY_OUTPUTS = {
+    ("random", "--threshold=5"): {
+        "human": "lower=0.234169390\nupper=0.626325655\nexactness=not_exact\nfrontier_size=1\ninterior_size=1\n",
+        "csv": _BOUNDS_CSV_HEADER + "0.234169390,0.626325655,not_exact,1,1\n",
+        "json": '{"threshold": "5", "lower": 0.23416938951046978, "upper": 0.6263256547246121, '
+        '"exactness": "not_exact", "frontier_size": 1, "interior_size": 1}\n',
+    },
+    ("random", "--at-pl-of=n04"): {
+        "human": "lower=0.379838249\nupper=0.443108337\nexactness=not_exact\nfrontier_size=1\ninterior_size=2\n",
+        "csv": _BOUNDS_CSV_HEADER + "0.379838249,0.443108337,not_exact,1,2\n",
+        "json": '{"threshold": "4", "lower": 0.3798382489877766, "upper": 0.4431083369120895, '
+        '"exactness": "not_exact", "frontier_size": 1, "interior_size": 2}\n',
+    },
+    ("random", "--exact"): {
+        "human": "exact=0.423515370\n",
+        "csv": "exact\n0.423515370\n",
+        "json": '{"exact": 0.42351536966945597}\n',
+    },
+    ("random", "--threshold=-inf"): {
+        "human": "lower=0.423515370\nupper=0.423515370\nexactness=full_past\nfrontier_size=0\ninterior_size=5\n",
+        "csv": _BOUNDS_CSV_HEADER + "0.423515370,0.423515370,full_past,0,5\n",
+        "json": '{"threshold": "-inf", "lower": 0.42351536966945597, "upper": 0.42351536966945597, '
+        '"exactness": "full_past", "frontier_size": 0, "interior_size": 5}\n',
+    },
+    ("fragment", "--threshold=-3"): {
+        "human": "lower=0.643396226\nupper=0.873234201\nexactness=not_exact\nfrontier_size=1\ninterior_size=5\n",
+        "csv": _BOUNDS_CSV_HEADER + "0.643396226,0.873234201,not_exact,1,5\n",
+        "json": '{"threshold": "-3", "lower": 0.6433962264150944, "upper": 0.8732342007434944, '
+        '"exactness": "not_exact", "frontier_size": 1, "interior_size": 5}\n',
+    },
+    ("fragment", "--at-pl-of=y_t-1"): {
+        "human": "lower=0.346153846\nupper=0.878378378\nexactness=not_exact\nfrontier_size=1\ninterior_size=4\n",
+        "csv": _BOUNDS_CSV_HEADER + "0.346153846,0.878378378,not_exact,1,4\n",
+        "json": '{"threshold": "-2.5", "lower": 0.34615384615384615, "upper": 0.8783783783783785, '
+        '"exactness": "not_exact", "frontier_size": 1, "interior_size": 4}\n',
+    },
+    ("fragment", "--exact"): _OPEN_PAST,
+    ("fragment", "--threshold=-inf"): _OPEN_PAST,
+}
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    d = tmp_path_factory.mktemp("generated")
+    assert plif.cli.main(["gen-random", "--seed", "7", "--out", str(d / "random.json")]) == 0
+    assert plif.cli.main(["gen-hmm", "--depth", "5", "--window", "3", "--out", str(d / "fragment.json")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+@pytest.mark.parametrize("net, mode", QUERY_OUTPUTS)
+def test_every_query_form_prints_its_pinned_bytes(cli, generated, net, mode, fmt):
+    expected = QUERY_OUTPUTS[net, mode]
+    if isinstance(expected, dict):
+        expected = (0, expected[fmt], "")
+    assert cli("query", str(generated / f"{net}.json"), *_GENERATED_QUERIES[net], mode, "--format", fmt) == expected
 
 
 def test_query_dump_submodel(cli, chain_file, tmp_path):
@@ -526,6 +594,35 @@ def test_gen_random_emits_loadable_deterministic_document(cli):
     net = load_network(out1)
     assert len(net) == 6
 
+
+_HMM_DEFAULTS = ("--window", "10", "--stay", "0.9", "--emit", "0.8")
+
+
+@pytest.mark.parametrize(
+    "bare, spelled, document",
+    [
+        (
+            ("gen-hmm",),
+            ("gen-hmm", "--depth", "10", *_HMM_DEFAULTS),
+            lambda: materialize(hmm_model(), hmm_query(), -10),
+        ),
+        (
+            ("gen-hmm", "--depth", "3"),
+            ("gen-hmm", "--depth", "3", *_HMM_DEFAULTS),
+            lambda: materialize(hmm_model(), hmm_query(), -3),
+        ),
+        (
+            ("gen-random", "--seed", "7"),
+            ("gen-random", "--seed", "7", "--nodes", "10", "--max-parents", "3", "--states", "3", "--cpt-floor", "0.05"),
+            lambda: random_network(RandomNetSpec(seed=7)),
+        ),
+    ],
+    ids=["gen-hmm", "gen-hmm-depth-3", "gen-random-seed-7"],
+)
+def test_a_generator_without_flags_prints_the_bytes_of_its_records_defaults(cli, bare, spelled, document):
+    # the records hold the defaults: a flag left out is the record's own default
+    out = cli(*bare)
+    assert out == cli(*spelled) == (0, serialize(document()) + "\n", "")
 
 @pytest.mark.parametrize(
     "args",

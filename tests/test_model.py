@@ -194,6 +194,19 @@ SHAPE_ERRORS = {
     },
     "not-json": ('{"t0": ', "not valid JSON: Expecting value: line 1 column 8 (char 7)"),
     "utf8-bom": ("\ufeff" + _INT_DOC, "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    # bytes that do not decode in the encoding json.detect_encoding picks
+    "bytes-bad-utf8": (
+        b'{"t0": "\xff"}',
+        "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte",
+    ),
+    "bytes-truncated-utf16": (
+        b"\xff\xfe\x00",
+        "not valid JSON: 'utf-16-le' codec can't decode byte 0x00 in position 2: truncated data",
+    ),
+    "bytearray-bad-utf8": (
+        bytearray(b"\x80abc"),
+        "not valid JSON: 'utf-8' codec can't decode byte 0x80 in position 0: invalid start byte",
+    ),
     **{
         f"input-{kind}": (bad, f"a network document must be str, bytes or bytearray, not {kind}")
         for kind, bad in (("NoneType", None), ("dict", {}), ("int", 1))
