@@ -8,11 +8,16 @@ decreasing potential level, which puts every node's children before
 it, and builds each CPT only when it reaches the node, so only the cut
 is live. Nodes that share a CPT share its array within one walk, and a
 summed-out node's own CPT goes straight into its own bucket. Each
-bucket is one einsum call, and a lone factor left at the end, which
-only needs its axes reordered, is transposed without one into C order
-in scan order, copied only when the transpose is strided, so later ops
-read a chain step's table contiguously. Where a bucket cannot certify a
-cell, the whole contraction is redone in logs (:func:`_bucket`). One size
+bucket is one einsum call, save in a long run: buckets in a row that
+each pass one message through a single-parent CPT multiply it by a
+product of small step matrices, so from the :data:`_RUN_MIN`-th on they
+are deferred and multiplied pairwise, in about log2 of their number
+matmul calls (:class:`_Run`). A lone factor left at the end, which only
+needs its axes reordered, is transposed without one into C order in
+scan order, copied only when the transpose is strided, so later ops
+read a chain step's table contiguously. Where a bucket or a product
+cannot certify a cell, the whole contraction is redone in logs, bucket
+by bucket (:func:`_bucket`). One size
 rule holds for every reduction: at most :data:`_SMALL` cells are read as
 Python floats, equal to numpy's reductions and cheaper there (a bucket's
 minimum and peak, the normalizer minimum, the scan). Nothing else is
@@ -120,6 +125,8 @@ _Factor = tuple[_Axes, np.ndarray]
 #: the last axis of every clamp table: 0 is the numerator, 1 the normalizer
 #: (an object, so that no node name can collide with it)
 _NUM_DEN = object()
+#: the table of the placeholder that stands for a deferred run's message
+_MESSAGE = object()
 #: a linear contraction divides by its peak once the peak falls below this;
 #: no cell exceeds 1, since every variable summed out brings its own CPT
 _TINY = 2.0**-64
@@ -129,10 +136,14 @@ _FLOOR = 2.0**-900
 _SMALL = 8
 #: numpy 1.x einsum takes at most 31 operands (numpy 2 takes 63)
 _EINSUM_MAX = 31
+#: a run's steps from this one on are deferred (:class:`_Run`), so a shorter
+#: run stays bucket by bucket: the measured crossover below which buckets
+#: beat a pairwise product
+_RUN_MIN = 16
 
 
 class _NeedsLog(Exception):
-    """A linear bucket cannot certify one of its cells."""
+    """A linear bucket or product cannot certify one of its cells."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,7 +224,10 @@ def _bucket(group: Sequence[_Factor], h: str | None, keep: _Axes, log: bool) -> 
     error of at most ``|h|``·2^-122. A cell below _FLOOR must
     be an exact zero, as the einsum of the factors' 0/1 masks shows; if
     not, or past numpy 1.x einsum's 31 operands, :class:`_NeedsLog` is
-    raised."""
+    raised. So is each level of a run's pairwise product (:class:`_Run`),
+    whose factors have peak 1: no cell exceeds ``S``, so a cell of at
+    least _FLOOR has lost at most ``S`` terms; the product then meets the
+    run's first message here."""
     ids: dict = {}
     operands: list = []
     out_axes, out_ids = [], []
@@ -282,9 +296,10 @@ def _contract(walk: Walk, specs: Iterable[NodeSpec], scan: _Axes, prior: _Table 
     takes. A summed-out node's own CPT joins its bucket last, and every
     other factor waits in the bucket of its first variable summed out,
     so only the cut is live.
-    The elimination runs linearly first, with one einsum per bucket and
-    one scalar scale, which starts at ``prior``'s one scale or at the
-    maximum of its per-clamp scales; where a bucket cannot certify a
+    The elimination runs linearly first, with one einsum per bucket save
+    in a long run of single-parent buckets (:class:`_Run`), and one
+    scalar scale, which starts at ``prior``'s one scale or at the maximum
+    of its per-clamp scales; where a bucket or a product cannot certify a
     cell (:func:`_bucket`), or ``prior``'s clamps span more than _FLOOR
     below it, the whole call is redone in logs. A ``prior`` whose every
     normalizer is zero stays all zero.
@@ -311,6 +326,80 @@ def _first(axes: _Axes, rank: Mapping[str, int]) -> str | None:
     return h
 
 
+def _run_step(group: Sequence[_Factor], h: str, rank: Mapping[str, int]) -> _Axes | None:
+    """The axes of the message ``h``'s bucket ``group`` leaves if it is a run
+    step, else None: one message over ``h`` and axes no bucket here sums,
+    factors over ``(h,)`` alone, and last ``h``'s CPT over ``(p, h)``, ``p``
+    not in the message (every factor of the group holds ``h``)."""
+    wide = [axes for axes, _ in group if len(axes) > 1]
+    if len(wide) != 2 or len(group[-1][0]) != 2:
+        return None
+    msg, (p, _) = wide
+    out = list(msg)
+    out.remove(h)
+    return None if p in out or not rank.keys().isdisjoint(out) else (*out, p)
+
+
+class _Run:
+    """The deferred steps of a long run: its first message, then for each
+    step the number of its list of tables, of which ``tables`` keeps one
+    group each. Its message waits as a placeholder until :meth:`close`."""
+
+    def __init__(self, group: Sequence[_Factor]):
+        self.message = next(f for f in group if len(f[0]) > 1)
+        self.h0, self.size = group[-1][0][1], group[-1][1].shape
+        self.tables: dict = {}
+        self.index: list[int] = []
+        # room for a stack under MAX_JOINT_CELLS, of (S, S) steps with S^2 at
+        # most the message's cells, so no more multiplications than buckets
+        s = self.size[0]
+        self.room = MAX_JOINT_CELLS // (s * s) if self.size == (s, s) and s * s <= self.message[1].size else 0
+
+    def take(self, group: Sequence[_Factor]) -> bool:
+        """Add ``group``'s step if the run has room for it and its CPT has
+        the first one's shape; return whether it did."""
+        if group[-1][1].shape != self.size or len(self.index) >= self.room:
+            return False
+        self.index.append(self.tables.setdefault(tuple([id(t) for _, t in group]), (len(self.tables), group))[0])
+        self.p = group[-1][0][0]
+        return True
+
+    def close(self, home: list, keep: _Axes) -> float:
+        """Put the run's message for its placeholder in ``home`` and return
+        the log of the scalar it was divided by: the first message times
+        the product of the steps ``A[h, p] = CPT(p, h) · unaries(h)``,
+        built once per distinct list of tables and multiplied pairwise, a
+        level at a time, each product divided by its own peak and
+        certified as in :func:`_bucket`."""
+        groups = [group for _, group in self.tables.values()]
+
+        def steps(dtype: type) -> np.ndarray:  # as bool, their 0/1 masks
+            mats = []
+            for group in groups:
+                units = [np.asarray(t, dtype)[:, None] for axes, t in group[:-1] if len(axes) == 1]
+                mats.append(math.prod(units, start=np.asarray(group[-1][1], dtype).T))
+            return np.array(mats)[self.index]
+
+        def pairs(stack: np.ndarray) -> np.ndarray:  # an odd last matrix waits a level
+            return np.concatenate([np.matmul(stack[0:-1:2], stack[1::2]), stack[len(stack) - len(stack) % 2 :]])
+
+        x, shift = steps(float), 0.0
+        # a product of positive steps is positive, so only a step below _FLOOR needs masks
+        masks = steps(bool) if np.minimum.reduce(x, axis=None) < _FLOOR else True
+        while True:
+            if ((x < _FLOOR) & masks).any():
+                raise _NeedsLog
+            peaks = np.maximum.reduce(x, axis=(1, 2), keepdims=True)
+            peaks[peaks == 0.0] = 1.0  # an all-zero product stays zero
+            x, shift = x / peaks, shift + float(np.log(peaks).sum())
+            if len(x) == 1:
+                break
+            x, masks = pairs(x), masks if masks is True else pairs(masks)
+        out, scale = _bucket([self.message, ((self.h0, self.p), x[0])], self.h0, keep, False)
+        home[[t is _MESSAGE for _, t in home].index(True)] = out
+        return shift + scale
+
+
 def _eliminate(walk: Walk, order: Sequence[NodeSpec], scan: _Axes, prior: _Table | Assignment, log: bool) -> _Table:
     """:func:`_contract`, in logs (``log``) or linearly, over the specs in
     elimination ``order``, which both passes share. Nothing is rebuilt
@@ -318,7 +407,12 @@ def _eliminate(walk: Walk, order: Sequence[NodeSpec], scan: _Axes, prior: _Table
     (:func:`_factor`) or the factors' shapes (:func:`_bucket`), and
     evidence indices from ``walk.evidence_index``. Each factor is placed
     where it is made, by :func:`_first`, in its bucket or in the rest; a
-    lone rest is transposed here, under a bucket's MAX_JOINT_CELLS cap."""
+    lone rest is transposed here, under a bucket's MAX_JOINT_CELLS cap.
+    Linearly, from the _RUN_MIN-th run step in a row (:func:`_run_step`)
+    on, each joins the deferred run and leaves a placeholder for its
+    message in its parent's bucket (or the rest), until the first bucket
+    that does not go on with the run, or the end, closes it. A shorter
+    run stays bucket by bucket, bit for bit."""
     start = not isinstance(prior, _Table)
     keep = (*scan, *prior) if start else (*scan, _NUM_DEN)
     nodes, clamps, memo = walk.specs, walk.evidence_index, walk.factors
@@ -343,16 +437,32 @@ def _eliminate(walk: Walk, order: Sequence[NodeSpec], scan: _Axes, prior: _Table
                 table = table * np.exp(prior.logscale - shift)[..., None]
         h = _first(prior.axes, rank)
         (rest if h is None else buckets.setdefault(h, [])).append(((*prior.axes, _NUM_DEN), table))
+    streak, run, home = 0, None, rest  # run steps in a row, the deferred run, its message's bucket
+    runs = not log and len(rank) >= _RUN_MIN  # else no run can reach _RUN_MIN steps
     for spec in order:
         factor = _factor(spec, nodes, clamps, log, memo)
         if spec.name in rank:
             # every parent comes later in the order, so a CPT joins its own bucket, last
             group = buckets.pop(spec.name, [])
             group.append(factor)
+            step = _run_step(group, spec.name, rank) if runs else None
+            if run is not None and not (step is not None and home is group and run.take(group)):
+                shift, run = shift + run.close(home, keep), None
+            if step is not None:
+                streak = streak + 1 if home is group else 1
+                home = buckets.setdefault(step[-1], []) if step[-1] in rank else rest
+                if run is None and streak >= _RUN_MIN:
+                    run = _Run(group)
+                    run = run if run.take(group) else None
+                if run is not None:  # the step is in the run
+                    home.append((step, _MESSAGE))
+                    continue
             factor, scale = _bucket(group, spec.name, keep, log)
             shift += scale
         h = _first(factor[0], rank)
         (rest if h is None else buckets.setdefault(h, [])).append(factor)
+    if run is not None:
+        shift += run.close(home, keep)
     if len(rest) == 1:  # a lone factor only needs its axes reordered
         axes, table = rest[0]
         if table.size > MAX_JOINT_CELLS:

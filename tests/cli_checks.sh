@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end checks of the plif command: the README reproduction, a
-# 10,000-step chain sweep, six byte-for-byte or structural checks on
+# 10,000-step chain sweep, a 400-step query of a chain fragment, whose
+# hidden nodes are reduced pairwise, six byte-for-byte or structural checks on
 # generated networks (two of them that a generator flag left out is its
 # record's default), and the exit codes of malformed documents, of a
 # threshold above the critical level, of zero-probability evidence and of
@@ -44,6 +45,20 @@ plif sweep "$d/fragment.json" --target x_t+1=1 "${obs[@]}" --depth 40 --full-swe
 plif sweep --hmm --depth 40 --window 40 --format csv > "$d/lazy.csv"
 cmp "$d/fragment.csv" "$d/lazy.csv"
 echo "fragment sweep check: $(($(wc -l < "$d/lazy.csv") - 1)) rows, byte-identical to the lazy chain sweep"
+
+echo "== a deep query of a materialized chain fragment matches bounds_at on the lazy chain"
+plif gen-hmm --depth 400 --window 400 --out "$d/fragment400.json"
+obs=(--obs "y_t=1")
+for k in $(seq 1 399); do obs+=(--obs "y_t-$k=1"); done
+plif query "$d/fragment400.json" --target x_t+1=1 "${obs[@]}" --threshold -400 --format csv | tail -n 1 | cut -d, -f1,2 > "$d/deep-query.txt"
+python -c '
+from plif import HmmParams, Threshold, bounds_at, hmm_model, hmm_query
+p = HmmParams(window=400)
+qb = bounds_at(hmm_model(p), hmm_query(p), Threshold(-400.0))
+print("%.9f,%.9f" % (qb.lower, qb.upper))
+' > "$d/deep-lazy.txt"
+cmp "$d/deep-query.txt" "$d/deep-lazy.txt"
+echo "deep query check: bracket $(cat "$d/deep-query.txt") at -400, the same as bounds_at on the lazy chain"
 
 echo "== a generator flag left out is its record's default"
 plif gen-hmm --depth 3 > "$d/hmm-bare.json"

@@ -10,6 +10,8 @@ the unbounded chain).
 from __future__ import annotations
 
 import itertools
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +152,32 @@ def hmm_clamp_filter(stay: float, emit: float, clamp: int, depth: int, window: i
             b = (1.0 - pi) * (1.0 - emit)
             pi = a / (a + b)
     return pi
+
+
+def decimal_clamp_filter(tables, clamp: int, depth: int, window: int, digits: int = 80) -> Decimal:
+    """:func:`hmm_clamp_filter` for any binary chain, in decimal arithmetic
+    at ``digits`` significant digits: the truth that float rows are
+    measured against. ``tables(k)`` gives the CPTs of the hidden node and
+    of the observation at offset ``k`` from t: ``trans[p][h]`` is P(hidden
+    state h | previous state p) and ``emit[h][y]`` P(observation y |
+    hidden state h); every observed step shows y = 1. Each CPT entry is
+    read as the exact value of its float. The forward vector is never
+    renormalized: decimal's exponent range holds it at any depth the
+    tests use, and the one division comes last."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        alpha = [Decimal(1 - clamp), Decimal(clamp)]
+        for j in range(2 - depth, 2):
+            trans, emit = tables(j)
+            alpha = [alpha[0] * Decimal(trans[0][h]) + alpha[1] * Decimal(trans[1][h]) for h in (0, 1)]
+            if 1 - window <= j <= 0:
+                alpha = [alpha[0] * Decimal(emit[0][1]), alpha[1] * Decimal(emit[1][1])]
+        return alpha[1] / (alpha[0] + alpha[1])
+
+
+def ulps(value: float, truth: Decimal) -> float:
+    """How far ``value`` is from ``truth``, in units of ``value``'s last place."""
+    return float(abs(Decimal(value) - truth)) / math.ulp(value)
 
 
 def ci_gap(net, names, joint, a: str, b: str, cond: list[str]) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -392,6 +393,99 @@ def test_bounds_long_window_matches_filter_oracle(window):
     hi = oracles.hmm_clamp_filter(0.9, 0.8, 1, window, window)
     assert qb.lower == pytest.approx(lo, abs=1e-9)
     assert qb.upper == pytest.approx(hi, abs=1e-9)
+
+
+_STAY, _EMIT = ((0.9, 1.0 - 0.9), (1.0 - 0.9, 0.9)), ((0.8, 1.0 - 0.8), (1.0 - 0.8, 0.8))
+
+
+def _paper_chain(k):
+    return _STAY, _EMIT
+
+
+@pytest.mark.parametrize("window", [400, 2500, 10_000])
+def test_one_deep_threshold_is_within_two_ulps_of_the_decimal_truth(window):
+    # the hidden chain is reduced pairwise, so each end rounds about
+    # log2(window) times: 1.38 ulp at most over 49 windows from 17 to
+    # 2,945; one step at a time it rounded window times, and ends sat 5
+    # to 24 ulp away from 400 steps on
+    p = HmmParams(window=window)
+    qb = bounds_at(hmm_model(p), hmm_query(p), Threshold(-float(window)))
+    lo, hi = sorted(oracles.decimal_clamp_filter(_paper_chain, c, window, window) for c in (0, 1))
+    assert lo - Decimal(infer.PROB_TOL) <= Decimal(qb.lower) <= qb.upper <= hi + Decimal(infer.PROB_TOL)
+    assert oracles.ulps(qb.lower, lo) <= 2.0 and oracles.ulps(qb.upper, hi) <= 2.0
+
+
+def _binary_chain(tables) -> LazyNetwork:
+    """hmm_model's chain with ``tables(k)``, the CPTs of the hidden node and
+    of the observation at offset ``k`` (each one shared tuple), as theirs."""
+    inner = hmm_model()
+
+    def resolve(name):
+        spec = inner.resolve(name)
+        trans, emit = tables(math.floor(spec.pl) + 2)  # x_t+k sits at pl k - 2, y_t+k half a step later
+        return dataclasses.replace(spec, cpt=trans if name.startswith("x") else emit)
+
+    return LazyNetwork(resolver=resolve, t0=inner.t0, open_past=True)
+
+
+def _counting_passes(monkeypatch) -> tuple[list, list]:
+    """The ``log`` flag of every elimination, and the matmul calls made."""
+    passes, matmuls = [], [0]
+    eliminate, matmul = infer._eliminate, np.matmul
+
+    def recording(*args):
+        passes.append(args[-1])
+        return eliminate(*args)
+
+    def counting(*args):
+        matmuls[0] += 1
+        return matmul(*args)
+
+    monkeypatch.setattr(infer, "_eliminate", recording)
+    monkeypatch.setattr(np, "matmul", counting)
+    return passes, matmuls
+
+
+def _deep(trans, emit):
+    """The paper's chain, with ``trans`` and ``emit`` from 40 steps back:
+    far enough that the run's first buckets, which come before its
+    deferred steps, do not meet them."""
+    return lambda k: (trans, emit) if k <= -40 else (_STAY, _EMIT)
+
+
+@pytest.mark.parametrize(
+    "tables, redone, multiplied",
+    [
+        # exact zeros: state 0 absorbs, so the steps and all their products
+        # hold zeros that their masks show exact
+        (lambda k: (((1.0, 0.0), (0.3, 0.7)), _EMIT), False, True),
+        # a step cell of 1e-200 * 1e-200 underflows to zero: no product is taken
+        (_deep(((1.0, 1e-200), (1e-200, 1.0)), ((1e-200, 1.0), (1.0, 1e-200))), True, False),
+        # no step cell is below _FLOOR, but one of a product of two is
+        (_deep(((1.0, 1e-100), (1e-150, 1.0)), ((1e-150, 1.0), (1.0, 1e-150))), True, True),
+    ],
+    ids=["exact_zeros", "step_underflows", "product_underflows"],
+)
+def test_a_long_run_certifies_each_product_or_is_redone_in_logs(monkeypatch, tables, redone, multiplied):
+    window = 300
+    passes, matmuls = _counting_passes(monkeypatch)
+    qb = bounds_at(_binary_chain(tables), hmm_query(HmmParams(window=window)), Threshold(-float(window)))
+    assert passes == ([False, True] if redone else [False])
+    assert (matmuls[0] > 0) == multiplied
+    lo, hi = sorted(oracles.decimal_clamp_filter(tables, c, window, window) for c in (0, 1))
+    assert float(lo) == pytest.approx(qb.lower, abs=infer.PROB_TOL)
+    assert float(hi) == pytest.approx(qb.upper, abs=infer.PROB_TOL)
+
+
+def test_a_long_run_goes_to_logs_when_every_cell_is_below_the_floor(monkeypatch):
+    passes, matmuls = _counting_passes(monkeypatch)
+    monkeypatch.setattr(infer, "_FLOOR", 2.0)
+    window = 300
+    p = HmmParams(window=window)
+    qb = bounds_at(hmm_model(p), hmm_query(p), Threshold(-float(window)))
+    assert passes == [False, True] and matmuls[0] == 0
+    assert qb.lower == pytest.approx(oracles.hmm_clamp_filter(0.9, 0.8, 0, window, window), abs=infer.PROB_TOL)
+    assert qb.upper == pytest.approx(oracles.hmm_clamp_filter(0.9, 0.8, 1, window, window), abs=infer.PROB_TOL)
 
 
 def test_bounds_exact_zero_normalizer_survives_scaling():

@@ -6,7 +6,8 @@ is given, one around ``infer._bucket`` the buckets it runs, and one around
 once, a step of a long chain sweep must do the same work, with one
 einsum and one bucket, at any depth, a step of a coupled k-chain must cover the same
 cells bucket by bucket, and one threshold on the chain must run buckets
-in a number affine in its window. Nodes are
+in a number affine in its window, and numpy contraction calls (``np.einsum``
+and ``np.matmul``) in a number logarithmic in it. Nodes are
 counted, not arrays built: a walk builds one array per distinct CPT
 (``Walk.factors``), so a lazy chain's nodes share two at any depth.
 Layout is checked, not timed: a chain step leaves its clamp table
@@ -147,6 +148,30 @@ def test_one_threshold_runs_buckets_affine_in_its_window(monkeypatch):
     # three counts on one line: a redo in logs at the widest window, or
     # work that grows faster than the fragment, would bend it
     assert (buckets[1200] - buckets[400]) * (2500 - 1200) == (buckets[2500] - buckets[1200]) * (1200 - 400)
+
+
+def test_one_threshold_makes_contraction_calls_logarithmic_in_its_window(monkeypatch):
+    # the chain's hidden nodes make one run: its first _RUN_MIN - 1 steps
+    # are buckets, then a matmul a level of the pairwise product and one
+    # einsum where the product meets the run's message, so a doubling of
+    # the window adds one level
+    calls = [0]
+    for name in ("einsum", "matmul"):
+        wrapped = getattr(np, name)
+
+        def counting(*args, _wrapped=wrapped, **kwargs):
+            calls[0] += 1
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    made = {}
+    for w in (400, 1200, 2500, 10_000):
+        p = HmmParams(window=w)
+        calls[0] = 0
+        bounds_at(hmm_model(p), hmm_query(p), Threshold(-float(w)))
+        made[w] = calls[0]
+    windows = sorted(made)
+    assert all(made[b] - made[a] <= math.log2(b / a) + 1 for a, b in zip(windows, windows[1:])), made
 
 
 def test_a_chain_step_runs_one_einsum_at_any_depth(monkeypatch):
